@@ -44,6 +44,9 @@ func CompareExpectedSimulated(expected map[string]float64, res *Result) *Compose
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	if len(names) > 0 {
+		rep.Entries = make([]ComposeEntry, 0, len(names))
+	}
 	var sum float64
 	for _, name := range names {
 		er := res.Entity(name)

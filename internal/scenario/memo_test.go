@@ -1,0 +1,400 @@
+package scenario
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/faults"
+	"repro/internal/profile"
+	"repro/internal/tracefile"
+)
+
+// goldenTrace decodes the tracefile package's golden container, a real
+// trace value for tests that need one without capturing.
+func goldenTrace(t testing.TB) *tracefile.Trace {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "tracefile", "testdata", "mini_golden.ctr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := tracefile.Decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// checkMemo verifies the memo's bookkeeping under its lock: the LRU
+// list and the table agree, the resident bytes are the sum of the resident
+// sizes and within the budget, no resident entry holds an error or a
+// value larger than the budget, and — when quiet, with no lookup in
+// flight — no entry is still computing.
+func checkMemo(t *testing.T, m *memo, quiet bool) {
+	t.Helper()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var bytes int64
+	n := 0
+	for el := m.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*memoEntry)
+		n++
+		bytes += e.size
+		if m.entries[e.key] != e || e.elem != el {
+			t.Errorf("resident %s is not its key's entry", e.key)
+		}
+		if e.err != nil || e.size > m.budget {
+			t.Errorf("resident %s holds err %v, size %d (budget %d)", e.key, e.err, e.size, m.budget)
+		}
+	}
+	if bytes != m.bytes {
+		t.Errorf("the LRU list holds %d bytes, the counter says %d", bytes, m.bytes)
+	}
+	if m.bytes > m.budget {
+		t.Errorf("resident bytes %d exceed the budget %d", m.bytes, m.budget)
+	}
+	if quiet && len(m.entries) != n {
+		t.Errorf("%d entries still computing with no lookup in flight", len(m.entries)-n)
+	}
+}
+
+// modelKey is one key of the model test's reference map. A profile
+// key's reference value is one curve named after the key whose Sizes
+// has ints elements, which sets the value's size; every trace key's
+// reference value is the golden trace.
+type modelKey struct {
+	kind, key string
+	ints      int
+}
+
+func (k modelKey) full() string { return k.kind + "|" + k.key }
+
+var errModel = errors.New("model: computation failed")
+
+// lookupAs runs one typed stage lookup whose computation is body.
+func lookupAs[T any](ctx context.Context, rn *Runner, k modelKey, body func() (any, error)) (any, error) {
+	return stage(ctx, rn, k.kind, k.key, func() (T, error) {
+		v, err := body()
+		t, _ := v.(T)
+		return t, err
+	})
+}
+
+// TestMemoModel runs seeded random interleavings of stage lookups
+// against a reference map: computations that succeed, fail, panic,
+// block, or are never started because the lookup's ctx is canceled;
+// TrimMemo; budget-forced eviction (one key's value is larger than the
+// whole budget); and injected trace.read faults on resident traces.
+// Every successful lookup must return the reference value; a key's
+// computation only starts when the key has no entry and never runs
+// twice at once; errors are never cached; the bookkeeping stays within
+// the budget throughout; and every injected fault is counted.
+func TestMemoModel(t *testing.T) {
+	tr := goldenTrace(t)
+	budget := int64(3 * tr.Size())
+	var keys []modelKey
+	for i, ints := range []int{4, 16, 40, 80, 120, 160, 240} {
+		keys = append(keys, modelKey{kind: stageProfile, key: fmt.Sprintf("p%d", i), ints: ints})
+	}
+	keys = append(keys, modelKey{kind: stageProfile, key: "oversized", ints: int(budget / 8)})
+	for i := 0; i < 3; i++ {
+		keys = append(keys, modelKey{kind: stageTrace, key: fmt.Sprintf("t%d", i)})
+	}
+	running := make(map[string]*int32, len(keys))
+	for _, k := range keys {
+		running[k.full()] = new(int32)
+	}
+	ref := func(k modelKey) any {
+		if k.kind == stageTrace {
+			return tr
+		}
+		return []profile.Curve{{Entity: k.key, Sizes: make([]int, k.ints)}}
+	}
+	isRef := func(k modelKey, v any) bool {
+		if k.kind == stageTrace {
+			return v == tr
+		}
+		c, ok := v.([]profile.Curve)
+		return ok && len(c) == 1 && c[0].Entity == k.key && len(c[0].Sizes) == k.ints
+	}
+
+	rn := NewRunner(1)
+	rn.memo = newMemo(budget)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	// lookup runs one lookup of k whose computation, if this lookup owns
+	// it, has the given outcome, checks what it returns, and reports
+	// whether it computed.
+	lookup := func(k modelKey, outcome string) (computed bool) {
+		ctx := context.Background()
+		if outcome == "canceled" {
+			ctx = canceled
+		}
+		body := func() (any, error) {
+			computed = true
+			if n := atomic.AddInt32(running[k.full()], 1); n != 1 {
+				t.Errorf("%s: %d computations in flight at once", k.full(), n)
+			}
+			defer atomic.AddInt32(running[k.full()], -1)
+			rn.memo.mu.Lock()
+			e := rn.memo.entries[k.full()]
+			rn.memo.mu.Unlock()
+			if e == nil || e.elem != nil {
+				t.Errorf("%s: computing without owning the key's computing entry", k.full())
+			}
+			switch outcome {
+			case "fail":
+				return nil, errModel
+			case "panic":
+				panic("model: computation panicked")
+			case "block":
+				time.Sleep(time.Duration(50+rand.Intn(200)) * time.Microsecond)
+			}
+			return ref(k), nil
+		}
+		var (
+			v   any
+			err error
+		)
+		if k.kind == stageTrace {
+			v, err = lookupAs[*tracefile.Trace](ctx, rn, k, body)
+		} else {
+			v, err = lookupAs[[]profile.Curve](ctx, rn, k, body)
+		}
+		var pe *StagePanicError
+		switch {
+		case outcome == "canceled":
+			if computed || !errors.Is(err, context.Canceled) {
+				t.Errorf("%s: canceled lookup computed=%v err=%v", k.full(), computed, err)
+			}
+		case err == nil:
+			if !isRef(k, v) {
+				t.Errorf("%s: lookup returned %v, not the reference value", k.full(), v)
+			}
+		case computed && outcome == "fail" && errors.Is(err, errModel):
+		case computed && outcome == "panic" && errors.As(err, &pe):
+		case !computed && (errors.Is(err, errModel) || errors.As(err, &pe)):
+			// Shared the failure of a computation that was in flight.
+		default:
+			t.Errorf("%s: outcome %s (computed %v) returned %v", k.full(), outcome, computed, err)
+		}
+		return computed
+	}
+
+	outcomes := []string{"ok", "ok", "ok", "ok", "ok", "ok", "fail", "panic", "block", "block", "canceled"}
+	var injected uint64
+	for round := uint64(0); round < 3; round++ {
+		plan := faults.New(round + 1)
+		plan.ErrorAt(faults.SiteTraceRead, plan.Pick(400, 60)...)
+		restore := faults.Activate(plan)
+		before := rn.Stats()
+
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for op := 0; op < 250; op++ {
+					switch r := rng.Intn(20); {
+					case r == 0:
+						rn.TrimMemo(rng.Intn(4))
+					case r == 1:
+						checkMemo(t, rn.memo, false)
+					default:
+						lookup(keys[rng.Intn(len(keys))], outcomes[rng.Intn(len(outcomes))])
+					}
+				}
+			}(int64(round*10) + int64(g))
+		}
+		wg.Wait()
+		restore()
+
+		checkMemo(t, rn.memo, true)
+		st := rn.Stats().Delta(before)
+		fired := plan.Fired(faults.SiteTraceRead, faults.Error)
+		if st.StoreErrors != fired {
+			t.Errorf("round %d: %d trace.read faults injected, %d counted", round, fired, st.StoreErrors)
+		}
+		injected += fired
+		// Errors are never cached: with every computation succeeding,
+		// each key serves its reference value.
+		for _, k := range keys {
+			lookup(k, "ok")
+		}
+		checkMemo(t, rn.memo, true)
+	}
+	if injected == 0 {
+		t.Error("no trace.read fault fired on a resident trace")
+	}
+	// A fault on a resident trace evicts it, so the lookup recaptures.
+	tk := keys[len(keys)-1]
+	lookup(tk, "ok")
+	restore := faults.Activate(faults.New(9).ErrorAt(faults.SiteTraceRead, 0))
+	recaptured := lookup(tk, "ok")
+	restore()
+	if !recaptured {
+		t.Error("a trace.read fault on a resident trace must evict it and recapture")
+	}
+	if rn.Stats().MemoEvictions == 0 {
+		t.Error("a budget of three traces over this key space must evict")
+	}
+	rn.TrimMemo(1)
+	if u := rn.MemoUsage(); u.Entries > 1 || u.Budget != budget {
+		t.Errorf("TrimMemo(1) left %+v", u)
+	}
+	checkMemo(t, rn.memo, true)
+}
+
+// TestMemoEvictsLeastRecentlyUsed checks the eviction order: a hit
+// refreshes an entry, so both the budget and a trim evict the least
+// recently used entry first, and a negative trim empties the memo.
+func TestMemoEvictsLeastRecentlyUsed(t *testing.T) {
+	m := newMemo(30)
+	put := func(key string) {
+		e, owner := m.lookup(key)
+		if !owner {
+			t.Fatalf("%s: first lookup must own the computation", key)
+		}
+		m.settle(e, key, 10, nil)
+	}
+	resident := func() (out []string) {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		for el := m.lru.Front(); el != nil; el = el.Next() {
+			out = append(out, el.Value.(*memoEntry).key)
+		}
+		return out
+	}
+	put("a")
+	put("b")
+	put("c")
+	m.lookup("a") // b is now the least recently used
+	put("d")      // over the budget: evicts b
+	if got := strings.Join(resident(), ","); got != "d,a,c" {
+		t.Errorf("after the budget eviction, most recent first: %s, want d,a,c", got)
+	}
+	m.lookup("c")
+	m.trim(1)
+	if got := strings.Join(resident(), ","); got != "c" {
+		t.Errorf("after trim(1): %s, want c", got)
+	}
+	m.trim(-1)
+	if u := m.usage(); u.Entries != 0 || u.Bytes != 0 || m.evictions.Load() != 4 {
+		t.Errorf("after trim(-1): %+v, %d evictions, want empty after 4", u, m.evictions.Load())
+	}
+}
+
+// TestMemoOversizedValueReachesWaitersNotRetained pins the budget's edge:
+// a value larger than the whole budget is handed to every lookup that
+// waited on its computation, but it does not stay resident and it does
+// not push out the entries that fit.
+func TestMemoOversizedValueReachesWaitersNotRetained(t *testing.T) {
+	m := newMemo(100)
+	small, owner := m.lookup("small")
+	if !owner {
+		t.Fatal("first lookup must own the computation")
+	}
+	m.settle(small, "small value", 40, nil)
+
+	big, owner := m.lookup("big")
+	if !owner {
+		t.Fatal("first lookup of big must own the computation")
+	}
+	var waiters []*memoEntry
+	for i := 0; i < 3; i++ {
+		e, owner := m.lookup("big")
+		if owner || e != big {
+			t.Fatal("a lookup during the computation must wait on it")
+		}
+		waiters = append(waiters, e)
+	}
+	m.settle(big, "big value", 101, nil)
+	for _, e := range waiters {
+		<-e.done
+		if e.val != "big value" || e.err != nil {
+			t.Errorf("waiter got %v, %v", e.val, e.err)
+		}
+	}
+	if u := m.usage(); u.Entries != 1 || u.Bytes != 40 || m.evictions.Load() != 1 {
+		t.Errorf("after the oversized value: %+v, %d evictions", u, m.evictions.Load())
+	}
+	if _, owner := m.lookup("big"); !owner {
+		t.Error("the oversized value must not be retained")
+	}
+	if e, owner := m.lookup("small"); owner || e != small {
+		t.Error("the oversized value must not evict what fits")
+	}
+}
+
+// TestMemoHitAllocs pins a memo hit — the path every warm request takes
+// per stage — at zero allocations, for a trace (which also passes the
+// trace.read fault site) and for a JSON kind.
+func TestMemoHitAllocs(t *testing.T) {
+	rn := NewRunner(1)
+	values := map[string]any{
+		stageTrace:   goldenTrace(t),
+		stageProfile: []profile.Curve{{Entity: "e", Sizes: []int{1}, Misses: []float64{2}}},
+	}
+	for kind, v := range values {
+		key := kind + "|k"
+		f := func() (any, error) { return v, nil }
+		if _, err := rn.lookup(kind, key, f); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(200, func() { rn.lookup(kind, key, f) }); n != 0 {
+			t.Errorf("%s memo hit: %v allocs, want 0", kind, n)
+		}
+	}
+}
+
+// TestMemoSizeTracksDocuments checks each kind's size estimate against
+// its encoded document over small-scale versions of the built-in
+// application studies: exactly the container size for traces, and
+// within 2.5× of the document for the JSON kinds. The live values are
+// larger than their JSON: a curve keeps 8 bytes per size and miss count
+// where its document spends two to five digits, and a map entry costs
+// about 40 bytes of slots beyond its key, so an honest heap estimate of
+// the optimize stage is about 2.3× its document.
+func TestMemoSizeTracksDocuments(t *testing.T) {
+	const maxRatio = 2.5
+	rn := NewRunner(2)
+	for _, w := range []string{"2jpeg+canny", "mpeg2"} {
+		if _, err := rn.Run(Scenario{Workload: w, Scale: "small", Runs: 1, Partition: PartitionOptimized}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var resident []*memoEntry
+	rn.memo.mu.Lock()
+	for el := rn.memo.lru.Front(); el != nil; el = el.Next() {
+		resident = append(resident, el.Value.(*memoEntry))
+	}
+	rn.memo.mu.Unlock()
+	kinds := map[string]int{}
+	for _, e := range resident {
+		kind, _, _ := strings.Cut(e.key, "|")
+		kinds[kind]++
+		doc, err := encodeStage(kind, e.val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr, ok := e.val.(*tracefile.Trace); ok && e.size != int64(tr.Size()) {
+			t.Errorf("%s: size %d, trace container %d bytes", e.key, e.size, tr.Size())
+		}
+		if r := float64(e.size) / float64(len(doc)); r < 1/maxRatio || r > maxRatio {
+			t.Errorf("%s: size %d vs %d-byte document (ratio %.2f)", e.key, e.size, len(doc), r)
+		}
+	}
+	if len(kinds) != 4 {
+		t.Errorf("want every stage kind resident, got %v", kinds)
+	}
+}

@@ -32,40 +32,29 @@ import (
 // A Runner is safe for concurrent use; the serve mode shares one across
 // requests, turning the memo into a result cache.
 //
-// The memo is layered. In front, a single-flight table tracks stages
-// currently computing, so concurrent identical lookups — including
-// concurrent cold reads of the same durable record — collapse into one.
-// Behind it, completed stage results live as versioned encoded
-// documents in an in-memory LRU store, and optionally in a durable
-// store (the crash-safe on-disk CAS of internal/store): a memory miss
-// consults the durable layer before simulating, so warm results survive
-// process restarts. Durable-layer failures are counted, retried and —
-// when the medium keeps failing — degraded away by the store layer;
-// they never fail a scenario.
+// The memo holds live stage values, not documents: one table whose
+// entries carry a stage's single-flight state, its decoded value and
+// the value's size, evicted least-recently-used against one byte
+// budget (memoBudget). Concurrent identical lookups — including
+// concurrent cold reads of the same durable record — collapse into one
+// computation. With a durable store (the crash-safe on-disk CAS of
+// internal/store), a completed stage is written through once as its
+// versioned document, and a memo miss consults the store before
+// simulating, so warm results survive process restarts; a disk hit is
+// decoded once and then held as a value. Durable-layer failures are
+// counted, retried and — when the medium keeps failing — degraded away
+// by the store layer; they never fail a scenario.
 type Runner struct {
 	// workers bounds each fan-out stage (0 = GOMAXPROCS, 1 = fully
 	// sequential), exactly like experiments.Config.Workers.
 	workers int
 
-	mu       sync.Mutex
-	inflight map[string]*memoEntry
-
-	mem     store.Store // completed stage documents, LRU-bounded
+	// memo serves completed stage values. The sharing is safe because
+	// stage values are immutable once computed — every consumer treats
+	// them read-only, which the differential suite (sweep-vs-sequential
+	// bit-identity) pins.
+	memo    *memo
 	durable store.Store // optional crash-safe layer; nil = memory-only
-
-	// decoded caches the live (decoded) value of completed stages next
-	// to the encoded documents in mem, so concurrent executions share
-	// one decoded trace / curve set / result instead of re-decoding the
-	// stage document on every memo hit — for a 32-point sweep the same
-	// multi-megabyte trace would otherwise be decoded once per point.
-	// Keys are content addresses, so a decoded value can never go stale;
-	// entries are evicted together with their documents (decode faults,
-	// TrimMemo). The invariant making the sharing safe: stage values are
-	// immutable once computed — every consumer treats them read-only,
-	// which the differential suite (sweep-vs-sequential bit-identity)
-	// pins. Trace-kind hits still pass through the trace.read fault
-	// site, preserving the corrupt-trace recapture path.
-	decoded sync.Map // composite stage key → decoded stage value
 
 	stageRuns    uint64 // stages actually executed
 	memoHits     uint64 // stage lookups served from the in-process memo
@@ -105,14 +94,6 @@ func (e *StagePanicError) Error() string {
 	return fmt.Sprintf("scenario: panic in %s stage (key %s): %v", e.Stage, e.Key, e.Value)
 }
 
-// memoEntry is a single-flight memo slot: the first caller computes,
-// concurrent callers block on the sync.Once, later callers reuse.
-type memoEntry struct {
-	once sync.Once
-	val  interface{}
-	err  error
-}
-
 // NewRunner returns a memory-only Runner with the given worker-pool
 // bound.
 func NewRunner(workers int) *Runner {
@@ -126,12 +107,7 @@ func NewRunner(workers int) *Runner {
 // memory-only operation instead of failing scenarios. nil means
 // memory-only.
 func NewRunnerWithStore(workers int, durable store.Store) *Runner {
-	return &Runner{
-		workers:  workers,
-		inflight: make(map[string]*memoEntry),
-		mem:      store.NewMemory(0),
-		durable:  durable,
-	}
+	return &Runner{workers: workers, memo: newMemo(memoBudget), durable: durable}
 }
 
 // Workers returns the runner's worker-pool knob (0 = GOMAXPROCS).
@@ -150,23 +126,16 @@ func (r *Runner) StoreMode() string {
 	return "disk"
 }
 
-// TrimMemo bounds the in-memory result store to at most max completed
-// entries, evicting least-recently-used records. Stages still in flight
-// are tracked separately and are never evicted; evicted results remain
-// in the durable store (when configured) and otherwise recompute —
-// every simulation is deterministic, so trimming never changes results.
-func (r *Runner) TrimMemo(max int) {
-	if t, ok := r.mem.(store.Trimmer); ok {
-		t.Trim(max)
-	}
-	// Drop the decoded side-cache wholesale: it must not outgrow the
-	// trimmed document store, and content-addressed values repopulate on
-	// the next hit (a decode, not a recompute).
-	r.decoded.Range(func(k, _ any) bool {
-		r.decoded.Delete(k)
-		return true
-	})
-}
+// TrimMemo evicts least-recently-used memo entries until at most n
+// remain. Stages still in flight are never evicted; evicted results
+// remain in the durable store (when configured) and otherwise recompute
+// — every simulation is deterministic, so trimming never changes
+// results.
+func (r *Runner) TrimMemo(n int) { r.memo.trim(n) }
+
+// MemoUsage reports the memo's resident entries and bytes against its
+// byte budget.
+func (r *Runner) MemoUsage() MemoUsage { return r.memo.usage() }
 
 // Close releases the durable store, if any.
 func (r *Runner) Close() error {
@@ -194,6 +163,8 @@ type Stats struct {
 	DiskMisses   uint64 `json:"disk_misses,omitempty"`  // durable lookups that found no record
 	StoreErrors  uint64 `json:"store_errors,omitempty"` // durable-store operations failed post-retry (never fatal)
 	Quarantined  uint64 `json:"quarantined,omitempty"`  // corrupt durable records detected and quarantined
+	// MemoEvictions counts stage values dropped for the byte budget or on TrimMemo.
+	MemoEvictions uint64 `json:"memo_evictions"`
 }
 
 // Delta returns the counter-wise difference s - before: the stage work
@@ -215,6 +186,8 @@ func (s Stats) Delta(before Stats) Stats {
 		DiskMisses:   s.DiskMisses - before.DiskMisses,
 		StoreErrors:  s.StoreErrors - before.StoreErrors,
 		Quarantined:  s.Quarantined - before.Quarantined,
+
+		MemoEvictions: s.MemoEvictions - before.MemoEvictions,
 	}
 }
 
@@ -238,6 +211,7 @@ func (r *Runner) Stats() Stats {
 	if sp, ok := r.durable.(store.StatsProvider); ok {
 		s.Quarantined = sp.Stats().Quarantined
 	}
+	s.MemoEvictions = r.memo.evictions.Load()
 	return s
 }
 
@@ -249,138 +223,110 @@ const (
 	stageTrace    = "trace"
 )
 
-// noteHit counts a stage lookup served without executing the stage.
-func (r *Runner) noteHit(kind string) {
-	atomic.AddUint64(&r.memoHits, 1)
-	if kind == stageTrace {
-		atomic.AddUint64(&r.traceHits, 1)
-	}
-}
-
-// stage serves one pipeline-stage lookup through the memo layers:
-// the completed-result stores first (memory, then the durable layer),
-// then a single-flight execution of f. Concurrent lookups of one key —
-// whether the work is a simulation or a cold durable read — collapse
-// into one computation whose result every waiter shares, so
+// stage serves one pipeline-stage lookup through the memo, typed by the
+// stage's value: a resident value is served as is; otherwise the first
+// lookup of the key loads it from the durable store or computes it with
+// f, and concurrent lookups of the key share that one computation, so
 // concurrency semantics are independent of the storage backing.
 //
-// Errors are NOT memoized: a failed stage evicts its single-flight
-// entry (nothing is stored), so a transient failure cannot poison the
-// key for the lifetime of a long-lived shared runner — the next request
-// retries. Callers that arrived while the failing computation was in
-// flight still all observe its error (they were waiting on it), but any
-// later lookup starts fresh.
+// Errors are NOT memoized: a failed stage leaves the memo (nothing is
+// stored), so a transient failure cannot poison the key for the
+// lifetime of a long-lived shared runner — the next request retries.
+// Callers that arrived while the failing computation was in flight
+// still all observe its error (they were waiting on it), but any later
+// lookup starts fresh.
 //
 // A canceled ctx fails the lookup before it touches the memo; it never
 // aborts a computation already in flight (simulations are deterministic
 // and their results are shared, so in-flight work is never wasted).
-func (r *Runner) stage(ctx context.Context, kind, key string, f func() (interface{}, error)) (interface{}, error) {
+func stage[T any](ctx context.Context, r *Runner, kind, key string, f func() (T, error)) (T, error) {
+	var zero T
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return zero, err
 	}
-	key = kind + "|" + key
-	var (
-		e       *memoEntry
-		waiting bool
-	)
-	for {
-		// Decoded fast path: serve the shared live value with no store
-		// lookup and no decode. Trace reads keep their fault site — an
-		// injected read error behaves exactly like a corrupt document
-		// (counted, both layers evicted, recompute), so the recapture
-		// semantics are independent of which layer served the trace.
-		if v, ok := r.decoded.Load(key); ok {
-			if kind == stageTrace {
-				if err := faults.Point(faults.SiteTraceRead); err != nil {
-					atomic.AddUint64(&r.storeErrors, 1)
-					r.decoded.Delete(key)
-					r.mem.Delete(key)
-				} else {
-					r.noteHit(kind)
-					return v, nil
-				}
-			} else {
-				r.noteHit(kind)
-				return v, nil
-			}
-		}
-		r.mu.Lock()
-		e, waiting = r.inflight[key]
-		var cached []byte
-		if !waiting {
-			if b, err := r.mem.Get(key); err == nil {
-				cached = b
-			} else {
-				e = &memoEntry{}
-				r.inflight[key] = e
-			}
-		}
-		r.mu.Unlock()
-		if cached == nil {
-			break
-		}
-		v, derr := decodeStage(kind, cached)
-		if derr == nil {
-			r.decoded.Store(key, v)
-			r.noteHit(kind)
-			return v, nil
-		}
-		// The memory layer held an undecodable document (a corrupt
-		// trace surfaced by the trace.read fault site, or version skew
-		// from a live upgrade). Treat it exactly like the durable layer
-		// does: count it, evict the record, and loop back to recompute —
-		// corruption costs a re-run, never a failed scenario.
-		atomic.AddUint64(&r.storeErrors, 1)
-		r.mem.Delete(key)
+	v, err := r.lookup(kind, kind+"|"+key, func() (any, error) { return f() })
+	if err != nil {
+		return zero, err
 	}
-
-	if waiting {
-		r.noteHit(kind)
-	}
-	e.once.Do(func() {
-		if v, ok := r.loadDurable(kind, key); ok {
-			e.val = v
-			return
-		}
-		atomic.AddUint64(&r.stageRuns, 1)
-		switch kind {
-		case stageProfile:
-			atomic.AddUint64(&r.profileRuns, 1)
-		case stageOptimize:
-			atomic.AddUint64(&r.optimizeRuns, 1)
-		case stageRun:
-			atomic.AddUint64(&r.runRuns, 1)
-		case stageTrace:
-			atomic.AddUint64(&r.traceRuns, 1)
-		}
-		e.val, e.err = r.guarded(kind, key, f)
-		if e.err == nil {
-			r.persist(kind, key, e.val)
-		}
-	})
-	// The entry's work is done (stored on success): retire it from the
-	// single-flight table. The pointer comparison keeps this idempotent
-	// across the entry's concurrent waiters and never deletes a fresh
-	// retry entry installed in the meantime; the error counter fires
-	// once per failed execution, mirroring the eviction-for-retry
-	// semantics (nothing was stored, so the next lookup starts fresh).
-	r.mu.Lock()
-	if r.inflight[key] == e {
-		delete(r.inflight, key)
-		if e.err != nil {
-			atomic.AddUint64(&r.stageErrors, 1)
-		}
-	}
-	r.mu.Unlock()
-	return e.val, e.err
+	return v.(T), nil
 }
 
-// loadDurable consults the durable store for a completed stage result,
-// promoting a hit into the memory store. Store failures are counted and
-// swallowed — the caller falls through to simulation; a document of an
-// unknown version (or a kind mismatch) is treated the same way, and the
-// recompute overwrites it.
-func (r *Runner) loadDurable(kind, key string) (interface{}, bool) {
+// lookup is stage's untyped core over the full memo key; a hit
+// allocates nothing.
+func (r *Runner) lookup(kind, key string, f func() (any, error)) (any, error) {
+	for {
+		e, owner := r.memo.lookup(key)
+		if owner {
+			r.fill(kind, e, f)
+			return e.val, e.err
+		}
+		select {
+		case <-e.done:
+			// A resident value. Trace hits keep their read fault site: an
+			// injected read error behaves exactly like a corrupt document
+			// (counted, evicted, recaptured), so the recapture semantics
+			// are independent of which layer served the trace.
+			if kind == stageTrace && faults.Point(faults.SiteTraceRead) != nil {
+				atomic.AddUint64(&r.storeErrors, 1)
+				r.memo.drop(e)
+				continue
+			}
+		default:
+			<-e.done // share the computation in flight
+		}
+		atomic.AddUint64(&r.memoHits, 1)
+		if kind == stageTrace {
+			atomic.AddUint64(&r.traceHits, 1)
+		}
+		return e.val, e.err
+	}
+}
+
+// errStageAborted settles an entry whose computation unwound without
+// finishing, so its waiters fail instead of blocking forever.
+var errStageAborted = errors.New("scenario: stage computation aborted")
+
+// fill computes the entry this lookup owns — from the durable store
+// when it holds the stage, otherwise by executing f and writing the
+// result through to the store — and settles it with the value's size.
+func (r *Runner) fill(kind string, e *memoEntry, f func() (any, error)) {
+	var v any
+	err := errStageAborted // until an outcome is known; a panic unwinds with it
+	defer func() {
+		size := 0
+		if err == nil {
+			size = codecs[kind].size(v)
+		} else {
+			atomic.AddUint64(&r.stageErrors, 1)
+		}
+		r.memo.settle(e, v, int64(size), err)
+	}()
+	if dv, ok := r.loadDurable(kind, e.key); ok {
+		v, err = dv, nil
+		return
+	}
+	atomic.AddUint64(&r.stageRuns, 1)
+	switch kind {
+	case stageProfile:
+		atomic.AddUint64(&r.profileRuns, 1)
+	case stageOptimize:
+		atomic.AddUint64(&r.optimizeRuns, 1)
+	case stageRun:
+		atomic.AddUint64(&r.runRuns, 1)
+	case stageTrace:
+		atomic.AddUint64(&r.traceRuns, 1)
+	}
+	v, err = r.guarded(kind, e.key, f)
+	if err == nil {
+		r.persist(kind, e.key, v)
+	}
+}
+
+// loadDurable consults the durable store for a completed stage result.
+// Store failures are counted and swallowed — the caller falls through
+// to simulation; a document of an unknown version (or a kind mismatch)
+// is treated the same way, and the recompute overwrites it.
+func (r *Runner) loadDurable(kind, key string) (any, bool) {
 	if r.durable == nil {
 		return nil, false
 	}
@@ -397,8 +343,6 @@ func (r *Runner) loadDurable(kind, key string) (interface{}, bool) {
 		if kind == stageTrace {
 			atomic.AddUint64(&r.traceHits, 1)
 		}
-		r.mem.Put(key, b)
-		r.decoded.Store(key, v)
 		return v, true
 	case errors.Is(err, store.ErrNotFound):
 		atomic.AddUint64(&r.diskMisses, 1)
@@ -410,25 +354,19 @@ func (r *Runner) loadDurable(kind, key string) (interface{}, bool) {
 	return nil, false
 }
 
-// persist encodes a completed stage value into its versioned document
-// and stores it — always in memory, and in the durable layer when one
-// is configured. Durable failures are counted, never propagated: a
-// broken volume costs durability, not results.
-func (r *Runner) persist(kind, key string, v interface{}) {
-	b, err := encodeStage(kind, v)
-	if err != nil {
-		// Stage values are plain structs of scalars, slices and maps;
-		// encoding cannot fail in practice. Count it and serve from the
-		// single-flight value alone.
-		atomic.AddUint64(&r.storeErrors, 1)
-		return
-	}
-	r.mem.Put(key, b)
-	r.decoded.Store(key, v)
+// persist writes a completed stage value through to the durable store
+// as its versioned document; memory-only runners encode nothing.
+// Failures are counted, never propagated: a broken volume costs
+// durability, not results.
+func (r *Runner) persist(kind, key string, v any) {
 	if r.durable == nil {
 		return
 	}
-	if err := r.durable.Put(key, b); err != nil && !errors.Is(err, store.ErrDegraded) {
+	b, err := encodeStage(kind, v)
+	if err == nil {
+		err = r.durable.Put(key, b)
+	}
+	if err != nil && !errors.Is(err, store.ErrDegraded) {
 		atomic.AddUint64(&r.storeErrors, 1)
 	}
 }
@@ -443,7 +381,7 @@ func (r *Runner) persist(kind, key string, v interface{}) {
 // retried by the next request instead of poisoning the key. The
 // fault-injection point fires once per stage execution (a no-op outside
 // the fault suite).
-func (r *Runner) guarded(kind, key string, f func() (interface{}, error)) (v interface{}, err error) {
+func (r *Runner) guarded(kind, key string, f func() (any, error)) (v any, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			atomic.AddUint64(&r.stagePanics, 1)
@@ -479,10 +417,10 @@ func traceStageKey(s Scenario) string {
 	return hashJSON(traceKey{Workload: s.Workload, Scale: s.Scale, Seed: s.Seed})
 }
 
-// traceStage serves the scenario's recorded trace through the memo
-// layers, capturing it from one live functional run on first use.
+// traceStage serves the scenario's recorded trace through the memo,
+// capturing it from one live functional run on first use.
 func (r *Runner) traceStage(ctx context.Context, s Scenario) (*tracefile.Trace, error) {
-	v, err := r.stage(ctx, stageTrace, traceStageKey(s), func() (interface{}, error) {
+	return stage(ctx, r, stageTrace, traceStageKey(s), func() (*tracefile.Trace, error) {
 		w, err := workloads.Build(s.Workload, s.buildConfig())
 		if err != nil {
 			return nil, err
@@ -494,10 +432,6 @@ func (r *Runner) traceStage(ctx context.Context, s Scenario) (*tracefile.Trace, 
 		atomic.AddUint64(&r.traceBytes, uint64(t.Size()))
 		return t, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*tracefile.Trace), nil
 }
 
 // workload returns the factory the pipeline stages build app instances
@@ -538,7 +472,7 @@ func profileStageKey(s Scenario) string {
 }
 
 func (r *Runner) profileStage(ctx context.Context, s Scenario) ([]profile.Curve, error) {
-	v, err := r.stage(ctx, stageProfile, profileStageKey(s), func() (interface{}, error) {
+	return stage(ctx, r, stageProfile, profileStageKey(s), func() ([]profile.Curve, error) {
 		// Nested stage lookups are detached from ctx: the closure may be
 		// computing on behalf of many single-flight waiters.
 		w, err := r.workload(context.Background(), s)
@@ -551,10 +485,6 @@ func (r *Runner) profileStage(ctx context.Context, s Scenario) ([]profile.Curve,
 		}
 		return core.Profile(w, oc)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]profile.Curve), nil
 }
 
 // optimizeKey extends profileKey with the solver choice.
@@ -576,7 +506,7 @@ func optimizeStageKey(s Scenario) string {
 }
 
 func (r *Runner) optimizeStage(ctx context.Context, s Scenario) (*core.OptimizeResult, error) {
-	v, err := r.stage(ctx, stageOptimize, optimizeStageKey(s), func() (interface{}, error) {
+	return stage(ctx, r, stageOptimize, optimizeStageKey(s), func() (*core.OptimizeResult, error) {
 		// The closure may be computing on behalf of many single-flight
 		// waiters; once started it completes regardless of the first
 		// caller's fate, so the nested profile lookup is detached from
@@ -600,10 +530,6 @@ func (r *Runner) optimizeStage(ctx context.Context, s Scenario) (*core.OptimizeR
 		}
 		return core.OptimizeFromCurves(app, curves, oc)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*core.OptimizeResult), nil
 }
 
 // runKey captures exactly what one measured execution depends on. The
@@ -630,7 +556,7 @@ func runStageKey(s Scenario, strat core.Strategy, allocKey string) string {
 }
 
 func (r *Runner) runStage(ctx context.Context, s Scenario, strat core.Strategy, alloc core.Allocation, allocKey string) (*core.Result, error) {
-	v, err := r.stage(ctx, stageRun, runStageKey(s, strat, allocKey), func() (interface{}, error) {
+	return stage(ctx, r, stageRun, runStageKey(s, strat, allocKey), func() (*core.Result, error) {
 		w, err := r.workload(context.Background(), s)
 		if err != nil {
 			return nil, err
@@ -643,10 +569,6 @@ func (r *Runner) runStage(ctx context.Context, s Scenario, strat core.Strategy, 
 		rc := core.RunConfig{Platform: pc, Strategy: strat, Alloc: alloc}
 		return core.Run(w, rc)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*core.Result), nil
 }
 
 // allocSpec returns the spec whose optimization provides the partitioned

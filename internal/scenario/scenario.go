@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"sync"
 
 	"repro/internal/bus"
 	"repro/internal/cache"
@@ -582,15 +583,23 @@ func (s Scenario) Key() (string, error) {
 	return hashJSON(n), nil
 }
 
-// hashJSON content-addresses any JSON-marshalable value.
+// hashBufs recycles hashJSON's encoding buffers: every request hashes
+// its scenario and stage keys, warm or cold, and keeps only the digest.
+var hashBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// hashJSON content-addresses any JSON-marshalable value by the bytes
+// json.Marshal would produce.
 func hashJSON(v interface{}) string {
-	b, err := json.Marshal(v)
-	if err != nil {
+	buf := hashBufs.Get().(*bytes.Buffer)
+	defer hashBufs.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		// Every hashed value is a plain struct of scalars, slices and
 		// string-keyed maps; marshaling cannot fail.
 		panic(fmt.Sprintf("scenario: hashing: %v", err))
 	}
-	sum := sha256.Sum256(b)
+	b := buf.Bytes()
+	sum := sha256.Sum256(b[:len(b)-1]) // without the newline Encode appends
 	return hex.EncodeToString(sum[:16])
 }
 

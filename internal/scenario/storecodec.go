@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -12,11 +13,10 @@ import (
 
 // Stage results are persisted as versioned documents: a small envelope
 // naming the stage kind and wire version around the stage value's
-// canonical JSON. The envelope travels through any store.Store — the
-// in-memory LRU and the on-disk CAS hold exactly the same bytes, so a
-// result computed by one process is byte-identical to the same result
-// reloaded by another (encoding/json round-trips float64 exactly and
-// orders map keys deterministically).
+// canonical JSON. Documents exist only for the durable store — the memo
+// holds live values — and a result computed by one process reloads
+// byte-identical in another (encoding/json round-trips float64 exactly
+// and orders map keys deterministically).
 //
 // StageDocVersion is bumped on any incompatible change to the stage
 // value types below; documents of another version decode with an error,
@@ -31,23 +31,72 @@ type stageDoc struct {
 	Data    json.RawMessage `json:"data"`
 }
 
-// encodeStage serializes one completed stage value ([]profile.Curve,
-// *core.OptimizeResult, *core.Result or *tracefile.Trace, per kind)
-// into its document. A trace is persisted as its own self-validating
-// CMTR container (base64 inside the JSON envelope), not as a JSON view
-// of the struct — the wire golden in internal/tracefile pins it.
-func encodeStage(kind string, v interface{}) ([]byte, error) {
-	var data []byte
-	var err error
-	if kind == stageTrace {
-		t, ok := v.(*tracefile.Trace)
-		if !ok {
-			return nil, fmt.Errorf("scenario: encoding trace stage: unexpected value %T", v)
-		}
-		data, err = json.Marshal(t.Bytes())
-	} else {
-		data, err = json.Marshal(v)
+// stageCodec is one stage kind's row of the codec table: encode renders
+// the live value as the document's data field, decode rebuilds the live
+// value from it, and size estimates the heap bytes the live value holds,
+// which the memo charges against its budget.
+type stageCodec struct {
+	encode func(v any) ([]byte, error)
+	decode func(data []byte) (any, error)
+	size   func(v any) int
+}
+
+// codecs maps each stage kind to its codec. The JSON kinds hold
+// []profile.Curve, *core.OptimizeResult and *core.Result. A trace is
+// persisted as its own self-validating CMTR container (base64 inside the
+// JSON envelope), not as a JSON view of the struct — the wire golden in
+// internal/tracefile pins it.
+var codecs = map[string]stageCodec{
+	stageProfile: {
+		encode: json.Marshal,
+		decode: func(data []byte) (any, error) {
+			var curves []profile.Curve
+			err := json.Unmarshal(data, &curves)
+			return curves, err
+		},
+		size: func(v any) int { return curvesSize(v.([]profile.Curve)) },
+	},
+	stageOptimize: {
+		encode: json.Marshal,
+		decode: decodeJSON[core.OptimizeResult],
+		size:   func(v any) int { return optimizeSize(v.(*core.OptimizeResult)) },
+	},
+	stageRun: {
+		encode: json.Marshal,
+		decode: decodeJSON[core.Result],
+		size:   func(v any) int { return runSize(v.(*core.Result)) },
+	},
+	stageTrace: {
+		encode: func(v any) ([]byte, error) { return json.Marshal(v.(*tracefile.Trace).Bytes()) },
+		decode: func(data []byte) (any, error) {
+			// The injection point makes corrupt-trace handling provable: an
+			// injected error here must read as a miss and recapture, exactly
+			// like a real CRC failure below.
+			if err := faults.Point(faults.SiteTraceRead); err != nil {
+				return nil, err
+			}
+			var raw []byte
+			if err := json.Unmarshal(data, &raw); err != nil {
+				return nil, err
+			}
+			return tracefile.Decode(raw)
+		},
+		size: func(v any) int { return v.(*tracefile.Trace).Size() },
+	},
+}
+
+// decodeJSON decodes a stage value into a fresh T.
+func decodeJSON[T any](data []byte) (any, error) {
+	v := new(T)
+	if err := json.Unmarshal(data, v); err != nil {
+		return nil, err
 	}
+	return v, nil
+}
+
+// encodeStage serializes one completed stage value into its document.
+func encodeStage(kind string, v any) ([]byte, error) {
+	data, err := codecs[kind].encode(v)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: encoding %s stage: %w", kind, err)
 	}
@@ -62,7 +111,11 @@ func encodeStage(kind string, v interface{}) ([]byte, error) {
 // the memo serves. The kind and version must match: a version or kind
 // mismatch is an error the runner treats as a cache miss, not as
 // corruption (the store layer already verified the bytes' integrity).
-func decodeStage(kind string, b []byte) (interface{}, error) {
+func decodeStage(kind string, b []byte) (any, error) {
+	c, ok := codecs[kind]
+	if !ok {
+		return nil, fmt.Errorf("scenario: unknown stage kind %q", kind)
+	}
 	var doc stageDoc
 	if err := json.Unmarshal(b, &doc); err != nil {
 		return nil, fmt.Errorf("scenario: decoding %s stage: %w", kind, err)
@@ -73,44 +126,47 @@ func decodeStage(kind string, b []byte) (interface{}, error) {
 	if doc.Kind != kind {
 		return nil, fmt.Errorf("scenario: stage document is %q, not %q", doc.Kind, kind)
 	}
-	var v interface{}
-	switch kind {
-	case stageProfile:
-		var curves []profile.Curve
-		if err := json.Unmarshal(doc.Data, &curves); err != nil {
-			return nil, fmt.Errorf("scenario: decoding %s stage: %w", kind, err)
-		}
-		v = curves
-	case stageOptimize:
-		opt := &core.OptimizeResult{}
-		if err := json.Unmarshal(doc.Data, opt); err != nil {
-			return nil, fmt.Errorf("scenario: decoding %s stage: %w", kind, err)
-		}
-		v = opt
-	case stageRun:
-		res := &core.Result{}
-		if err := json.Unmarshal(doc.Data, res); err != nil {
-			return nil, fmt.Errorf("scenario: decoding %s stage: %w", kind, err)
-		}
-		v = res
-	case stageTrace:
-		// The injection point makes corrupt-trace handling provable: an
-		// injected error here must read as a miss and recapture, exactly
-		// like a real CRC failure below.
-		if err := faults.Point(faults.SiteTraceRead); err != nil {
-			return nil, fmt.Errorf("scenario: decoding trace stage: %w", err)
-		}
-		var raw []byte
-		if err := json.Unmarshal(doc.Data, &raw); err != nil {
-			return nil, fmt.Errorf("scenario: decoding trace stage: %w", err)
-		}
-		t, err := tracefile.Decode(raw)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: decoding trace stage: %w", err)
-		}
-		v = t
-	default:
-		return nil, fmt.Errorf("scenario: unknown stage kind %q", kind)
+	v, err := c.decode(doc.Data)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: decoding %s stage: %w", kind, err)
 	}
 	return v, nil
+}
+
+// The size estimates count what a live value holds on the heap: its
+// structs, slice and string payloads, and map entries. mapEntryBytes
+// approximates a map entry's share of its buckets beyond the key and
+// value themselves.
+const mapEntryBytes = 16
+
+func curvesSize(curves []profile.Curve) int {
+	n := len(curves) * int(unsafe.Sizeof(profile.Curve{}))
+	for _, c := range curves {
+		n += len(c.Entity) + 8*(len(c.Sizes)+len(c.Misses))
+	}
+	return n
+}
+
+func optimizeSize(o *core.OptimizeResult) int {
+	return int(unsafe.Sizeof(*o)) + mapSize(o.Allocation) + curvesSize(o.Curves) + mapSize(o.Expected)
+}
+
+func runSize(r *core.Result) int {
+	n := int(unsafe.Sizeof(*r)) + len(r.App) + mapSize(r.TaskCycles) + mapSize(r.TaskCPU)
+	if r.Platform != nil {
+		n += int(unsafe.Sizeof(*r.Platform)) + 8*len(r.Platform.CPIs)
+	}
+	for _, e := range r.Entities {
+		n += int(unsafe.Sizeof(e)) + len(e.Name)
+	}
+	return n
+}
+
+func mapSize[V any](m map[string]V) int {
+	var v V
+	n := 0
+	for k := range m {
+		n += int(unsafe.Sizeof(k)+unsafe.Sizeof(v)) + len(k) + mapEntryBytes
+	}
+	return n
 }

@@ -6,7 +6,7 @@
 //
 // Endpoints:
 //
-//	GET  /healthz       liveness, readiness and load (inflight, queue, memo, panics)
+//	GET  /healthz       liveness, readiness and load (inflight, queue, memo occupancy, panics)
 //	GET  /v1/workloads  registered workload names
 //	GET  /v1/scenarios  built-in scenario specs (usable as "base")
 //	POST /v1/batch      {"scenarios":[spec,...]} → NDJSON result stream
@@ -70,9 +70,6 @@ const (
 	// responses.
 	retryAfterSeconds = 1
 )
-
-// maxMemoEntries caps the shared runner's memo between submissions.
-const maxMemoEntries = 4096
 
 // Logf is the injectable logging hook of a Server: dropped-client write
 // failures, shed decisions and drain progress report through it. nil
@@ -185,6 +182,10 @@ type Health struct {
 	// failed store operations that led there.
 	StoreMode string         `json:"store_mode"`
 	Runner    scenario.Stats `json:"runner_stats"`
+	// Memo is the shared memo's occupancy: resident entries and bytes
+	// against its byte budget. Runner.memo_evictions counts what the
+	// budget pushed out.
+	Memo scenario.MemoUsage `json:"memo"`
 }
 
 func (s *Server) health(w http.ResponseWriter, r *http.Request) {
@@ -198,6 +199,7 @@ func (s *Server) health(w http.ResponseWriter, r *http.Request) {
 		Shed:        atomic.LoadUint64(&s.shed),
 		StoreMode:   s.rn.StoreMode(),
 		Runner:      s.rn.Stats(),
+		Memo:        s.rn.MemoUsage(),
 	}
 	code := http.StatusOK
 	if s.isDraining() {
@@ -401,11 +403,6 @@ func (s *Server) batch(w http.ResponseWriter, r *http.Request) {
 		specs[i] = spec
 	}
 
-	// Bound the long-lived memo before taking on new work; the cap is
-	// generous (results are summaries), and trimming never changes
-	// results — simulations are deterministic.
-	s.rn.TrimMemo(maxMemoEntries)
-
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -474,8 +471,6 @@ func (s *Server) sweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-
-	s.rn.TrimMemo(maxMemoEntries)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -547,8 +542,6 @@ func (s *Server) explore(w http.ResponseWriter, r *http.Request) {
 	if budget <= 0 || budget > s.opts.MaxBatch {
 		budget = s.opts.MaxBatch
 	}
-
-	s.rn.TrimMemo(maxMemoEntries)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)

@@ -97,6 +97,58 @@ func requireStreamEnd(t *testing.T, line string, delivered, expected int, reason
 	}
 }
 
+// TestHealthReportsMemoOccupancy checks /healthz reports the shared
+// memo's occupancy next to runner_stats, and that a served batch stays
+// resident: resubmitting it is a memo hit with no stage re-run.
+func TestHealthReportsMemoOccupancy(t *testing.T) {
+	srv := testServer(t)
+	if _, h := getHealth(t, srv.URL); h.Memo.Entries != 0 || h.Memo.Bytes != 0 || h.Memo.Budget <= 0 {
+		t.Fatalf("idle memo: %+v", h.Memo)
+	}
+	const spec = `{"workload":"jpeg1-only","scale":"small","runs":1,"partition":"profile"}`
+	if status, body := postBatch(t, srv.URL, spec); status != http.StatusOK || !strings.Contains(body, `"reason":"complete"`) {
+		t.Fatalf("batch: %d\n%s", status, body)
+	}
+	_, h := getHealth(t, srv.URL)
+	// Two stages: the trace capture and the profile it feeds.
+	if h.Memo.Entries != 2 || h.Memo.Bytes <= 0 || h.Memo.Bytes > h.Memo.Budget {
+		t.Errorf("memo after one batch: %+v", h.Memo)
+	}
+	if h.Runner.StageRuns != 2 || h.Runner.MemoEvictions != 0 {
+		t.Errorf("runner stats after one batch: %+v", h.Runner)
+	}
+	postBatch(t, srv.URL, spec)
+	_, again := getHealth(t, srv.URL)
+	if again.Runner.StageRuns != 2 || again.Runner.MemoHits != 1 || again.Memo != h.Memo {
+		t.Errorf("the resubmitted batch must be one memo hit over an unchanged memo: %+v, %+v", again.Runner, again.Memo)
+	}
+
+	resp, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var raw struct {
+		Payload struct {
+			Runner map[string]any `json:"runner_stats"`
+			Memo   map[string]any `json:"memo"`
+		} `json:"payload"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{"stage_runs", "memo_hits", "profile_runs", "trace_runs", "trace_hits", "memo_evictions"} {
+		if _, ok := raw.Payload.Runner[f]; !ok {
+			t.Errorf("runner_stats lacks %q: %v", f, raw.Payload.Runner)
+		}
+	}
+	for _, f := range []string{"entries", "bytes", "budget_bytes"} {
+		if _, ok := raw.Payload.Memo[f]; !ok {
+			t.Errorf("memo lacks %q: %v", f, raw.Payload.Memo)
+		}
+	}
+}
+
 // postBatch submits a batch and returns the raw NDJSON body.
 func postBatch(t *testing.T, url, body string) (int, string) {
 	t.Helper()

@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// flaky is a scripted inner store: each operation consumes the next
-// error from its queue (nil = succeed against the backing memory).
+// flaky is a scripted inner store over a plain map: each operation
+// consumes the next error from its queue (nil = succeed).
 type flaky struct {
-	*Memory
+	recs   map[string][]byte
 	script []error // consumed front-first by every Get/Put/Delete
 }
 
@@ -26,22 +26,34 @@ func (f *flaky) Get(key string) ([]byte, error) {
 	if err := f.next(); err != nil {
 		return nil, err
 	}
-	return f.Memory.Get(key)
+	val, ok := f.recs[key]
+	if !ok {
+		return nil, ErrNotFound
+	}
+	return val, nil
 }
 
 func (f *flaky) Put(key string, val []byte) error {
 	if err := f.next(); err != nil {
 		return err
 	}
-	return f.Memory.Put(key, val)
+	if f.recs == nil {
+		f.recs = make(map[string][]byte)
+	}
+	f.recs[key] = val
+	return nil
 }
 
 func (f *flaky) Delete(key string) error {
 	if err := f.next(); err != nil {
 		return err
 	}
-	return f.Memory.Delete(key)
+	delete(f.recs, key)
+	return nil
 }
+
+func (f *flaky) Len() int     { return len(f.recs) }
+func (f *flaky) Close() error { return nil }
 
 var errIO = errors.New("transient i/o error")
 
@@ -54,7 +66,7 @@ func fastOpts() ResilientOptions {
 // then succeeds within the attempt budget reports success, counts its
 // retries, and leaves the breaker untouched.
 func TestResilientRetriesTransientErrors(t *testing.T) {
-	inner := &flaky{Memory: NewMemory(0), script: []error{errIO, errIO, nil}}
+	inner := &flaky{script: []error{errIO, errIO, nil}}
 	r := NewResilient(inner, fastOpts())
 	if err := r.Put("k", []byte("v")); err != nil {
 		t.Fatalf("Put failed despite a successful third attempt: %v", err)
@@ -73,7 +85,7 @@ func TestResilientRetriesTransientErrors(t *testing.T) {
 // TestResilientNotFoundIsNotRetried checks ErrNotFound returns
 // immediately — it is a lookup result, not a medium failure.
 func TestResilientNotFoundIsNotRetried(t *testing.T) {
-	inner := &flaky{Memory: NewMemory(0)}
+	inner := &flaky{}
 	r := NewResilient(inner, fastOpts())
 	if _, err := r.Get("missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get = %v, want ErrNotFound", err)
@@ -95,7 +107,7 @@ func TestResilientTripsToDegraded(t *testing.T) {
 	for i := range script {
 		script[i] = errIO
 	}
-	inner := &flaky{Memory: NewMemory(0), script: script}
+	inner := &flaky{script: script}
 	r := NewResilient(inner, fastOpts())
 
 	for i := 0; i < 3; i++ {
@@ -132,7 +144,7 @@ func TestResilientSuccessResetsBreaker(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		script = append(script, errIO)
 	}
-	inner := &flaky{Memory: NewMemory(0), script: script}
+	inner := &flaky{script: script}
 	r := NewResilient(inner, fastOpts())
 
 	r.Put("k", []byte("v"))

@@ -1,8 +1,8 @@
-// Package store is the pluggable result-store layer behind the
-// scenario runner's memo: a key/value interface over opaque record
-// bytes, with an in-memory LRU implementation (the refactored
-// in-process memo) and a crash-safe on-disk content-addressed
-// implementation (durable warm hits across process restarts). A
+// Package store is the durable result-store layer behind the scenario
+// runner's memo: a key/value interface over opaque record bytes and a
+// crash-safe on-disk content-addressed implementation (durable warm hits
+// across process restarts). The memo itself lives in the runner and
+// holds live values; stage documents are encoded only for a store. A
 // Resilient wrapper adds bounded retry with backoff and automatic
 // degradation — a store whose medium repeatedly fails trips into a
 // permanent no-op "degraded" mode so a broken volume can never take
@@ -10,8 +10,7 @@
 //
 // Keys are arbitrary strings (the runner uses content addresses of the
 // form "<stage-kind>|<hash>"); values are opaque byte slices that
-// callers must treat as immutable after Put and after Get — both
-// implementations share the underlying arrays instead of copying.
+// callers must treat as immutable after Put and after Get.
 package store
 
 import "errors"
@@ -55,20 +54,12 @@ type Stats struct {
 	PutErrors   uint64 `json:"put_errors,omitempty"`
 	Quarantined uint64 `json:"quarantined,omitempty"`
 	Retries     uint64 `json:"retries,omitempty"`
-	Evictions   uint64 `json:"evictions,omitempty"`
 }
 
-// StatsProvider is implemented by stores that report Stats (Disk,
-// Resilient, Memory).
+// StatsProvider is implemented by stores that report Stats (Disk and
+// Resilient).
 type StatsProvider interface {
 	Stats() Stats
-}
-
-// Trimmer is implemented by bounded stores that can evict down to a
-// target size on demand (Memory's LRU).
-type Trimmer interface {
-	// Trim evicts least-recently-used records until at most max remain.
-	Trim(max int)
 }
 
 // Moder is implemented by stores with an operational mode — Resilient

@@ -62,9 +62,13 @@ func levelProp(field string) (level, prop string, ok bool) {
 	return rest[:i], rest[i+1:], true
 }
 
-// decodeTo strictly decodes one axis value into the field's Go type.
+// decodeTo decodes one axis value into the field's Go type. Every
+// target is a scalar or a slice of scalars, so there are no fields to
+// reject, and raw is one element of an already-parsed array, so it
+// carries no trailing data: plain json.Unmarshal is as strict as
+// scenario.DecodeStrict here without building a decoder per point.
 func decodeTo(raw json.RawMessage, v interface{}) error {
-	if err := scenario.DecodeStrict(raw, v); err != nil {
+	if err := json.Unmarshal(raw, v); err != nil {
 		return fmt.Errorf("decoding value %s: %w", raw, err)
 	}
 	return nil
