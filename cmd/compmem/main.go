@@ -84,8 +84,6 @@ func main() {
 	small := flag.Bool("small", false, "use the fast, small-scale workloads")
 	runs := flag.Int("runs", 2, "profiling repetitions for miss-curve averaging")
 	solver := flag.String("solver", "mckp", "partitioning solver: mckp or ilp")
-	engine := flag.String("engine", "stackdist", "profiling engine: stackdist or bank")
-	exec := flag.String("exec", "merged", "execution engine: merged (exact line-merged fast path) or word (reference oracle)")
 	workers := flag.Int("workers", 0, "harness worker pool size; 0 = GOMAXPROCS, 1 = sequential")
 	benchN := flag.Int("benchn", 3, "iterations per stage for the bench command (best is reported)")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON envelopes on stdout")
@@ -102,12 +100,10 @@ func main() {
 	}
 
 	cfg, err := experiments.ConfigFromFlags(experiments.Flags{
-		Small:         *small,
-		Runs:          *runs,
-		Solver:        *solver,
-		ProfileEngine: *engine,
-		ExecEngine:    *exec,
-		Workers:       *workers,
+		Small:   *small,
+		Runs:    *runs,
+		Solver:  *solver,
+		Workers: *workers,
 	})
 	if err != nil {
 		fatal(err)

@@ -5,20 +5,16 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/platform"
-	"repro/internal/profile"
 	"repro/internal/report"
 	"repro/internal/scenario"
 )
 
 // Flags bundles the CLI knobs that select a harness configuration.
 type Flags struct {
-	Small         bool
-	Runs          int
-	Solver        string // mckp | ilp
-	ProfileEngine string // stackdist | bank
-	ExecEngine    string // merged | word
-	Workers       int
+	Small   bool
+	Runs    int
+	Solver  string // mckp | ilp
+	Workers int
 }
 
 // ConfigFromFlags resolves the flag spellings into a Config in one
@@ -37,16 +33,6 @@ func ConfigFromFlags(f Flags) (Config, error) {
 		return cfg, err
 	}
 	cfg.Solver = solver
-	pe, err := profile.ParseEngine(f.ProfileEngine)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Engine = pe
-	ee, err := platform.ParseEngine(f.ExecEngine)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Platform.Engine = ee
 	return cfg, nil
 }
 

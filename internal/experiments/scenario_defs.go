@@ -31,12 +31,10 @@ const (
 func baseSpec(cfg Config) scenario.Scenario {
 	ps := scenario.PlatformSpecOf(cfg.Platform)
 	return scenario.Scenario{
-		Scale:         cfg.Scale.String(),
-		Platform:      &ps,
-		Runs:          cfg.ProfileRuns,
-		Solver:        cfg.Solver.String(),
-		ProfileEngine: cfg.Engine.String(),
-		ExecEngine:    cfg.Platform.Engine.String(),
+		Scale:    cfg.Scale.String(),
+		Platform: &ps,
+		Runs:     cfg.ProfileRuns,
+		Solver:   cfg.Solver.String(),
 	}
 }
 

@@ -228,35 +228,3 @@ func TestScenarioRoundTripIdenticalResults(t *testing.T) {
 		t.Fatalf("round-tripped scenario produced different results\n--- direct ---\n%s\n--- round-tripped ---\n%s", a, b)
 	}
 }
-
-// TestProfileEngineScenarioEquivalence drives the two profiling engines
-// through the scenario layer and expects identical allocations — the
-// same guarantee the engine differential tests give the legacy path.
-func TestProfileEngineScenarioEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short: skip second engine study")
-	}
-	cfg := Small()
-	cfg.ProfileRuns = 1
-	rn := scenario.NewRunner(cfg.Workers)
-	spec, _ := BuiltinScenario(cfg, ScenarioApp1)
-
-	spec.ProfileEngine = "stackdist"
-	fast, err := rn.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.ProfileEngine = "bank"
-	slow, err := rn.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.Key == slow.Key {
-		t.Fatal("engine choice must be part of the content address")
-	}
-	af, _ := json.Marshal(fast.Optimize)
-	as, _ := json.Marshal(slow.Optimize)
-	if string(af) != string(as) {
-		t.Errorf("profiling engines disagree through the scenario layer:\n%s\nvs\n%s", af, as)
-	}
-}

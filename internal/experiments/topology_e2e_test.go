@@ -3,67 +3,72 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/platform"
 	"repro/internal/scenario"
 	"repro/internal/sweep"
+	"repro/internal/workloads"
 )
 
-// studyPhysics strips a result to its engine observables (the spec echo
-// differs by construction across engines).
-func studyPhysics(t *testing.T, r *scenario.Result) string {
-	t.Helper()
-	b, err := json.Marshal(struct {
-		Shared      *scenario.RunSummary      `json:"shared"`
-		Partitioned *scenario.RunSummary      `json:"partitioned"`
-		Optimize    *scenario.OptimizeSummary `json:"optimize"`
-		Compose     *scenario.ComposeSummary  `json:"compose"`
-	}{r.Shared, r.Partitioned, r.Optimize, r.Compose})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
-
-// TestDeepTopologiesEndToEnd runs the new built-in 3-level scenarios —
+// TestDeepTopologiesEndToEnd runs the built-in 3-level scenarios —
 // l3-shared (private L1+L2 under a shared partitioned L3) and
 // clustered-l2 (cluster-of-2 L2s) — through the full scenario pipeline,
 // and proves the line-merged engine bit-identical to the word-exact
-// oracle on both trees: the FastSpec/ChargeLine/CommitRepeats contract
-// holds against any leaf, not just the classic private L1.
+// oracle on both trees by running the same study directly under each
+// engine (scenario specs normalize to the production engine): the
+// FastSpec/ChargeLine/CommitRepeats contract holds against any leaf, not
+// just the classic private L1.
 func TestDeepTopologiesEndToEnd(t *testing.T) {
-	for _, name := range []string{ScenarioL3Shared, ScenarioClusteredL2} {
-		t.Run(name, func(t *testing.T) {
-			var physics [2]string
-			for i, eng := range []platform.Engine{platform.EngineLineMerged, platform.EngineWordExact} {
-				cfg := Small()
-				cfg.Platform.Engine = eng
-				spec, ok := BuiltinScenario(cfg, name)
-				if !ok {
-					t.Fatalf("no built-in %q", name)
-				}
-				rn := scenario.NewRunner(0)
-				res, err := rn.Run(spec)
-				if err != nil {
-					t.Fatalf("%s (%v): %v", name, eng, err)
-				}
-				if res.Shared == nil || res.Partitioned == nil || res.Optimize == nil || res.Compose == nil {
-					t.Fatalf("%s (%v): incomplete study: %+v", name, eng, res)
-				}
-				if res.Shared.Makespan == 0 || res.Shared.TotalMisses == 0 {
-					t.Fatalf("%s (%v): empty run summary %+v", name, eng, res.Shared)
-				}
-				if res.Partitioned.TotalMisses >= res.Shared.TotalMisses {
-					t.Errorf("%s (%v): partitioning did not reduce misses (%d -> %d)",
-						name, eng, res.Shared.TotalMisses, res.Partitioned.TotalMisses)
-				}
-				physics[i] = studyPhysics(t, res)
+	for _, c := range []struct {
+		name string
+		topo cache.Topology
+	}{{ScenarioL3Shared, L3SharedTopology()}, {ScenarioClusteredL2, ClusteredL2Topology()}} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Small()
+			spec, ok := BuiltinScenario(cfg, c.name)
+			if !ok {
+				t.Fatalf("no built-in %q", c.name)
 			}
-			if physics[0] != physics[1] {
-				t.Errorf("%s: merged and word engines diverge on the 3-level tree:\n%s\nvs\n%s",
-					name, physics[0], physics[1])
+			res, err := scenario.NewRunner(0).Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Shared == nil || res.Partitioned == nil || res.Optimize == nil || res.Compose == nil {
+				t.Fatalf("incomplete study: %+v", res)
+			}
+			if res.Shared.Makespan == 0 || res.Shared.TotalMisses == 0 {
+				t.Fatalf("empty run summary %+v", res.Shared)
+			}
+			if res.Partitioned.TotalMisses >= res.Shared.TotalMisses {
+				t.Errorf("partitioning did not reduce misses (%d -> %d)", res.Shared.TotalMisses, res.Partitioned.TotalMisses)
+			}
+
+			w, err := workloads.Build(spec.Workload, workloads.BuildConfig{Scale: cfg.Scale})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var studies [2]*Study
+			for i, eng := range []platform.Engine{platform.EngineLineMerged, platform.EngineWordExact} {
+				ec := cfg
+				ec.Platform.Topology = c.topo
+				ec.Platform.Engine = eng
+				if studies[i], err = RunStudy(w, ec); err != nil {
+					t.Fatalf("%v: %v", eng, err)
+				}
+			}
+			merged, word := studies[0], studies[1]
+			diffResults(t, "shared", merged.Shared, word.Shared)
+			diffResults(t, "partitioned", merged.Part, word.Part)
+			if !reflect.DeepEqual(merged.Opt.Allocation, word.Opt.Allocation) {
+				t.Errorf("allocations differ: %v vs %v", merged.Opt.Allocation, word.Opt.Allocation)
+			}
+			if res.Shared.Makespan != merged.Shared.Platform.Makespan || res.Partitioned.TotalMisses != merged.Part.TotalMisses() {
+				t.Errorf("the scenario pipeline diverged from the direct study: makespan %d vs %d, partitioned misses %d vs %d",
+					res.Shared.Makespan, merged.Shared.Platform.Makespan, res.Partitioned.TotalMisses, merged.Part.TotalMisses())
 			}
 		})
 	}

@@ -8,8 +8,9 @@ import (
 )
 
 // TestTraceReplayMatchesLive is the end-to-end differential proof of the
-// trace subsystem: for both paper applications and both execution
-// engines, the full optimized study driven by trace replay is
+// trace subsystem: for both paper applications and both exec_engine
+// spellings (which normalize to the production engine), the full
+// optimized study driven by trace replay is
 // bit-identical — per-entity stats, makespans, allocations, the
 // compositionality comparison, everything in the result document — to
 // the same study re-running the live functional applications at every

@@ -2,6 +2,10 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -61,6 +65,84 @@ func FuzzDecodeStage(f *testing.F) {
 			back, err := encodeStage(kind, again)
 			if err != nil || !bytes.Equal(back, canon) {
 				t.Fatalf("%s: the document does not re-encode byte-identically:\n%s\nvs\n%s", kind, canon, back)
+			}
+		}
+	})
+}
+
+// addExampleSpecs seeds a corpus with the example spec documents.
+func addExampleSpecs(f *testing.F) {
+	paths, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no example specs: %v", err)
+	}
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+}
+
+// FuzzNormalize hardens spec decoding and canonicalization against
+// arbitrary bytes: Resolve then Normalize never panic, and a spec that
+// normalizes is a fixed point — normalizing it again changes nothing and
+// keeps its content key — with both engine fields on the production
+// engines.
+func FuzzNormalize(f *testing.F) {
+	addExampleSpecs(f)
+	f.Add([]byte(`{"base":"app","exec_engine":"word","profile_engine":"bank","sizes":[8,2]}`))
+	f.Add([]byte(`{"workload":"mpeg2","platform":{"hierarchy":{"levels":[{"name":"l1"},{"name":"l2","per_cpu":{"1":{"ways":2}}},{"name":"l3","partition":true}]}}}`))
+	lookup := func(name string) (Scenario, bool) {
+		return Scenario{Workload: "2jpeg+canny", Scale: "small"}, name == "app"
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		s, err := Resolve(raw, lookup)
+		if err != nil {
+			return
+		}
+		n, err := s.Normalize()
+		if err != nil {
+			return
+		}
+		if n.ExecEngine != "merged" || n.ProfileEngine != "stackdist" {
+			t.Fatalf("engines not normalized to production: exec %q, profile %q", n.ExecEngine, n.ProfileEngine)
+		}
+		again, err := n.Normalize()
+		if err != nil {
+			t.Fatalf("a normalized spec fails to normalize: %v", err)
+		}
+		if !reflect.DeepEqual(again, n) {
+			t.Fatalf("Normalize is not idempotent:\n%+v\nvs\n%+v", again, n)
+		}
+		ks, err := s.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kn, err := n.Key(); err != nil || kn != ks {
+			t.Fatalf("normalizing changed the content key: %s vs %s (%v)", kn, ks, err)
+		}
+	})
+}
+
+// FuzzSplitSpecs hardens the batch-document splitter: it never panics,
+// and every spec it returns is exactly one JSON value.
+func FuzzSplitSpecs(f *testing.F) {
+	addExampleSpecs(f)
+	f.Add([]byte(`{"scenarios":[{"workload":"mpeg2"},{"base":"app1"}]}`))
+	f.Add([]byte(` [ {"workload":"mpeg2"} , 7 ] `))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		specs, err := SplitSpecs(raw)
+		if err != nil {
+			return
+		}
+		if len(specs) == 0 {
+			t.Fatal("no error, but no specs")
+		}
+		for i, s := range specs {
+			if !json.Valid(s) {
+				t.Fatalf("spec %d is not one JSON value: %q", i, s)
 			}
 		}
 	})

@@ -29,6 +29,13 @@ import (
 // deterministic at any worker count, so memoized and fresh results are
 // bit-identical.
 //
+// Within a batch, a duplicate — a scenario whose content key another
+// scenario of the batch is already executing, such as a renamed copy or
+// an engine twin (the engine fields normalize to the production
+// engines) — never holds a worker waiting on that execution: the
+// executing scenario's worker runs it right after its own, every stage a
+// memo hit (see RunBatchStream).
+//
 // A Runner is safe for concurrent use; the serve mode shares one across
 // requests, turning the memo into a result cache.
 //
@@ -561,7 +568,7 @@ func (r *Runner) runStage(ctx context.Context, s Scenario, strat core.Strategy, 
 		if err != nil {
 			return nil, err
 		}
-		pc, err := s.platformConfig()
+		pc, err := s.Platform.Config()
 		if err != nil {
 			return nil, err
 		}
@@ -641,37 +648,58 @@ func (r *Runner) Run(s Scenario) (*Result, error) {
 //
 // RunContext never panics: stage panics are contained by the memo layer
 // (see StagePanicError), and a panic anywhere else in the pipeline —
-// normalization, summarization — is recovered here into the same
-// structured shape, so one crashing scenario is one error result, not a
-// dead process.
-func (r *Runner) RunContext(ctx context.Context, s Scenario) (res *Result, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			atomic.AddUint64(&r.stagePanics, 1)
-			p := &StagePanicError{Stage: "scenario", Value: rec, Stack: string(debug.Stack())}
-			if res == nil {
-				res = &Result{SchemaVersion: report.SchemaVersion, Scenario: s}
-			}
-			p.Key = res.Key
-			res.Error = p.Error()
-			res.Shared, res.Partitioned, res.Optimize, res.Compose, res.Curves = nil, nil, nil, nil, nil
-			err = p
-		}
-	}()
+// normalization, summarization — is recovered into the same structured
+// shape, so one crashing scenario is one error result, not a dead
+// process.
+func (r *Runner) RunContext(ctx context.Context, s Scenario) (*Result, error) {
+	res, err := r.prepare(s)
+	if err != nil {
+		return res, err
+	}
+	return r.complete(ctx, res)
+}
+
+// prepare is a scenario's normalize+key step: the returned Result
+// carries the normalized spec and its content key, or the validation
+// error.
+func (r *Runner) prepare(s Scenario) (res *Result, err error) {
+	defer r.containPanic(s, &res, &err)
 	n, err := s.Normalize()
 	if err != nil {
 		return &Result{SchemaVersion: report.SchemaVersion, Scenario: s, Error: err.Error()}, err
 	}
-	keyed := n
-	keyed.Name = ""
-	keyed.Trace = "" // replay ≡ live; the mode is non-semantic (see Key)
-	res = &Result{SchemaVersion: report.SchemaVersion, Key: hashJSON(keyed), Scenario: n}
-	if err := r.execute(ctx, n, res); err != nil {
+	return &Result{SchemaVersion: report.SchemaVersion, Key: n.contentKey(), Scenario: n}, nil
+}
+
+// complete is a scenario's execute step: it fills the sections of a
+// prepared result, or records the pipeline's error in it.
+func (r *Runner) complete(ctx context.Context, prepared *Result) (res *Result, err error) {
+	res = prepared
+	defer r.containPanic(res.Scenario, &res, &err)
+	if err = r.execute(ctx, res.Scenario, res); err != nil {
 		res.Error = err.Error()
 		res.Shared, res.Partitioned, res.Optimize, res.Compose, res.Curves = nil, nil, nil, nil, nil
-		return res, err
 	}
-	return res, nil
+	return res, err
+}
+
+// containPanic, deferred by prepare and complete, recovers a panic
+// outside any stage into a StagePanicError result for spec s.
+func (r *Runner) containPanic(s Scenario, res **Result, err *error) {
+	rec := recover()
+	if rec == nil {
+		return
+	}
+	atomic.AddUint64(&r.stagePanics, 1)
+	p := &StagePanicError{Stage: "scenario", Value: rec, Stack: string(debug.Stack())}
+	if *res == nil {
+		*res = &Result{SchemaVersion: report.SchemaVersion, Scenario: s}
+	}
+	rs := *res
+	p.Key = rs.Key
+	rs.Error = p.Error()
+	rs.Shared, rs.Partitioned, rs.Optimize, rs.Compose, rs.Curves = nil, nil, nil, nil, nil
+	*err = p
 }
 
 // execute fills the result sections the partition policy calls for.
@@ -772,56 +800,161 @@ func (r *Runner) RunBatchContext(ctx context.Context, specs []Scenario) []*Resul
 // left nil. The walk also ends at the first nil slot (nothing later can
 // be streamed in order past a hole).
 //
+// A worker first normalizes and keys its scenario. A duplicate — a
+// scenario whose content key another scenario of the batch is already
+// executing, such as an engine twin or a renamed copy — does not hold
+// the worker waiting on that execution's stages: it is handed to the
+// scenario executing the key, whose worker runs it right after its own
+// (every stage a memo hit) on a one-worker pool, while this worker moves
+// on to the next index. Results stay in input order and each duplicate
+// keeps its own normalized spec and name. Errors are never memoized, so
+// a duplicate whose first execution failed re-executes its stages. A
+// canceled ctx leaves handed-over duplicates unstarted (nil), and a
+// duplicate whose executing worker died gets a synthesized error
+// result, like any slot whose worker died.
+//
 // RunBatchStream returns as soon as the walk ends; the results and
 // errors slices are safe to read in full only after the returned
 // channel is closed (every worker finished). Slots already visited by
 // observe are safe immediately.
 func (r *Runner) RunBatchStream(ctx context.Context, specs []Scenario, observe func(int, *Result) bool) ([]*Result, []error, <-chan struct{}) {
-	results := make([]*Result, len(specs))
-	errs := make([]error, len(specs))
-	ready := make([]chan struct{}, len(specs))
-	onces := make([]sync.Once, len(specs))
-	for i := range ready {
-		ready[i] = make(chan struct{})
+	d := &dispatch{
+		r:       r,
+		ctx:     ctx,
+		specs:   specs,
+		results: make([]*Result, len(specs)),
+		errs:    make([]error, len(specs)),
+		ready:   make([]chan struct{}, len(specs)),
+		onces:   make([]sync.Once, len(specs)),
 	}
-	closeReady := func(i int) { onces[i].Do(func() { close(ready[i]) }) }
+	for i := range d.ready {
+		d.ready[i] = make(chan struct{})
+	}
 	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		derr := parallel.Do(parallel.Workers(r.workers), len(specs), func(i int) error {
-			defer closeReady(i)
-			if ctx.Err() != nil {
-				return nil
+	go d.run(done)
+	for i := range specs {
+		<-d.ready[i]
+		if d.results[i] == nil {
+			break
+		}
+		if observe != nil && !observe(i, d.results[i]) {
+			break
+		}
+	}
+	return d.results, d.errs, done
+}
+
+// dispatch is one batch of RunBatchStream in flight: the result slots,
+// the channels the in-order walk waits on, and the content keys its
+// workers are executing.
+type dispatch struct {
+	r       *Runner
+	ctx     context.Context
+	specs   []Scenario
+	results []*Result
+	errs    []error
+	ready   []chan struct{} // closed once a slot is final
+	onces   []sync.Once
+
+	mu        sync.Mutex
+	executing map[string][]handoff // keys executing → duplicates handed to them
+}
+
+// handoff is a duplicate waiting for the worker executing its key.
+type handoff struct {
+	i   int
+	res *Result // the duplicate's own prepared result
+}
+
+// run executes the batch over the worker pool and closes done once every
+// slot is final.
+func (d *dispatch) run(done chan<- struct{}) {
+	defer close(done)
+	derr := parallel.Do(parallel.Workers(d.r.workers), len(d.specs), d.work)
+	// A worker slot that died before its scenario ran (an injected
+	// dispatch fault, or a panic the pool recovered outside the
+	// scenario's own containment) leaves its slot nil with a live
+	// context. Synthesize an error result before closing the channel, so
+	// the in-order walk neither hangs on the unclosed channel nor
+	// mistakes the hole for a cancellation.
+	for i := range d.specs {
+		if d.results[i] == nil && d.errs[i] == nil && d.ctx.Err() == nil {
+			err := derr
+			if err == nil {
+				err = fmt.Errorf("scenario: batch worker for scenario %d did not run", i)
 			}
-			results[i], errs[i] = r.RunContext(ctx, specs[i])
+			d.errs[i] = err
+			d.results[i] = &Result{SchemaVersion: report.SchemaVersion, Scenario: d.specs[i], Error: err.Error()}
+		}
+		d.closeReady(i)
+	}
+}
+
+func (d *dispatch) closeReady(i int) { d.onces[i].Do(func() { close(d.ready[i]) }) }
+
+// work is the pool task of index i: prepare the scenario, then execute
+// it — with every duplicate handed over meanwhile — or, when its key is
+// already executing, hand it to that execution.
+func (d *dispatch) work(i int) error {
+	if d.ctx.Err() != nil {
+		d.closeReady(i)
+		return nil
+	}
+	res, err := d.r.prepare(d.specs[i])
+	if err != nil {
+		d.results[i], d.errs[i] = res, err
+		d.closeReady(i)
+		return nil
+	}
+	if len(d.specs) == 1 { // a batch of one has no duplicates to track
+		d.slot(i, res)
+		return nil
+	}
+	d.mu.Lock()
+	if dups, executing := d.executing[res.Key]; executing {
+		d.executing[res.Key] = append(dups, handoff{i, res})
+		d.mu.Unlock()
+		return nil // the key's executing worker runs it next
+	}
+	if d.executing == nil {
+		d.executing = make(map[string][]handoff)
+	}
+	d.executing[res.Key] = nil
+	d.mu.Unlock()
+	d.slot(i, res)
+	return d.drain(res.Key)
+}
+
+// drain runs the duplicates handed to key's execution, as tasks of a
+// one-worker pool, until none are left; it returns the pool's first
+// error.
+func (d *dispatch) drain(key string) error {
+	var first error
+	for {
+		d.mu.Lock()
+		dups := d.executing[key]
+		if len(dups) == 0 {
+			delete(d.executing, key)
+			d.mu.Unlock()
+			return first
+		}
+		d.executing[key] = nil
+		d.mu.Unlock()
+		err := parallel.Do(1, len(dups), func(k int) error {
+			d.slot(dups[k].i, dups[k].res)
 			return nil
 		})
-		// A worker slot that died before RunContext ran (an injected
-		// dispatch fault, or a panic the pool recovered outside the
-		// scenario's own containment) leaves its slot nil with a live
-		// context. Synthesize an error result before closing the
-		// channel, so the in-order walk neither hangs on the unclosed
-		// channel nor mistakes the hole for a cancellation.
-		for i := range specs {
-			if results[i] == nil && errs[i] == nil && ctx.Err() == nil {
-				err := derr
-				if err == nil {
-					err = fmt.Errorf("scenario: batch worker for scenario %d did not run", i)
-				}
-				errs[i] = err
-				results[i] = &Result{SchemaVersion: report.SchemaVersion, Scenario: specs[i], Error: err.Error()}
-			}
-			closeReady(i)
-		}
-	}()
-	for i := range specs {
-		<-ready[i]
-		if results[i] == nil {
-			break
-		}
-		if observe != nil && !observe(i, results[i]) {
-			break
+		if first == nil {
+			first = err
 		}
 	}
-	return results, errs, done
+}
+
+// slot executes one prepared scenario into slot i; a canceled ctx leaves
+// the slot nil.
+func (d *dispatch) slot(i int, res *Result) {
+	defer d.closeReady(i)
+	if d.ctx.Err() == nil {
+		d.results[i], d.errs[i] = d.r.complete(d.ctx, res)
+	}
 }

@@ -85,13 +85,20 @@ type Scenario struct {
 	Runs int `json:"runs,omitempty"`
 	// Solver is "mckp" (default) or "ilp".
 	Solver string `json:"solver,omitempty"`
-	// ProfileEngine is "stackdist" (default) or "bank".
+	// ProfileEngine accepts "stackdist" (default) or "bank" and
+	// normalizes to "stackdist": the bank-of-caches oracle returns
+	// bit-identical curves, so a spec naming it describes the same
+	// experiment. The oracle itself is reachable through
+	// core.OptimizeConfig.Engine, which the differential tests use.
 	ProfileEngine string `json:"profile_engine,omitempty"`
 	// ProfileLevel names the shared hierarchy level whose miss curves
 	// the profiler measures; empty means the partition level. The
 	// allocation budget always comes from the partition level.
 	ProfileLevel string `json:"profile_level,omitempty"`
-	// ExecEngine is "merged" (default) or "word".
+	// ExecEngine accepts "merged" (default) or "word" and normalizes to
+	// "merged": the word-granular oracle is bit-identical, so an engine
+	// twin shares its production twin's content key and every stage key.
+	// The oracle itself is reachable through platform.Config.Engine.
 	ExecEngine string `json:"exec_engine,omitempty"`
 	// Sizes restricts the candidate partition sizes (allocation units,
 	// powers of two); nil means the default 1..128 ladder.
@@ -452,8 +459,10 @@ func PlatformSpecOf(pc platform.Config) PlatformSpec {
 
 // Normalize validates the spec and returns its canonical form: every
 // defaultable field filled with its canonical value, enum spellings
-// canonicalized, sizes sorted. Two specs describing the same experiment
-// normalize identically, which is what makes content addressing work.
+// canonicalized, sizes sorted, and both engine fields set to the
+// production engines (the exact oracles compute identical results).
+// Two specs describing the same experiment normalize identically, which
+// is what makes content addressing work.
 func (s Scenario) Normalize() (Scenario, error) {
 	n := s
 	switch n.SpecVersion {
@@ -519,16 +528,14 @@ func (s Scenario) Normalize() (Scenario, error) {
 		return n, err
 	}
 	n.Solver = solver.String()
-	pe, err := profile.ParseEngine(n.ProfileEngine)
-	if err != nil {
+	if _, err := profile.ParseEngine(n.ProfileEngine); err != nil {
 		return n, err
 	}
-	n.ProfileEngine = pe.String()
-	ee, err := platform.ParseEngine(n.ExecEngine)
-	if err != nil {
+	n.ProfileEngine = profile.EngineStackDist.String()
+	if _, err := platform.ParseEngine(n.ExecEngine); err != nil {
 		return n, err
 	}
-	n.ExecEngine = ee.String()
+	n.ExecEngine = platform.EngineLineMerged.String()
 
 	if n.Sizes == nil {
 		n.Sizes = []int{1, 2, 4, 8, 16, 32, 64, 128}
@@ -551,7 +558,7 @@ func (s Scenario) Normalize() (Scenario, error) {
 	}
 	full := PlatformSpecOf(base)
 	n.Platform = &full
-	pc, err := n.platformConfig()
+	pc, err := n.Platform.Config()
 	if err != nil {
 		return n, err
 	}
@@ -578,9 +585,14 @@ func (s Scenario) Key() (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return n.contentKey(), nil
+}
+
+// contentKey hashes a normalized spec into its content address.
+func (n Scenario) contentKey() string {
 	n.Name = ""
 	n.Trace = "" // replay ≡ live, so the mode is non-semantic
-	return hashJSON(n), nil
+	return hashJSON(n)
 }
 
 // hashBufs recycles hashJSON's encoding buffers: every request hashes
@@ -703,32 +715,15 @@ func (s Scenario) buildConfig() workloads.BuildConfig {
 	return workloads.BuildConfig{Scale: s.scale(), Seed: s.Seed}
 }
 
-// platformConfig materializes the platform with the exec engine set.
-func (s Scenario) platformConfig() (platform.Config, error) {
-	pc, err := s.Platform.Config()
-	if err != nil {
-		return pc, err
-	}
-	ee, err := platform.ParseEngine(s.ExecEngine)
-	if err != nil {
-		return pc, err
-	}
-	pc.Engine = ee
-	return pc, nil
-}
-
 // optimizeConfig translates a normalized spec into the profiling and
-// optimization options. workers bounds the profiling fan-out.
+// optimization options, on the production engines (the zero values).
+// workers bounds the profiling fan-out.
 func (s Scenario) optimizeConfig(workers int) (core.OptimizeConfig, error) {
-	pc, err := s.platformConfig()
+	pc, err := s.Platform.Config()
 	if err != nil {
 		return core.OptimizeConfig{}, err
 	}
 	solver, err := core.ParseSolver(s.Solver)
-	if err != nil {
-		return core.OptimizeConfig{}, err
-	}
-	pe, err := profile.ParseEngine(s.ProfileEngine)
 	if err != nil {
 		return core.OptimizeConfig{}, err
 	}
@@ -737,7 +732,6 @@ func (s Scenario) optimizeConfig(workers int) (core.OptimizeConfig, error) {
 		Sizes:        s.Sizes,
 		Runs:         s.Runs,
 		Solver:       solver,
-		Engine:       pe,
 		Workers:      workers,
 		ProfileLevel: s.ProfileLevel,
 	}, nil

@@ -105,19 +105,33 @@ func TestInvalidSpecs(t *testing.T) {
 	}
 }
 
-// TestContentKey checks the content-addressing contract: names don't
-// matter, defaults are canonical, every semantic field matters.
+// TestContentKey checks the content-addressing contract: names and the
+// exact-oracle engine spellings don't matter, defaults are canonical,
+// every semantic field matters.
 func TestContentKey(t *testing.T) {
 	base := Scenario{Workload: "mpeg2", Scale: "small"}
 	k0, err := base.Key()
 	if err != nil {
 		t.Fatal(err)
 	}
+	stages0, err := base.StageKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	named := base
-	named.Name = "anything"
-	if k, _ := named.Key(); k != k0 {
-		t.Errorf("Name must not affect the content key")
+	for name, mutate := range map[string]func(*Scenario){
+		"name":           func(s *Scenario) { s.Name = "anything" },
+		"exec":           func(s *Scenario) { s.ExecEngine = "word" },
+		"profile_engine": func(s *Scenario) { s.ProfileEngine = "bank" },
+	} {
+		m := base
+		mutate(&m)
+		if k, err := m.Key(); err != nil || k != k0 {
+			t.Errorf("%s must not affect the content key (key %s, err %v)", name, k, err)
+		}
+		if ks, err := m.StageKeys(); err != nil || !reflect.DeepEqual(ks, stages0) {
+			t.Errorf("%s must not affect the stage keys (%v, err %v)", name, ks, err)
+		}
 	}
 
 	explicit := base
@@ -134,7 +148,6 @@ func TestContentKey(t *testing.T) {
 		"scale":    func(s *Scenario) { s.Scale = "paper" },
 		"workload": func(s *Scenario) { s.Workload = "jpeg1-only" },
 		"solver":   func(s *Scenario) { s.Solver = "ilp" },
-		"exec":     func(s *Scenario) { s.ExecEngine = "word" },
 		"platform": func(s *Scenario) { s.Platform = &PlatformSpec{NumCPUs: iptr(8)} },
 		"runs":     func(s *Scenario) { s.Runs = 5 },
 		"policy":   func(s *Scenario) { s.Partition = PartitionShared },

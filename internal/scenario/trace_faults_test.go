@@ -57,34 +57,45 @@ func TestTraceReadFaultRecaptures(t *testing.T) {
 }
 
 // TestTraceSharedAcrossEngines pins the point of keying traces by
-// (workload, scale, seed) alone: the two execution engines profile from
-// one recorded trace — the second engine's pipeline performs zero
-// functional runs.
+// (workload, scale, seed) alone: one recorded trace serves every
+// platform geometry — the second L2 size profiles from it with zero
+// functional runs. An engine twin normalizes to the production engines
+// and so shares every stage key: once its production twin has finished,
+// it runs no stage at all.
 func TestTraceSharedAcrossEngines(t *testing.T) {
 	rn := NewRunner(1)
-	merged := smallSpec()
-	merged.ExecEngine = "merged"
-	word := smallSpec()
-	word.ExecEngine = "word"
+	small := smallSpec()
+	small.Platform = &PlatformSpec{L2: CacheSpec{Sets: iptr(256)}}
+	big := smallSpec()
+	big.Platform = &PlatformSpec{L2: CacheSpec{Sets: iptr(1024)}}
 
-	if _, err := rn.Run(merged); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rn.Run(word); err != nil {
-		t.Fatal(err)
+	for _, s := range []Scenario{small, big} {
+		if _, err := rn.Run(s); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st := rn.Stats()
-	// 3 stage runs: one capture + two per-engine profile stages.
+	// 3 stage runs: one capture + one profile stage per geometry.
 	if st.StageRuns != 3 || st.ProfileRuns != 2 {
-		t.Errorf("engines must profile separately over one trace, got %+v", st)
+		t.Errorf("geometries must profile separately over one trace, got %+v", st)
 	}
 	if st.TraceRuns != 1 {
-		t.Errorf("the trace must be captured exactly once across engines, got %+v", st)
+		t.Errorf("the trace must be captured exactly once across geometries, got %+v", st)
 	}
 	if st.TraceHits != 1 {
-		t.Errorf("the second engine must replay the recorded trace, got %+v", st)
+		t.Errorf("the second geometry must replay the recorded trace, got %+v", st)
 	}
 	if st.TraceBytes == 0 {
 		t.Errorf("the capture must account its encoded size, got %+v", st)
+	}
+
+	twin := big
+	twin.ExecEngine = "word"
+	twin.ProfileEngine = "bank"
+	if _, err := rn.Run(twin); err != nil {
+		t.Fatal(err)
+	}
+	if d := rn.Stats().Delta(st); d.StageRuns != 0 || d.MemoHits != 1 {
+		t.Errorf("the engine twin of a finished spec must run no stage, got %+v", d)
 	}
 }
