@@ -5,10 +5,11 @@
 //
 // Each benchmark reports the paper-comparable quantities as custom
 // metrics (miss ratios, miss rates, CPI, compositionality) and logs the
-// rendered artifact, so bench_output.txt doubles as the reproduction
-// record referenced by EXPERIMENTS.md. Paper-scale studies are computed
-// once and shared across benchmarks; each benchmark's loop then measures
-// one meaningful stage (a full simulation run, a solver invocation, an
+// artifact rendered by the same adapters the CLI uses, so the `-v`
+// output doubles as a paper-scale reproduction record. The paper-scale
+// studies come from built-in scenarios on one shared runner, computed
+// once and served from its memo; each benchmark's loop then measures one
+// meaningful stage (a full simulation run, a solver invocation, an
 // assignment search).
 package repro
 
@@ -23,6 +24,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/profile"
 	"repro/internal/rtos"
+	"repro/internal/scenario"
 	"repro/internal/workloads"
 )
 
@@ -33,37 +35,42 @@ var (
 		ProfileRuns: 1,
 	}
 
-	app1Once  sync.Once
-	app1Study *experiments.Study
-	app1Err   error
-
-	app2Once  sync.Once
-	app2Study *experiments.Study
-	app2Err   error
+	// benchRunner holds the paper-scale fixtures; its memo serves every
+	// repeated fixture lookup.
+	benchRunner = scenario.NewRunner(0)
 )
 
-func app1(b *testing.B) *experiments.Study {
+// fixture returns the paper-scale result of one built-in scenario.
+func fixture(b *testing.B, name string) *scenario.Result {
 	b.Helper()
-	app1Once.Do(func() { app1Study, app1Err = experiments.App1(benchCfg) })
-	if app1Err != nil {
-		b.Fatal(app1Err)
+	spec, ok := experiments.BuiltinScenario(benchCfg, name)
+	if !ok {
+		b.Fatalf("no built-in %q", name)
 	}
-	return app1Study
+	r, err := benchRunner.Run(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r
 }
 
-func app2(b *testing.B) *experiments.Study {
+// fixtureCurves returns a profiling built-in's miss curves in the
+// solver's input shape.
+func fixtureCurves(b *testing.B, name string) []profile.Curve {
 	b.Helper()
-	app2Once.Do(func() { app2Study, app2Err = experiments.App2(benchCfg) })
-	if app2Err != nil {
-		b.Fatal(app2Err)
+	cs := fixture(b, name).Curves
+	out := make([]profile.Curve, len(cs))
+	for i, c := range cs {
+		out[i] = profile.Curve(c)
 	}
-	return app2Study
+	return out
 }
 
 // BenchmarkTable1 regenerates the Table 1 allocation (the section 3.2
 // solver stage) for 2×JPEG + Canny.
 func BenchmarkTable1(b *testing.B) {
-	s := app1(b)
+	s := fixture(b, experiments.ScenarioApp1)
+	curves := fixtureCurves(b, experiments.ScenarioApp1Curves)
 	w := workloads.JPEGCanny(workloads.Paper, nil)
 	b.ResetTimer()
 	var opt *core.OptimizeResult
@@ -72,7 +79,7 @@ func BenchmarkTable1(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		opt, err = core.OptimizeFromCurves(app, s.Opt.Curves, core.OptimizeConfig{
+		opt, err = core.OptimizeFromCurves(app, curves, core.OptimizeConfig{
 			Platform: benchCfg.Platform,
 		})
 		if err != nil {
@@ -80,12 +87,13 @@ func BenchmarkTable1(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(opt.Allocation.TotalUnits()), "alloc-units")
-	b.Logf("\n%s", experiments.AllocationTable(s, "Table 1: allocated L2 units, 2 jpegs & canny"))
+	b.Logf("\n%s", experiments.AllocationTableFromResult(s, "Table 1: allocated L2 units, 2 jpegs & canny"))
 }
 
 // BenchmarkTable2 regenerates the Table 2 allocation for MPEG-2.
 func BenchmarkTable2(b *testing.B) {
-	s := app2(b)
+	s := fixture(b, experiments.ScenarioApp2)
+	curves := fixtureCurves(b, experiments.ScenarioApp2Curves)
 	w := workloads.MPEG2(workloads.Paper, nil)
 	b.ResetTimer()
 	var opt *core.OptimizeResult
@@ -94,7 +102,7 @@ func BenchmarkTable2(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		opt, err = core.OptimizeFromCurves(app, s.Opt.Curves, core.OptimizeConfig{
+		opt, err = core.OptimizeFromCurves(app, curves, core.OptimizeConfig{
 			Platform: benchCfg.Platform,
 		})
 		if err != nil {
@@ -102,46 +110,46 @@ func BenchmarkTable2(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(opt.Allocation.TotalUnits()), "alloc-units")
-	b.Logf("\n%s", experiments.AllocationTable(s, "Table 2: allocated L2 units, mpeg2"))
+	b.Logf("\n%s", experiments.AllocationTableFromResult(s, "Table 2: allocated L2 units, mpeg2"))
 }
 
 // BenchmarkFigure2JpegCanny measures a full partitioned simulation of
 // application 1 and reports the Figure 2 headline: misses vs shared.
 func BenchmarkFigure2JpegCanny(b *testing.B) {
-	s := app1(b)
+	s := fixture(b, experiments.ScenarioApp1)
 	w := workloads.JPEGCanny(workloads.Paper, nil)
 	b.ResetTimer()
 	var part *core.Result
 	for i := 0; i < b.N; i++ {
 		var err error
 		part, err = core.Run(w, core.RunConfig{
-			Platform: benchCfg.Platform, Strategy: core.Partitioned, Alloc: s.Opt.Allocation,
+			Platform: benchCfg.Platform, Strategy: core.Partitioned, Alloc: s.Optimize.Allocation,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(s.Shared.TotalMisses())/float64(part.TotalMisses()), "miss-ratio(paper=5)")
-	b.Logf("\n%s", experiments.Figure2(s))
+	b.ReportMetric(float64(s.Shared.TotalMisses)/float64(part.TotalMisses()), "miss-ratio(paper=5)")
+	b.Logf("\n%s", experiments.Figure2FromResult(s))
 }
 
 // BenchmarkFigure2Mpeg2 is the MPEG-2 panel of Figure 2.
 func BenchmarkFigure2Mpeg2(b *testing.B) {
-	s := app2(b)
+	s := fixture(b, experiments.ScenarioApp2)
 	w := workloads.MPEG2(workloads.Paper, nil)
 	b.ResetTimer()
 	var part *core.Result
 	for i := 0; i < b.N; i++ {
 		var err error
 		part, err = core.Run(w, core.RunConfig{
-			Platform: benchCfg.Platform, Strategy: core.Partitioned, Alloc: s.Opt.Allocation,
+			Platform: benchCfg.Platform, Strategy: core.Partitioned, Alloc: s.Optimize.Allocation,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(s.Shared.TotalMisses())/float64(part.TotalMisses()), "miss-ratio(paper=6.5)")
-	b.Logf("\n%s", experiments.Figure2(s))
+	b.ReportMetric(float64(s.Shared.TotalMisses)/float64(part.TotalMisses()), "miss-ratio(paper=6.5)")
+	b.Logf("\n%s", experiments.Figure2FromResult(s))
 }
 
 // l2Record is one captured L2-bound line reference.
@@ -246,19 +254,19 @@ func benchProfilingStage(b *testing.B, cap *l2Capture, maxRelDiff float64) {
 // L2-bound stream into each engine — and reports the compositionality
 // metric of the full study.
 func BenchmarkFigure3JpegCanny(b *testing.B) {
-	s := app1(b)
+	s := fixture(b, experiments.ScenarioApp1)
 	cap := captureL2Stream(b, 0, workloads.JPEGCanny(workloads.Paper, nil))
 	benchProfilingStage(b, cap, s.Compose.MaxRelDiff)
-	chart, _ := experiments.Figure3(s)
+	chart, _ := experiments.Figure3FromResult(s)
 	b.Logf("\n%s", chart)
 }
 
 // BenchmarkFigure3Mpeg2 is the MPEG-2 panel of Figure 3.
 func BenchmarkFigure3Mpeg2(b *testing.B) {
-	s := app2(b)
+	s := fixture(b, experiments.ScenarioApp2)
 	cap := captureL2Stream(b, 1, workloads.MPEG2(workloads.Paper, nil))
 	benchProfilingStage(b, cap, s.Compose.MaxRelDiff)
-	chart, _ := experiments.Figure3(s)
+	chart, _ := experiments.Figure3FromResult(s)
 	b.Logf("\n%s", chart)
 }
 
@@ -275,21 +283,21 @@ func BenchmarkProfilePipelineJpegCanny(b *testing.B) {
 	}
 }
 
-// BenchmarkStudyJpegCanny measures the end-to-end study (shared run,
-// profile, optimize, partitioned run) sequentially and with the
-// parallel harness, tracking the fan-out win.
+// BenchmarkStudyJpegCanny measures the end-to-end study (trace capture,
+// shared run, profile, optimize, partitioned run) of the built-in app1
+// scenario on a fresh runner, sequentially and with the runner's worker
+// pool, tracking the fan-out win.
 func BenchmarkStudyJpegCanny(b *testing.B) {
-	w := workloads.JPEGCanny(workloads.Paper, nil)
+	cfg := benchCfg
+	cfg.ProfileRuns = 2
+	spec, _ := experiments.BuiltinScenario(cfg, experiments.ScenarioApp1)
 	for _, bc := range []struct {
 		name    string
 		workers int
 	}{{"sequential", 1}, {"parallel", 0}} {
 		b.Run(bc.name, func(b *testing.B) {
-			cfg := benchCfg
-			cfg.Workers = bc.workers
-			cfg.ProfileRuns = 2
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.RunStudy(w, cfg); err != nil {
+				if _, err := scenario.NewRunner(bc.workers).Run(spec); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -300,7 +308,7 @@ func BenchmarkStudyJpegCanny(b *testing.B) {
 // BenchmarkHeadlineJpegCanny measures the shared-cache baseline run of
 // application 1 and reports the in-text headline metrics.
 func BenchmarkHeadlineJpegCanny(b *testing.B) {
-	s := app1(b)
+	s := fixture(b, experiments.ScenarioApp1)
 	w := workloads.JPEGCanny(workloads.Paper, nil)
 	b.ResetTimer()
 	var shared *core.Result
@@ -312,14 +320,14 @@ func BenchmarkHeadlineJpegCanny(b *testing.B) {
 		}
 	}
 	b.ReportMetric(shared.L2MissRate*100, "shared-missrate-%(paper=9.46)")
-	b.ReportMetric(s.Part.L2MissRate*100, "part-missrate-%(paper=2.21)")
+	b.ReportMetric(s.Partitioned.L2MissRate*100, "part-missrate-%(paper=2.21)")
 	b.ReportMetric(shared.CPIMean, "shared-CPI(paper=1.4)")
-	b.ReportMetric(s.Part.CPIMean, "part-CPI(paper=1.1)")
+	b.ReportMetric(s.Partitioned.CPIMean, "part-CPI(paper=1.1)")
 }
 
 // BenchmarkHeadlineMpeg2 reports the MPEG-2 headline metrics.
 func BenchmarkHeadlineMpeg2(b *testing.B) {
-	s := app2(b)
+	s := fixture(b, experiments.ScenarioApp2)
 	w := workloads.MPEG2(workloads.Paper, nil)
 	b.ResetTimer()
 	var shared *core.Result
@@ -331,9 +339,9 @@ func BenchmarkHeadlineMpeg2(b *testing.B) {
 		}
 	}
 	b.ReportMetric(shared.L2MissRate*100, "shared-missrate-%(paper=5.1)")
-	b.ReportMetric(s.Part.L2MissRate*100, "part-missrate-%(paper=0.8)")
+	b.ReportMetric(s.Partitioned.L2MissRate*100, "part-missrate-%(paper=0.8)")
 	b.ReportMetric(shared.CPIMean, "shared-CPI(paper~1.75)")
-	b.ReportMetric(s.Part.CPIMean, "part-CPI(paper~1.65)")
+	b.ReportMetric(s.Partitioned.CPIMean, "part-CPI(paper~1.65)")
 }
 
 // BenchmarkHeadlineMpeg2OneMB reproduces the paper's 1 MB shared-L2
@@ -359,29 +367,28 @@ func BenchmarkHeadlineMpeg2OneMB(b *testing.B) {
 // co-scheduled, under the partitioned cache (the loop measures the solo
 // partitioned run).
 func BenchmarkCompositionality(b *testing.B) {
-	s := app1(b)
+	s := fixture(b, experiments.ScenarioApp1)
 	solo := workloads.JPEG1Only(workloads.Paper)
 	b.ResetTimer()
 	var soloPart *core.Result
 	for i := 0; i < b.N; i++ {
 		var err error
 		soloPart, err = core.Run(solo, core.RunConfig{
-			Platform: benchCfg.Platform, Strategy: core.Partitioned, Alloc: s.Opt.Allocation,
+			Platform: benchCfg.Platform, Strategy: core.Partitioned, Alloc: s.Optimize.Allocation,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	sum := func(r *core.Result) float64 {
-		var t uint64
-		for _, n := range []string{"FrontEnd1", "IDCT1", "Raster1", "BackEnd1"} {
-			if e := r.Entity(n); e != nil {
-				t += e.Misses
-			}
+	var soloM, corunM float64
+	for _, n := range []string{"FrontEnd1", "IDCT1", "Raster1", "BackEnd1"} {
+		if e := soloPart.Entity(n); e != nil {
+			soloM += float64(e.Misses)
 		}
-		return float64(t)
+		if e := s.Partitioned.Entity(n); e != nil {
+			corunM += float64(e.Misses)
+		}
 	}
-	soloM, corunM := sum(soloPart), sum(s.Part)
 	shift := (corunM - soloM) / soloM
 	if shift < 0 {
 		shift = -shift
@@ -392,7 +399,7 @@ func BenchmarkCompositionality(b *testing.B) {
 // BenchmarkGranularityAblation is extension X2: resolving the same
 // program at column-caching (whole-way) granularity.
 func BenchmarkGranularityAblation(b *testing.B) {
-	s := app1(b)
+	curves := fixtureCurves(b, experiments.ScenarioApp1Curves)
 	w := workloads.JPEGCanny(workloads.Paper, nil)
 	geom := benchCfg.Platform.PartitionGeom()
 	wayUnits := geom.Sets / 8 / geom.Ways
@@ -403,7 +410,7 @@ func BenchmarkGranularityAblation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, err = core.OptimizeFromCurves(app, s.Opt.Curves, core.OptimizeConfig{
+		_, err = core.OptimizeFromCurves(app, curves, core.OptimizeConfig{
 			Platform: benchCfg.Platform,
 			Sizes:    []int{wayUnits},
 		})
@@ -417,37 +424,38 @@ func BenchmarkGranularityAblation(b *testing.B) {
 // BenchmarkAssignment is extension X3: the section 3.1 assignment search
 // over measured task times.
 func BenchmarkAssignment(b *testing.B) {
-	s := app1(b)
+	s := fixture(b, experiments.ScenarioApp1)
+	cycles := s.Partitioned.TaskCycles
 	cpus := benchCfg.Platform.NumCPUs
 	b.ResetTimer()
 	var lptMk, lsMk uint64
 	for i := 0; i < b.N; i++ {
-		lpt := core.AssignLPT(s.Part.TaskCycles, cpus)
-		loads, err := core.ProcessorLoads(s.Part.TaskCycles, lpt, cpus)
+		lpt := core.AssignLPT(cycles, cpus)
+		loads, err := core.ProcessorLoads(cycles, lpt, cpus)
 		if err != nil {
 			b.Fatal(err)
 		}
 		lptMk = core.Makespan(loads)
-		ls := core.AssignLocalSearch(s.Part.TaskCycles, cpus, lpt)
-		loads, _ = core.ProcessorLoads(s.Part.TaskCycles, ls, cpus)
+		ls := core.AssignLocalSearch(cycles, cpus, lpt)
+		loads, _ = core.ProcessorLoads(cycles, ls, cpus)
 		lsMk = core.Makespan(loads)
 	}
 	b.ReportMetric(float64(lptMk), "LPT-makespan")
 	b.ReportMetric(float64(lsMk), "localsearch-makespan")
-	b.Logf("\n%s", experiments.Assignment(s, cpus))
+	b.Logf("\n%s", experiments.AssignmentFromResult(s, cpus))
 }
 
 // benchRunStage measures one execution-engine stage — a full functional
 // simulation of an application — under both engines, so engine wins are
 // tracked separately from the profiling stage (BenchmarkFigure3*) and
 // from the end-to-end pipeline.
-func benchRunStage(b *testing.B, s *experiments.Study, w core.Workload, strategy core.Strategy) {
+func benchRunStage(b *testing.B, s *scenario.Result, w core.Workload, strategy core.Strategy) {
 	for _, eng := range []platform.Engine{platform.EngineLineMerged, platform.EngineWordExact} {
 		b.Run(eng.String(), func(b *testing.B) {
 			rc := core.RunConfig{Platform: benchCfg.Platform, Strategy: strategy}
 			rc.Platform.Engine = eng
 			if strategy == core.Partitioned {
-				rc.Alloc = s.Opt.Allocation
+				rc.Alloc = s.Optimize.Allocation
 			}
 			var res *core.Result
 			b.ResetTimer()
@@ -503,13 +511,13 @@ func BenchmarkRunSharedMpeg2(b *testing.B) {
 // BenchmarkRunPartitionedJpegCanny measures the partitioned run of
 // application 1 per execution engine.
 func BenchmarkRunPartitionedJpegCanny(b *testing.B) {
-	benchRunStage(b, app1(b), workloads.JPEGCanny(workloads.Paper, nil), core.Partitioned)
+	benchRunStage(b, fixture(b, experiments.ScenarioApp1), workloads.JPEGCanny(workloads.Paper, nil), core.Partitioned)
 }
 
 // BenchmarkRunPartitionedMpeg2 measures the partitioned run of the MPEG-2
 // decoder per execution engine.
 func BenchmarkRunPartitionedMpeg2(b *testing.B) {
-	benchRunStage(b, app2(b), workloads.MPEG2(workloads.Paper, nil), core.Partitioned)
+	benchRunStage(b, fixture(b, experiments.ScenarioApp2), workloads.MPEG2(workloads.Paper, nil), core.Partitioned)
 }
 
 // BenchmarkSmallAppEndToEnd measures the simulator's throughput on the

@@ -10,9 +10,9 @@ import (
 	"log"
 
 	"repro/internal/apps/mpeg2"
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/scenario"
 	"repro/internal/workloads"
 )
 
@@ -43,23 +43,23 @@ func main() {
 	fmt.Printf("mpeg2: %d pictures (%dx%d) decoded and verified bit-exactly\n",
 		pipe.Pictures, pipe.Width, pipe.Height)
 
-	// The study: Table 2, Figure 2/3, and the 1 MB shared variant.
-	study, err := experiments.App2(cfg)
-	if err != nil {
-		log.Fatal(err)
+	// The study through the scenario runner: Table 2, Figure 2, and the
+	// 1 MB shared variant.
+	defs := experiments.BuiltinScenarios(cfg)
+	results := scenario.NewRunner(cfg.Workers).RunBatch([]scenario.Scenario{
+		defs[experiments.ScenarioApp2], defs[experiments.ScenarioMpeg2Big],
+	})
+	for _, r := range results {
+		if r.Error != "" {
+			log.Fatalf("scenario %s: %s", r.Scenario.Name, r.Error)
+		}
 	}
+	study, big := results[0], results[1]
 	fmt.Println()
-	fmt.Println(experiments.AllocationTable(study, "Table 2: allocated L2 units"))
-	fmt.Println(experiments.Figure2(study))
+	fmt.Println(experiments.AllocationTableFromResult(study, "Table 2: allocated L2 units"))
+	fmt.Println(experiments.Figure2FromResult(study))
 	fmt.Printf("misses: shared %d -> partitioned %d (%.2fx fewer; paper: 6.5x)\n",
-		study.Shared.TotalMisses(), study.Part.TotalMisses(), study.MissRatio())
-
-	big := cfg.Platform
-	big.Topology = big.Topology.WithLevel("l2", func(l *cache.LevelSpec) { l.Sets *= 2 })
-	bigRes, err := core.Run(workloads.MPEG2(scale, nil), core.RunConfig{Platform: big})
-	if err != nil {
-		log.Fatal(err)
-	}
+		study.Shared.TotalMisses, study.Partitioned.TotalMisses, study.MissRatio())
 	fmt.Printf("1MB shared L2: %d misses (%.2f%%), CPI %.2f — the paper's extra data point\n",
-		bigRes.TotalMisses(), bigRes.L2MissRate*100, bigRes.CPIMean)
+		big.Shared.TotalMisses, big.Shared.L2MissRate*100, big.Shared.CPIMean)
 }

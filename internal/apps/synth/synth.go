@@ -7,8 +7,7 @@
 // available; these generators produce deterministic synthetic streams
 // with the same structure (DCT blocks, run-length coded coefficients,
 // motion-compensated prediction), so the decoder pipelines execute the
-// same kinds of work over the same kinds of buffers (DESIGN.md,
-// "Substitutions").
+// same kinds of work over the same kinds of buffers.
 package synth
 
 // Rand is a deterministic xorshift64* PRNG, independent of math/rand so

@@ -49,7 +49,8 @@ func (m *FixedMem) Post(addr, now uint64) { m.Writes++ }
 // platform the snooping protocol keeps shared lines effectively out of
 // the private (and cluster) caches, and the paper's analysis (section 3)
 // likewise places all inter-task interaction in the shared cache. The
-// substitution is recorded in DESIGN.md.
+// substitution is described in README.md ("Memory hierarchy", shared
+// regions and coherence).
 //
 // Latency model: the leaf level's hit latency is charged on every access
 // (it covers address generation and the leaf tag probe, even when the

@@ -13,13 +13,10 @@ import (
 
 // This file derives every table and figure of the evaluation from
 // scenario.Result documents — the thin report layer over the scenario
-// API. Each adapter mirrors its legacy Study-based counterpart exactly;
-// the differential test in scenario_diff_test.go holds the rendered
-// bytes identical.
+// API. TestDefaultTopologyGolden pins every command's rendered bytes.
 
 // entityKinds maps entity name → kind string from a partitioned run.
-// Missing names resolve to "task", matching the legacy zero-value
-// EntityKind lookup.
+// Missing names resolve to "task", the zero core.EntityKind.
 func entityKinds(run *scenario.RunSummary) func(string) string {
 	kinds := make(map[string]string, len(run.Entities))
 	for _, e := range run.Entities {

@@ -36,9 +36,9 @@ func ConfigFromFlags(f Flags) (Config, error) {
 	return cfg, nil
 }
 
-// CommandOutput is one CLI command's rendered artifacts: the exact text
-// the legacy command printed, plus the machine-readable documents the
-// -json mode emits (each marshals to a versioned report envelope).
+// CommandOutput is one CLI command's rendered artifacts: the text the
+// command prints, plus the machine-readable documents the -json mode
+// emits (each marshals to a versioned report envelope).
 type CommandOutput struct {
 	Text      string
 	Documents []interface{}
@@ -69,10 +69,10 @@ func CommandNames() []string {
 	return []string{"table1", "table2", "fig2", "fig3", "headline", "compose", "granularity", "split", "migration", "assign", "curves", "all"}
 }
 
-// RunCommand executes a legacy CLI command through the scenario layer:
-// it resolves the command to its built-in scenarios, runs them on the
-// Runner (memoized, batched over the worker pool), and renders the
-// bit-identical legacy text plus the structured documents.
+// RunCommand executes a CLI command through the scenario layer: it
+// resolves the command to its built-in scenarios, runs them on the
+// Runner (memoized, batched over the worker pool), and renders the text
+// plus the structured documents.
 func RunCommand(cmd string, cfg Config, rn *scenario.Runner) (CommandOutput, error) {
 	if cmd == "all" {
 		var out CommandOutput
@@ -111,8 +111,8 @@ func RunCommand(cmd string, cfg Config, rn *scenario.Runner) (CommandOutput, err
 	return renderCommand(cmd, cfg, byName)
 }
 
-// renderCommand produces the exact legacy stdout text of one command
-// from its scenario results, plus the structured documents.
+// renderCommand produces the stdout text of one command from its
+// scenario results, plus the structured documents.
 func renderCommand(cmd string, cfg Config, res map[string]*scenario.Result) (CommandOutput, error) {
 	var out CommandOutput
 	var b strings.Builder

@@ -9,6 +9,33 @@ import (
 	"repro/internal/workloads"
 )
 
+// directStudy is one application study computed on core directly:
+// shared baseline, profile + optimize, partitioned run, and the Figure 3
+// comparison. The scenario runner normalizes every spec to the
+// production engines, so this is how the differential tests reach the
+// word-exact oracle (through platform.Config.Engine).
+type directStudy struct {
+	Shared, Part *core.Result
+	Opt          *core.OptimizeResult
+	Compose      *core.ComposeReport
+}
+
+func runDirect(w core.Workload, cfg Config) (*directStudy, error) {
+	shared, err := core.Run(w, core.RunConfig{Platform: cfg.Platform})
+	if err != nil {
+		return nil, err
+	}
+	opt, err := core.Optimize(w, cfg.OptimizeConfig())
+	if err != nil {
+		return nil, err
+	}
+	part, err := core.Run(w, core.RunConfig{Platform: cfg.Platform, Strategy: core.Partitioned, Alloc: opt.Allocation})
+	if err != nil {
+		return nil, err
+	}
+	return &directStudy{shared, part, opt, core.CompareExpectedSimulated(opt.Expected, part)}, nil
+}
+
 // diffResults fails the test if two Results differ in any observable:
 // aggregate L2 statistics, per-entity accesses and misses, makespan,
 // instruction count, CPI, switches, bus traffic, energy and per-task
@@ -51,8 +78,8 @@ func diffResults(t *testing.T, label string, merged, word *core.Result) {
 // line-merged fast path on the real workloads: for Small-scale JPEGCanny
 // and MPEG-2, the full study — shared baseline, profiled miss curves,
 // optimized allocation, partitioned run, compositionality comparison —
-// must be bit-identical under both execution engines, at the default
-// worker fan-out (run under -race in CI).
+// must be bit-identical under both execution engines (run under -race
+// in CI).
 func TestEngineDifferentialStudies(t *testing.T) {
 	for _, w := range []core.Workload{
 		workloads.JPEGCanny(workloads.Small, nil),
@@ -61,12 +88,12 @@ func TestEngineDifferentialStudies(t *testing.T) {
 		t.Run(w.Name, func(t *testing.T) {
 			cfg := Small()
 			cfg.Platform.Engine = platform.EngineLineMerged
-			merged, err := RunStudy(w, cfg)
+			merged, err := runDirect(w, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg.Platform.Engine = platform.EngineWordExact
-			word, err := RunStudy(w, cfg)
+			word, err := runDirect(w, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,5 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (section 5), plus the extension studies listed in DESIGN.md:
+// evaluation (section 5), plus the extension studies X1-X5. Each CLI
+// command resolves to built-in scenarios (scenario_defs.go), runs them
+// on a scenario.Runner and renders the results through the *FromResult
+// adapters (adapters.go):
 //
 //	T1/T2  Tables 1-2: optimized L2 allocation per entity
 //	F2     Figure 2: shared vs best-partitioned misses per entity
@@ -13,15 +16,8 @@
 package experiments
 
 import (
-	"fmt"
-	"sort"
-
-	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/parallel"
 	"repro/internal/platform"
-	"repro/internal/profile"
-	"repro/internal/report"
 	"repro/internal/workloads"
 )
 
@@ -31,33 +27,22 @@ type Config struct {
 	Platform    platform.Config
 	ProfileRuns int
 	Solver      core.Solver
-	// Engine selects the profiling engine (default: the single-pass
-	// stack-distance simulator; profile.EngineBank is the reference
-	// bank-of-caches oracle).
-	Engine profile.Engine
-	// Workers bounds the harness's fan-out: the shared/profiled legs of
-	// a study, the profiling repetitions, and the headline's per-app
-	// studies all run on bounded worker pools. 0 = GOMAXPROCS,
-	// 1 = fully sequential. Every simulation owns its platform
-	// instance, so the results are identical at any worker count.
-	//
-	// The bound applies per fan-out stage, and stages nest (headline →
-	// study legs → profiling repetitions), so peak concurrency can
-	// reach the product of the nested stages' bounds — up to
-	// 3×2×Workers simulations for Headline. Use Workers=1 when a
-	// strict single-simulation-at-a-time run is needed.
+	// Workers sizes the scenario runner the CLI builds
+	// (scenario.NewRunner), which bounds both its batch pool and
+	// core.Profile's concurrent profiling repetitions: 0 = GOMAXPROCS,
+	// 1 = fully sequential. Every simulation owns its platform instance,
+	// so the results are identical at any worker count.
 	Workers int
 }
 
 // OptimizeConfig translates the harness configuration into the
-// profiling/optimization options, so every command honors the engine and
-// worker knobs.
+// profiling/optimization options, so every caller honors the solver,
+// profiling-run and worker settings.
 func (c Config) OptimizeConfig() core.OptimizeConfig {
 	return core.OptimizeConfig{
 		Platform: c.Platform,
 		Runs:     c.ProfileRuns,
 		Solver:   c.Solver,
-		Engine:   c.Engine,
 		Workers:  c.Workers,
 	}
 }
@@ -71,143 +56,6 @@ func Default() Config {
 // Small returns a fast configuration for tests.
 func Small() Config {
 	return Config{Scale: workloads.Small, Platform: platform.Default(), ProfileRuns: 1}
-}
-
-// Study is the complete evaluation of one application: shared baseline,
-// profiling + optimization, partitioned run, and the Figure 3 comparison.
-type Study struct {
-	Workload string
-	Shared   *core.Result
-	Part     *core.Result
-	Opt      *core.OptimizeResult
-	Compose  *core.ComposeReport
-}
-
-// MissRatio returns shared misses / partitioned misses (the paper's "N
-// times less misses").
-func (s *Study) MissRatio() float64 {
-	p := s.Part.TotalMisses()
-	if p == 0 {
-		return 0
-	}
-	return float64(s.Shared.TotalMisses()) / float64(p)
-}
-
-// RunStudy executes the full pipeline on one workload. The shared
-// baseline and the profile+optimize leg are independent simulations and
-// run concurrently; the partitioned run needs the optimized allocation
-// and follows.
-func RunStudy(w core.Workload, cfg Config) (*Study, error) {
-	var (
-		shared *core.Result
-		opt    *core.OptimizeResult
-	)
-	legs := []func() error{
-		func() error {
-			var err error
-			shared, err = core.Run(w, core.RunConfig{Platform: cfg.Platform})
-			if err != nil {
-				return fmt.Errorf("experiments: shared run: %w", err)
-			}
-			return nil
-		},
-		func() error {
-			var err error
-			opt, err = core.Optimize(w, cfg.OptimizeConfig())
-			if err != nil {
-				return fmt.Errorf("experiments: optimize: %w", err)
-			}
-			return nil
-		},
-	}
-	if err := parallel.Do(parallel.Workers(cfg.Workers), len(legs), func(i int) error { return legs[i]() }); err != nil {
-		return nil, err
-	}
-	part, err := core.Run(w, core.RunConfig{
-		Platform: cfg.Platform,
-		Strategy: core.Partitioned,
-		Alloc:    opt.Allocation,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: partitioned run: %w", err)
-	}
-	return &Study{
-		Workload: w.Name,
-		Shared:   shared,
-		Part:     part,
-		Opt:      opt,
-		Compose:  core.CompareExpectedSimulated(opt.Expected, part),
-	}, nil
-}
-
-// App1 runs the study for the 2×JPEG + Canny application.
-func App1(cfg Config) (*Study, error) {
-	return RunStudy(workloads.JPEGCanny(cfg.Scale, nil), cfg)
-}
-
-// App2 runs the study for the MPEG-2 decoder.
-func App2(cfg Config) (*Study, error) {
-	return RunStudy(workloads.MPEG2(cfg.Scale, nil), cfg)
-}
-
-// AllocationTable renders the study's allocation as the paper's Table 1
-// or Table 2: allocated L2 units per task, buffer and shared section.
-func AllocationTable(s *Study, title string) *report.Table {
-	t := &report.Table{
-		Title:   title,
-		Headers: []string{"entity", "kind", "alloc units", "expected misses"},
-	}
-	names := make([]string, 0, len(s.Opt.Allocation))
-	for n := range s.Opt.Allocation {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	kind := map[string]core.EntityKind{}
-	for _, e := range s.Part.Entities {
-		kind[e.Name] = e.Kind
-	}
-	for _, n := range names {
-		t.AddRow(n, kind[n].String(), s.Opt.Allocation[n], s.Opt.Expected[n])
-	}
-	t.AddRow("TOTAL", "", s.Opt.Allocation.TotalUnits(), "")
-	return t
-}
-
-// Figure2 renders the shared-vs-partitioned per-entity miss chart.
-func Figure2(s *Study) *report.BarChart {
-	c := &report.BarChart{
-		Title:  fmt.Sprintf("Figure 2 (%s): L2 misses per entity, shared vs best partitioned", s.Workload),
-		ALabel: "shared",
-		BLabel: "partitioned",
-	}
-	for _, e := range s.Shared.Entities {
-		p := s.Part.Entity(e.Name)
-		if p == nil || (e.Misses == 0 && p.Misses == 0) {
-			continue
-		}
-		c.Pairs = append(c.Pairs, report.BarPair{Label: e.Name, A: float64(e.Misses), B: float64(p.Misses)})
-	}
-	sort.Slice(c.Pairs, func(i, j int) bool { return c.Pairs[i].A > c.Pairs[j].A })
-	return c
-}
-
-// Figure3 renders the expected-vs-simulated chart plus the paper's
-// compositionality metric.
-func Figure3(s *Study) (*report.BarChart, *core.ComposeReport) {
-	c := &report.BarChart{
-		Title: fmt.Sprintf("Figure 3 (%s): expected vs simulated misses per entity (max rel diff %.2f%%)",
-			s.Workload, s.Compose.MaxRelDiff*100),
-		ALabel: "expected",
-		BLabel: "simulated",
-	}
-	for _, e := range s.Compose.Entries {
-		if e.Expected == 0 && e.Simulated == 0 {
-			continue
-		}
-		c.Pairs = append(c.Pairs, report.BarPair{Label: e.Name, A: e.Expected, B: float64(e.Simulated)})
-	}
-	sort.Slice(c.Pairs, func(i, j int) bool { return c.Pairs[i].A > c.Pairs[j].A })
-	return c, s.Compose
 }
 
 // HeadlineRow summarizes one study for the headline table. It is part
@@ -231,62 +79,33 @@ type HeadlineRow struct {
 	PartEnergy   float64 `json:"partitioned_energy"`
 }
 
-// Headline runs both applications plus the 1 MB shared-L2 MPEG-2 variant
-// and renders the in-text headline numbers of section 5. The three legs
-// are independent and fan out over the harness worker pool; rows and
-// table are assembled in the fixed App1, App2, 1 MB order afterwards, so
-// the output is identical to the sequential path.
-func Headline(cfg Config) (*report.Table, []HeadlineRow, error) {
-	t := &report.Table{
-		Title: "Headline (paper: 5x / 6.5x fewer misses; 9.46->2.21% / 5.1->0.8% miss rate; CPI 1.4->1.1 / ~1.75->~1.65)",
-		Headers: []string{"app", "shared miss", "part miss", "ratio",
-			"shared rate", "part rate", "shared CPI", "part CPI", "maxRelDiff", "energy gain"},
-	}
-	studies := make([]*Study, 2)
-	var bigRes *core.Result
-	legs := []func() error{
-		func() error { var err error; studies[0], err = App1(cfg); return err },
-		func() error { var err error; studies[1], err = App2(cfg); return err },
-		func() error {
-			// MPEG-2 on a 1 MB shared L2.
-			big := cfg.Platform
-			big.Topology = big.Topology.WithLevel(big.Topology.Partition().Name,
-				func(l *cache.LevelSpec) { l.Sets *= 2 })
-			var err error
-			bigRes, err = core.Run(workloads.MPEG2(cfg.Scale, nil), core.RunConfig{Platform: big})
-			return err
-		},
-	}
-	if err := parallel.Do(parallel.Workers(cfg.Workers), len(legs), func(i int) error { return legs[i]() }); err != nil {
-		return nil, nil, err
-	}
-	var rows []HeadlineRow
-	for _, s := range studies {
-		r := HeadlineRow{
-			App:          s.Workload,
-			SharedMiss:   s.Shared.TotalMisses(),
-			PartMiss:     s.Part.TotalMisses(),
-			Ratio:        s.MissRatio(),
-			SharedRate:   s.Shared.L2MissRate,
-			PartRate:     s.Part.L2MissRate,
-			SharedCPI:    s.Shared.CPIMean,
-			PartCPI:      s.Part.CPIMean,
-			MaxRelDiff:   s.Compose.MaxRelDiff,
-			SharedEnergy: s.Shared.Energy,
-			PartEnergy:   s.Part.Energy,
-		}
-		rows = append(rows, r)
-		t.AddRow(r.App, r.SharedMiss, r.PartMiss, r.Ratio, r.SharedRate, r.PartRate,
-			r.SharedCPI, r.PartCPI, r.MaxRelDiff,
-			fmt.Sprintf("%.1f%%", (1-r.PartEnergy/r.SharedEnergy)*100))
-	}
-	rows = append(rows, HeadlineRow{
-		App:        "mpeg2 @1MB shared",
-		SharedMiss: bigRes.TotalMisses(),
-		SharedRate: bigRes.L2MissRate,
-		SharedCPI:  bigRes.CPIMean,
-	})
-	t.AddRow("mpeg2 @1MB shared", bigRes.TotalMisses(), "-", "-",
-		bigRes.L2MissRate, "-", bigRes.CPIMean, "-", "-", "-")
-	return t, rows, nil
+// CompositionResult is experiment X1: the same decoder's miss counts with
+// and without co-runners, under both cache strategies.
+type CompositionResult struct {
+	SharedSolo  uint64 // jpeg1 entity misses, running alone, shared L2
+	SharedCorun uint64 // ... co-scheduled with jpeg2 + canny, shared L2
+	PartSolo    uint64 // ... alone, partitioned L2 (same allocation)
+	PartCorun   uint64 // ... co-scheduled, partitioned L2
 }
+
+// SharedShift returns the relative change of the shared-cache miss count
+// when co-runners appear; PartShift the same for the partitioned cache.
+// Compositionality means PartShift ≈ 0 while SharedShift is large.
+func (r *CompositionResult) SharedShift() float64 { return shift(r.SharedSolo, r.SharedCorun) }
+
+// PartShift returns the partitioned-cache relative change.
+func (r *CompositionResult) PartShift() float64 { return shift(r.PartSolo, r.PartCorun) }
+
+func shift(solo, corun uint64) float64 {
+	if solo == 0 {
+		return 0
+	}
+	d := float64(corun) - float64(solo)
+	if d < 0 {
+		d = -d
+	}
+	return d / float64(solo)
+}
+
+// jpeg1Entities are the private entities of the first decoder instance.
+var jpeg1Entities = []string{"FrontEnd1", "IDCT1", "Raster1", "BackEnd1"}

@@ -4,18 +4,56 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/report"
+	"repro/internal/scenario"
 )
 
 // The experiment tests run at Small scale; the paper-scale shape
-// assertions live in the root-level bench harness and EXPERIMENTS.md.
+// assertions live in the root package's TestPaperShape.
+
+// studyRunner is shared by the Small-scale study tests, so each
+// built-in scenario simulates once across them.
+var studyRunner = scenario.NewRunner(0)
+
+// study runs one built-in scenario at Small scale.
+func study(t *testing.T, name string) *scenario.Result {
+	t.Helper()
+	spec, ok := BuiltinScenario(Small(), name)
+	if !ok {
+		t.Fatalf("no built-in %q", name)
+	}
+	r, err := studyRunner.Run(spec)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return r
+}
+
+// command renders one CLI command at Small scale.
+func command(t *testing.T, cmd string) CommandOutput {
+	t.Helper()
+	out, err := RunCommand(cmd, Small(), studyRunner)
+	if err != nil {
+		t.Fatalf("%s: %v", cmd, err)
+	}
+	return out
+}
+
+// payload returns the payload of the command's envelope of one kind.
+func payload(t *testing.T, out CommandOutput, kind string) interface{} {
+	t.Helper()
+	for _, d := range out.Documents {
+		if env, ok := d.(report.Envelope); ok && env.Kind == kind {
+			return env.Payload
+		}
+	}
+	t.Fatalf("no %q document", kind)
+	return nil
+}
 
 func TestApp1StudySmall(t *testing.T) {
-	s, err := App1(Small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Shared.TotalMisses() == 0 || s.Part.TotalMisses() == 0 {
+	s := study(t, ScenarioApp1)
+	if s.Shared.TotalMisses == 0 || s.Partitioned.TotalMisses == 0 {
 		t.Fatal("no misses measured")
 	}
 	if s.MissRatio() <= 0 {
@@ -26,37 +64,34 @@ func TestApp1StudySmall(t *testing.T) {
 		t.Errorf("max rel diff %.3f too large", s.Compose.MaxRelDiff)
 	}
 	// Tables and figures render.
-	tab := AllocationTable(s, "Table 1")
+	tab := AllocationTableFromResult(s, "Table 1")
 	if !strings.Contains(tab.String(), "FrontEnd1") {
 		t.Error("allocation table missing task row")
 	}
 	if !strings.Contains(tab.String(), "TOTAL") {
 		t.Error("allocation table missing total")
 	}
-	f2 := Figure2(s)
+	f2 := Figure2FromResult(s)
 	if len(f2.Pairs) == 0 {
 		t.Error("figure 2 empty")
 	}
-	f3, rep := Figure3(s)
+	f3, rep := Figure3FromResult(s)
 	if len(f3.Pairs) == 0 || rep == nil {
 		t.Error("figure 3 empty")
 	}
 	// X3 renders for 4 CPUs.
-	x3 := Assignment(s, 4)
+	x3 := AssignmentFromResult(s, 4)
 	if !strings.Contains(x3.String(), "LPT") {
 		t.Error("assignment table missing LPT row")
 	}
 }
 
 func TestApp2StudySmall(t *testing.T) {
-	s, err := App2(Small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Shared.TotalMisses() == 0 {
+	s := study(t, ScenarioApp2)
+	if s.Shared.TotalMisses == 0 {
 		t.Fatal("no misses measured")
 	}
-	tab := AllocationTable(s, "Table 2")
+	tab := AllocationTableFromResult(s, "Table 2")
 	for _, name := range []string{"vld", "memMan", "predictRD"} {
 		if !strings.Contains(tab.String(), name) {
 			t.Errorf("table 2 missing %q", name)
@@ -68,16 +103,13 @@ func TestApp2StudySmall(t *testing.T) {
 }
 
 func TestHeadlineSmall(t *testing.T) {
-	tab, rows, err := Headline(Small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := command(t, "headline")
+	rows := payload(t, out, "headline").([]HeadlineRow)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 2 apps + 1MB variant", len(rows))
 	}
-	out := tab.String()
 	for _, want := range []string{"2jpeg+canny", "mpeg2", "1MB"} {
-		if !strings.Contains(out, want) {
+		if !strings.Contains(out.Text, want) {
 			t.Errorf("headline missing %q", want)
 		}
 	}
@@ -88,10 +120,8 @@ func TestHeadlineSmall(t *testing.T) {
 }
 
 func TestCompositionSmall(t *testing.T) {
-	res, tab, err := Composition(Small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := command(t, "compose")
+	res := payload(t, out, "composition").(*CompositionResult)
 	if res.SharedSolo == 0 || res.PartSolo == 0 {
 		t.Fatal("no solo misses measured")
 	}
@@ -104,33 +134,21 @@ func TestCompositionSmall(t *testing.T) {
 		t.Errorf("shared shift %.3f not clearly larger than partitioned %.3f",
 			res.SharedShift(), res.PartShift())
 	}
-	if !strings.Contains(tab.String(), "co-scheduled") {
+	if !strings.Contains(out.Text, "co-scheduled") {
 		t.Error("table malformed")
 	}
 }
 
 func TestGranularitySmall(t *testing.T) {
-	tab, err := Granularity(Small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := tab.String()
+	out := command(t, "granularity").Text
 	if !strings.Contains(out, "column caching") || !strings.Contains(out, "set partitioning") {
 		t.Errorf("granularity table malformed:\n%s", out)
 	}
 }
 
 func TestStudyMissRatioZeroSafe(t *testing.T) {
-	s := &Study{Shared: &core.Result{}, Part: &core.Result{}}
-	if s.MissRatio() != 0 {
+	r := &scenario.Result{Shared: &scenario.RunSummary{}, Partitioned: &scenario.RunSummary{}}
+	if r.MissRatio() != 0 {
 		t.Error("zero-division in MissRatio")
-	}
-}
-
-func TestSortedTaskCycles(t *testing.T) {
-	res := &core.Result{TaskCycles: map[string]uint64{"a": 5, "b": 50, "c": 20}}
-	got := SortedTaskCycles(res)
-	if len(got) != 3 || got[0] != "b" || got[2] != "a" {
-		t.Errorf("order = %v", got)
 	}
 }

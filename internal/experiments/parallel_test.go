@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/profile"
+	"repro/internal/scenario"
 	"repro/internal/workloads"
 )
 
@@ -73,71 +74,24 @@ func TestParallelProfileMatchesSequential(t *testing.T) {
 }
 
 // TestParallelHeadlineMatchesSequential checks the full harness fan-out:
-// the headline table (both apps plus the 1 MB variant, each with its own
-// study pipeline) must produce identical rows at any worker count. Every
-// simulation owns its platform instance, so under -race this is the
-// data-race check for the whole parallel harness.
+// the headline command (both app studies plus the 1 MB variant, batched
+// over the runner's pool) must render identical text and documents at
+// any worker count. Every simulation owns its platform instance, so
+// under -race this is the data-race check for the whole parallel
+// harness.
 func TestParallelHeadlineMatchesSequential(t *testing.T) {
-	seqCfg := Small()
-	seqCfg.Workers = 1
-	seqTab, seqRows, err := Headline(seqCfg)
+	seq, err := RunCommand("headline", Small(), scenario.NewRunner(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parCfg := Small()
-	parCfg.Workers = 4
-	parTab, parRows, err := Headline(parCfg)
+	par, err := RunCommand("headline", Small(), scenario.NewRunner(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(seqRows, parRows) {
-		t.Errorf("parallel headline rows differ:\nseq: %+v\npar: %+v", seqRows, parRows)
+	if !reflect.DeepEqual(seq.Documents, par.Documents) {
+		t.Errorf("parallel headline documents differ:\nseq: %+v\npar: %+v", seq.Documents, par.Documents)
 	}
-	if seqTab.String() != parTab.String() {
+	if seq.Text != par.Text {
 		t.Error("parallel headline table rendering differs")
-	}
-}
-
-// TestRunStudyParallelLegs checks that the shared/profiled legs of one
-// study agree with the sequential path at the study level too.
-func TestRunStudyParallelLegs(t *testing.T) {
-	w := workloads.MPEG2(workloads.Small, nil)
-	seqCfg := Small()
-	seqCfg.Workers = 1
-	seq, err := RunStudy(w, seqCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parCfg := Small()
-	parCfg.Workers = 4
-	par, err := RunStudy(w, parCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Shared.TotalMisses() != par.Shared.TotalMisses() ||
-		seq.Part.TotalMisses() != par.Part.TotalMisses() {
-		t.Errorf("parallel study differs: shared %d/%d part %d/%d",
-			seq.Shared.TotalMisses(), par.Shared.TotalMisses(),
-			seq.Part.TotalMisses(), par.Part.TotalMisses())
-	}
-	if !reflect.DeepEqual(seq.Opt.Allocation, par.Opt.Allocation) {
-		t.Errorf("allocations differ: %v vs %v", seq.Opt.Allocation, par.Opt.Allocation)
-	}
-}
-
-// TestBankEngineStudySmall keeps the reference-oracle path wired through
-// the full study pipeline.
-func TestBankEngineStudySmall(t *testing.T) {
-	cfg := Small()
-	cfg.Engine = profile.EngineBank
-	s, err := App1(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Shared.TotalMisses() == 0 || s.Part.TotalMisses() == 0 {
-		t.Fatal("no misses measured")
-	}
-	if s.Compose.MaxRelDiff > 0.10 {
-		t.Errorf("max rel diff %.3f too large", s.Compose.MaxRelDiff)
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"repro/internal/scenario"
 )
 
-// Built-in scenario names: every legacy command of the CLI resolves to
+// Built-in scenario names: every command of the CLI resolves to
 // one or more of these, and user specs can overlay any of them through
 // the "base" field.
 const (

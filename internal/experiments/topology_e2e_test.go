@@ -51,12 +51,12 @@ func TestDeepTopologiesEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var studies [2]*Study
+			var studies [2]*directStudy
 			for i, eng := range []platform.Engine{platform.EngineLineMerged, platform.EngineWordExact} {
 				ec := cfg
 				ec.Platform.Topology = c.topo
 				ec.Platform.Engine = eng
-				if studies[i], err = RunStudy(w, ec); err != nil {
+				if studies[i], err = runDirect(w, ec); err != nil {
 					t.Fatalf("%v: %v", eng, err)
 				}
 			}

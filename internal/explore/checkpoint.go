@@ -70,10 +70,10 @@ func saveCheckpoint(dir string, cp *checkpoint) error {
 }
 
 // loadCheckpoint reads the progress log, verifying it belongs to the
-// exploration identified by fp. A missing log is a fresh start (found
-// false), not an error — a run killed before its first checkpoint
-// resumes from nothing.
-func loadCheckpoint(dir, fp string) (*checkpoint, bool, error) {
+// exploration identified by fp over a space of total points. A missing
+// log is a fresh start (found false), not an error — a run killed
+// before its first checkpoint resumes from nothing.
+func loadCheckpoint(dir, fp string, total int) (*checkpoint, bool, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, checkpointFile))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, false, nil
@@ -81,14 +81,37 @@ func loadCheckpoint(dir, fp string) (*checkpoint, bool, error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("explore: reading checkpoint: %w", err)
 	}
+	cp, err := decodeCheckpoint(raw, fp, total)
+	if err != nil {
+		return nil, false, err
+	}
+	return cp, true, nil
+}
+
+// decodeCheckpoint parses a progress log and verifies it: the
+// fingerprint must match fp, and the visit log must name distinct
+// points of the total-point space. The search trusts the log as its
+// visited set, so an out-of-range or repeated index would surface as a
+// phantom or double-counted visited point.
+func decodeCheckpoint(raw []byte, fp string, total int) (*checkpoint, error) {
 	var cp checkpoint
 	if err := scenario.DecodeStrict(raw, &cp); err != nil {
-		return nil, false, fmt.Errorf("explore: parsing checkpoint: %w", err)
+		return nil, fmt.Errorf("explore: parsing checkpoint: %w", err)
 	}
 	if cp.Fingerprint != fp {
-		return nil, false, fmt.Errorf("explore: checkpoint belongs to a different exploration (fingerprint %s, spec %s); point -checkpoint at a fresh directory", cp.Fingerprint, fp)
+		return nil, fmt.Errorf("explore: checkpoint belongs to a different exploration (fingerprint %s, spec %s); point -checkpoint at a fresh directory", cp.Fingerprint, fp)
 	}
-	return &cp, true, nil
+	seen := make(map[int]bool, len(cp.Visited))
+	for _, rec := range cp.Visited {
+		if rec.Index < 0 || rec.Index >= total {
+			return nil, fmt.Errorf("explore: checkpoint visits point %d, outside the %d-point space", rec.Index, total)
+		}
+		if seen[rec.Index] {
+			return nil, fmt.Errorf("explore: checkpoint visits point %d twice", rec.Index)
+		}
+		seen[rec.Index] = true
+	}
+	return &cp, nil
 }
 
 // atomicWrite lands data at path via a temp file and rename, fsyncing

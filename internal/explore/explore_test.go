@@ -161,7 +161,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, found, err := loadCheckpoint(dir, fp); err != nil || found {
+	if _, found, err := loadCheckpoint(dir, fp, 6); err != nil || found {
 		t.Fatalf("missing checkpoint must be a fresh start, got found=%v err=%v", found, err)
 	}
 
@@ -183,23 +183,23 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		Radius:        2,
 		Quiet:         1,
 		Visited: []PointRecord{
-			{PointSummary: sweep.PointSummary{Index: 7, Key: "k7"}, Round: 1},
+			{PointSummary: sweep.PointSummary{Index: 5, Key: "k5"}, Round: 1},
 			{PointSummary: sweep.PointSummary{Index: 2, Key: "k2"}, Round: 2, Rung: 1},
 		},
 	}
 	if err := saveCheckpoint(dir, cp); err != nil {
 		t.Fatal(err)
 	}
-	got, found, err := loadCheckpoint(dir, fp)
+	got, found, err := loadCheckpoint(dir, fp, 6)
 	if err != nil || !found {
 		t.Fatalf("checkpoint load: found=%v err=%v", found, err)
 	}
 	if got.Round != 3 || got.Radius != 2 || got.Quiet != 1 || len(got.Visited) != 2 ||
-		got.Visited[0].Index != 7 || got.Visited[1].Rung != 1 {
+		got.Visited[0].Index != 5 || got.Visited[1].Rung != 1 {
 		t.Errorf("checkpoint round-trip: %+v", got)
 	}
 
-	if _, _, err := loadCheckpoint(dir, "0000000000000000"); err == nil {
+	if _, _, err := loadCheckpoint(dir, "0000000000000000", 6); err == nil {
 		t.Error("fingerprint mismatch must be rejected")
 	}
 }

@@ -20,7 +20,7 @@ func testConfig() experiments.Config {
 	return cfg
 }
 
-func paperGrid(t *testing.T) sweep.Sweep {
+func paperGrid(t testing.TB) sweep.Sweep {
 	t.Helper()
 	sw, ok := experiments.BuiltinSweep(testConfig(), experiments.SweepPaperGrid)
 	if !ok {

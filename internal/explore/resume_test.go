@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/faults"
 	"repro/internal/scenario"
 	"repro/internal/store"
+	"repro/internal/sweep"
 )
 
 // diskRunner builds a runner persisting to dir, the way the CLI's
@@ -94,6 +96,45 @@ func TestCrashResumeReExecutesNothing(t *testing.T) {
 	}
 	if !got.Converged {
 		t.Error("resumed run must converge like the baseline")
+	}
+}
+
+// TestResumeRejectsBadCheckpointIndices: a checkpoint whose visit log
+// names a point outside the space, or one point twice, fails the resume
+// with an error naming the index — never a result counting phantom or
+// duplicate points as visited. The logs are marked converged, so a
+// resume that trusted them would finish without simulating anything.
+func TestResumeRejectsBadCheckpointIndices(t *testing.T) {
+	ex := Explore{Name: "bad-indices", Sweep: paperGrid(t)}
+	fp, err := ex.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		indices []int
+		want    string
+	}{
+		{"beyond-space", []int{1000, 3}, "point 1000, outside the 32-point space"},
+		{"negative", []int{3, -7}, "point -7, outside"},
+		{"duplicate", []int{3, 5, 3}, "point 3 twice"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cp := &checkpoint{SchemaVersion: 1, Fingerprint: fp, Round: 1, Radius: 1, Converged: true}
+			for _, p := range c.indices {
+				cp.Visited = append(cp.Visited, PointRecord{PointSummary: sweep.PointSummary{Index: p}})
+			}
+			if err := saveCheckpoint(dir, cp); err != nil {
+				t.Fatal(err)
+			}
+			rn := scenario.NewRunner(1)
+			defer rn.Close()
+			_, err := Run(context.Background(), rn, ex, Options{CheckpointDir: dir, Resume: true}, nil)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("resume over visit log %v: err %v, want an error containing %q", c.indices, err, c.want)
+			}
+		})
 	}
 }
 

@@ -174,7 +174,7 @@ func Run(ctx context.Context, rn *scenario.Runner, ex Explore, opts Options, obs
 	resumed := 0
 	if opts.CheckpointDir != "" {
 		if opts.Resume {
-			cp, found, err := loadCheckpoint(opts.CheckpointDir, fp)
+			cp, found, err := loadCheckpoint(opts.CheckpointDir, fp, sp.Total())
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 // Package report renders the experiment artifacts — the allocation tables
 // of Tables 1-2 and the per-entity bar charts of Figures 2-3 — as plain
-// text for the command-line harness and EXPERIMENTS.md.
+// text for the command-line harness, and wraps the -json documents in
+// versioned envelopes.
 package report
 
 import (
