@@ -3,7 +3,9 @@ package cache
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sync"
+	"weak"
 
 	"repro/internal/arena"
 )
@@ -35,10 +37,13 @@ type levelDesc struct {
 	cfgs  []Config
 }
 
-// interned maps descriptor keys to *Descriptor. The key is the
-// canonical JSON of the topology plus the CPU count; encoding/json
+// interned maps descriptor keys to weak.Pointer[Descriptor]. The key is
+// the canonical JSON of the topology plus the CPU count; encoding/json
 // emits map keys (the PerCPU overrides) sorted, so equal topologies
-// always produce equal keys.
+// always produce equal keys. Entries are weak: equal topologies share
+// one descriptor while any Tree holds it, and once none does, the
+// garbage collector frees it and a cleanup deletes its entry, so a
+// long-lived process that sees many platforms keeps only the live ones.
 var interned sync.Map
 
 func descriptorKey(t Topology, numCPUs int) (string, error) {
@@ -58,8 +63,10 @@ func (t Topology) Describe(numCPUs int) (*Descriptor, error) {
 	if err != nil {
 		return nil, err
 	}
-	if d, ok := interned.Load(key); ok {
-		return d.(*Descriptor), nil
+	if wp, ok := interned.Load(key); ok {
+		if d := wp.(weak.Pointer[Descriptor]).Value(); d != nil {
+			return d, nil
+		}
 	}
 	if err := t.Validate(numCPUs); err != nil {
 		return nil, err
@@ -93,8 +100,27 @@ func (t Topology) Describe(numCPUs int) (*Descriptor, error) {
 			}
 		}
 	}
-	actual, _ := interned.LoadOrStore(key, d)
-	return actual.(*Descriptor), nil
+	return intern(key, d), nil
+}
+
+// intern publishes d under key, or returns the live descriptor another
+// caller published first. An entry whose descriptor was collected but
+// whose cleanup has not run yet is replaced.
+func intern(key string, d *Descriptor) *Descriptor {
+	wp := weak.Make(d)
+	for {
+		old, loaded := interned.LoadOrStore(key, wp)
+		if loaded {
+			if live := old.(weak.Pointer[Descriptor]).Value(); live != nil {
+				return live
+			}
+			if !interned.CompareAndSwap(key, old, wp) {
+				continue
+			}
+		}
+		runtime.AddCleanup(d, func(key string) { interned.CompareAndDelete(key, wp) }, key)
+		return d
+	}
 }
 
 // MaxLeafSets returns the largest set count among the leaf level's

@@ -6,18 +6,21 @@ import (
 	"sync/atomic"
 )
 
-// memoBudget bounds the bytes of completed stage values a Runner keeps
-// resident. It is a byte bound because one paper-scale trace is tens of
-// megabytes while a run summary is a few hundred bytes; the paper-scale
-// studies of both applications record about 73 MB of traces.
+// memoBudget bounds the bytes of completed stage values and result
+// entries a Runner keeps resident. It is a byte bound because one
+// paper-scale trace is tens of megabytes while a run summary is a few
+// hundred bytes; the paper-scale studies of both applications record
+// about 73 MB of traces.
 const memoBudget = 512 << 20
 
-// memo is a Runner's stage memo: one table of entries, each holding its
-// computation's single-flight state, the live stage value and the
-// value's size. Settled entries sit on an LRU list whose total size
-// never exceeds the budget once a settle returns; an entry always leaves
-// whole, so a value and its size cannot drift apart. Entries still
-// computing are not on the list and are never evicted.
+// memo is a Runner's memo: one table of entries, each holding its
+// computation's single-flight state, the live value and the value's
+// size. The values are stage values and, under result keys, successful
+// scenarios' assembled sections. Settled entries sit on an LRU list
+// whose total size never exceeds the budget once a settle returns; an
+// entry always leaves whole, so a value and its size cannot drift
+// apart. Entries still computing are not on the list and are never
+// evicted.
 type memo struct {
 	budget int64
 
@@ -28,9 +31,10 @@ type memo struct {
 	evictions atomic.Uint64         // entries dropped by the budget or a trim
 }
 
-// memoEntry is one stage's memo slot. The lookup that creates it owns
-// the computation and settles the entry; every other lookup waits on
-// done and then reads val and err, which never change after settling.
+// memoEntry is one memo slot, a stage's or a result entry's. The lookup
+// that creates it owns the computation and settles the entry; every
+// other lookup waits on done and then reads val and err, which never
+// change after settling.
 type memoEntry struct {
 	key  string
 	done chan struct{} // closed once the entry is settled
@@ -67,6 +71,27 @@ func (m *memo) lookup(key string) (e *memoEntry, owner bool) {
 	e = &memoEntry{key: key, done: make(chan struct{})}
 	m.entries[key] = e
 	return e, true
+}
+
+// get returns the value resident under key, refreshing its recency, or
+// nil when the key has none. Unlike lookup it never installs a
+// computing entry: result entries are cache-aside, filled by put.
+func (m *memo) get(key string) any {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e := m.entries[key]; e != nil && e.elem != nil {
+		m.lru.MoveToFront(e.elem)
+		return e.val
+	}
+	return nil
+}
+
+// put makes v resident under key unless the key already has an entry
+// (a concurrent put of the same value won).
+func (m *memo) put(key string, v any, size int64) {
+	if e, owner := m.lookup(key); owner {
+		m.settle(e, v, size, nil)
+	}
 }
 
 // settle publishes the owner's outcome to the entry's waiters. A failure

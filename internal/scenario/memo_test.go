@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -93,10 +94,13 @@ func lookupAs[T any](ctx context.Context, rn *Runner, k modelKey, body func() (a
 // block, or are never started because the lookup's ctx is canceled;
 // TrimMemo; budget-forced eviction (one key's value is larger than the
 // whole budget); and injected trace.read faults on resident traces.
-// Every successful lookup must return the reference value; a key's
-// computation only starts when the key has no entry and never runs
-// twice at once; errors are never cached; the bookkeeping stays within
-// the budget throughout; and every injected fault is counted.
+// Result entries take part the way Runner.complete uses them: a get,
+// and on a miss a put of the reference value unless the outcome failed,
+// panicked or was canceled. Every successful lookup must return the
+// reference value; a key's computation only starts when the key has no
+// entry and never runs twice at once; a result get never installs an
+// entry; errors are never cached; the bookkeeping stays within the
+// budget throughout; and every injected fault is counted.
 func TestMemoModel(t *testing.T) {
 	tr := goldenTrace(t)
 	budget := int64(3 * tr.Size())
@@ -108,19 +112,30 @@ func TestMemoModel(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		keys = append(keys, modelKey{kind: stageTrace, key: fmt.Sprintf("t%d", i)})
 	}
+	for i, ints := range []int{4, 40, 120, 240} {
+		keys = append(keys, modelKey{kind: resultKind, key: fmt.Sprintf("r%d", i), ints: ints})
+	}
+	keys = append(keys, modelKey{kind: resultKind, key: "oversized", ints: int(budget / 8)})
 	running := make(map[string]*int32, len(keys))
 	for _, k := range keys {
 		running[k.full()] = new(int32)
 	}
 	ref := func(k modelKey) any {
-		if k.kind == stageTrace {
+		switch k.kind {
+		case stageTrace:
 			return tr
+		case resultKind:
+			return &Result{Curves: []Curve{{Entity: k.key, Sizes: make([]int, k.ints)}}}
 		}
 		return []profile.Curve{{Entity: k.key, Sizes: make([]int, k.ints)}}
 	}
 	isRef := func(k modelKey, v any) bool {
-		if k.kind == stageTrace {
+		switch k.kind {
+		case stageTrace:
 			return v == tr
+		case resultKind:
+			r, ok := v.(*Result)
+			return ok && len(r.Curves) == 1 && r.Curves[0].Entity == k.key && len(r.Curves[0].Sizes) == k.ints
 		}
 		c, ok := v.([]profile.Curve)
 		return ok && len(c) == 1 && c[0].Entity == k.key && len(c[0].Sizes) == k.ints
@@ -131,10 +146,36 @@ func TestMemoModel(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 
+	// resultLookup looks a result key up the way Runner.complete does and
+	// reports whether it inserted: a canceled ctx skips the lookup, and
+	// on a miss only an outcome that succeeded puts the reference value.
+	// A get that installed an entry would leave it computing, which the
+	// quiet checkMemo after each round rejects.
+	resultLookup := func(k modelKey, outcome string) (inserted bool) {
+		if outcome == "canceled" {
+			return false
+		}
+		if v := rn.memo.get(k.full()); v != nil {
+			if !isRef(k, v) {
+				t.Errorf("%s: result get returned %v, not the reference value", k.full(), v)
+			}
+			return false
+		}
+		if outcome == "fail" || outcome == "panic" {
+			return false
+		}
+		c := ref(k).(*Result)
+		rn.memo.put(k.full(), c, int64(resultSize(c)))
+		return true
+	}
+
 	// lookup runs one lookup of k whose computation, if this lookup owns
 	// it, has the given outcome, checks what it returns, and reports
 	// whether it computed.
 	lookup := func(k modelKey, outcome string) (computed bool) {
+		if k.kind == resultKind {
+			return resultLookup(k, outcome)
+		}
 		ctx := context.Background()
 		if outcome == "canceled" {
 			ctx = canceled
@@ -227,9 +268,16 @@ func TestMemoModel(t *testing.T) {
 		}
 		injected += fired
 		// Errors are never cached: with every computation succeeding,
-		// each key serves its reference value.
+		// each key serves its reference value, and a result entry is
+		// resident right after its put unless it exceeds the budget.
 		for _, k := range keys {
 			lookup(k, "ok")
+			if k.kind != resultKind {
+				continue
+			}
+			if v := rn.memo.get(k.full()); (k.key == "oversized") != (v == nil) || v != nil && !isRef(k, v) {
+				t.Errorf("%s: after a put the memo holds %v", k.full(), v)
+			}
 		}
 		checkMemo(t, rn.memo, true)
 	}
@@ -364,7 +412,10 @@ func TestMemoHitAllocs(t *testing.T) {
 // larger than their JSON: a curve keeps 8 bytes per size and miss count
 // where its document spends two to five digits, and a map entry costs
 // about 40 bytes of slots beyond its key, so an honest heap estimate of
-// the optimize stage is about 2.3× its document.
+// the optimize stage is about 2.3× its document. A result entry is
+// never encoded; its estimate is checked against the JSON of its
+// sections, which it counts in full although it shares their maps with
+// stage values.
 func TestMemoSizeTracksDocuments(t *testing.T) {
 	const maxRatio = 2.5
 	rn := NewRunner(2)
@@ -383,7 +434,15 @@ func TestMemoSizeTracksDocuments(t *testing.T) {
 	for _, e := range resident {
 		kind, _, _ := strings.Cut(e.key, "|")
 		kinds[kind]++
-		doc, err := encodeStage(kind, e.val)
+		var (
+			doc []byte
+			err error
+		)
+		if kind == resultKind {
+			doc, err = json.Marshal(e.val)
+		} else {
+			doc, err = encodeStage(kind, e.val)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,7 +453,7 @@ func TestMemoSizeTracksDocuments(t *testing.T) {
 			t.Errorf("%s: size %d vs %d-byte document (ratio %.2f)", e.key, e.size, len(doc), r)
 		}
 	}
-	if len(kinds) != 4 {
-		t.Errorf("want every stage kind resident, got %v", kinds)
+	if len(kinds) != 5 {
+		t.Errorf("want every stage kind and the result entries resident, got %v", kinds)
 	}
 }

@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -46,9 +47,11 @@ func registerFlaky(t *testing.T, name string, failures int32) *int32 {
 // stage memo — the next request on a long-lived shared runner retries
 // instead of replaying the stale error forever.
 func TestStageErrorNotMemoized(t *testing.T) {
-	registerFlaky(t, "flaky-once", 1)
+	// A fresh workload name per run, so the test repeats under -count=N.
+	name := fmt.Sprintf("flaky-once-%d", gateSeq.Add(1))
+	registerFlaky(t, name, 1)
 	rn := NewRunner(1)
-	spec := Scenario{Workload: "flaky-once", Scale: "small", Runs: 1, Partition: PartitionProfile}
+	spec := Scenario{Workload: name, Scale: "small", Runs: 1, Partition: PartitionProfile}
 
 	if _, err := rn.Run(spec); err == nil || !strings.Contains(err.Error(), "transient build failure") {
 		t.Fatalf("first run must surface the transient failure, got %v", err)

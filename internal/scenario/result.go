@@ -110,6 +110,12 @@ func (r *Result) Envelope() report.Envelope {
 	return report.NewEnvelope(ResultKind, r)
 }
 
+// The summaries share the maps and slices of the stage values they
+// convert instead of copying them: stage values are immutable, and so is
+// every summary, since result entries hand one summary to every result
+// of the same content key. Consumers of a Result read its sections and
+// never modify them.
+
 // summarizeRun converts a core run result into the document shape.
 func summarizeRun(res *core.Result) *RunSummary {
 	s := &RunSummary{
@@ -121,8 +127,8 @@ func summarizeRun(res *core.Result) *RunSummary {
 		CPIMean:     res.CPIMean,
 		Energy:      res.Energy,
 		Entities:    make([]EntitySummary, len(res.Entities)),
-		TaskCycles:  make(map[string]uint64, len(res.TaskCycles)),
-		TaskCPU:     make(map[string]int, len(res.TaskCPU)),
+		TaskCycles:  res.TaskCycles,
+		TaskCPU:     res.TaskCPU,
 	}
 	for i, e := range res.Entities {
 		s.Entities[i] = EntitySummary{
@@ -133,32 +139,19 @@ func summarizeRun(res *core.Result) *RunSummary {
 			Misses:   e.Misses,
 		}
 	}
-	for n, c := range res.TaskCycles {
-		s.TaskCycles[n] = c
-	}
-	for n, c := range res.TaskCPU {
-		s.TaskCPU[n] = c
-	}
 	return s
 }
 
 // summarizeOptimize converts an optimizer result into the document shape
 // (curves are carried separately, only under the profile policy).
 func summarizeOptimize(opt *core.OptimizeResult) *OptimizeSummary {
-	s := &OptimizeSummary{
+	return &OptimizeSummary{
 		Solver:     opt.Solver.String(),
 		Budget:     opt.Budget,
 		TotalUnits: opt.Allocation.TotalUnits(),
-		Allocation: make(map[string]int, len(opt.Allocation)),
-		Expected:   make(map[string]float64, len(opt.Expected)),
+		Allocation: opt.Allocation,
+		Expected:   opt.Expected,
 	}
-	for n, u := range opt.Allocation {
-		s.Allocation[n] = u
-	}
-	for n, m := range opt.Expected {
-		s.Expected[n] = m
-	}
-	return s
 }
 
 // summarizeCompose converts the Figure 3 report into the document shape.
@@ -179,12 +172,7 @@ func summarizeCompose(rep *core.ComposeReport) *ComposeSummary {
 func summarizeCurves(curves []profile.Curve) []Curve {
 	out := make([]Curve, len(curves))
 	for i, c := range curves {
-		out[i] = Curve{
-			Entity:   c.Entity,
-			Sizes:    append([]int(nil), c.Sizes...),
-			Misses:   append([]float64(nil), c.Misses...),
-			Accesses: c.Accesses,
-		}
+		out[i] = Curve{Entity: c.Entity, Sizes: c.Sizes, Misses: c.Misses, Accesses: c.Accesses}
 	}
 	return out
 }

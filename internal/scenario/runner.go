@@ -22,49 +22,56 @@ import (
 // memoization. Memoization is per pipeline *stage* (profiling, the
 // profile+solve leg, each measured execution), keyed by a hash of
 // exactly the spec fields that stage depends on — so identical specs in
-// a batch simulate once, and different scenarios sharing a stage (every
-// command of the legacy CLI surface reuses the two applications'
-// studies; the solo-composition scenario borrows the full application's
-// optimization) share the simulation too. Every simulation is
-// deterministic at any worker count, so memoized and fresh results are
-// bit-identical.
+// a batch simulate once, and different scenarios sharing a stage share
+// the simulation too: RunCommand's commands reuse the two applications'
+// optimized scenarios, sweep points that differ only in axes a stage
+// ignores share its runs, and the solo-composition scenario borrows the
+// full application's optimization. Every simulation is deterministic at
+// any worker count, so memoized and fresh results are bit-identical.
+//
+// On top of the stages, a successful scenario's assembled sections are
+// memoized under its content key, so a warm scenario costs its
+// normalization, one content-key hash and one lookup (see complete).
 //
 // Within a batch, a duplicate — a scenario whose content key another
 // scenario of the batch is already executing, such as a renamed copy or
 // an engine twin (the engine fields normalize to the production
 // engines) — never holds a worker waiting on that execution: the
-// executing scenario's worker runs it right after its own, every stage a
+// executing scenario's worker runs it right after its own, a result
 // memo hit (see RunBatchStream).
 //
 // A Runner is safe for concurrent use; the serve mode shares one across
 // requests, turning the memo into a result cache.
 //
-// The memo holds live stage values, not documents: one table whose
-// entries carry a stage's single-flight state, its decoded value and
-// the value's size, evicted least-recently-used against one byte
-// budget (memoBudget). Concurrent identical lookups — including
-// concurrent cold reads of the same durable record — collapse into one
-// computation. With a durable store (the crash-safe on-disk CAS of
-// internal/store), a completed stage is written through once as its
-// versioned document, and a memo miss consults the store before
-// simulating, so warm results survive process restarts; a disk hit is
-// decoded once and then held as a value. Durable-layer failures are
-// counted, retried and — when the medium keeps failing — degraded away
-// by the store layer; they never fail a scenario.
+// The memo holds live values, not documents: one table whose entries
+// carry a stage's single-flight state, its decoded value and the
+// value's size, plus the memory-only result entries, evicted
+// least-recently-used against one byte budget (memoBudget). Concurrent
+// identical lookups — including concurrent cold reads of the same
+// durable record — collapse into one computation. With a durable store
+// (the crash-safe on-disk CAS of internal/store), a completed stage is
+// written through once as its versioned document, and a memo miss
+// consults the store before simulating, so warm results survive process
+// restarts; a disk hit is decoded once and then held as a value. Result
+// entries never reach the store: a restarted runner rebuilds them from
+// the stage records. Durable-layer failures are counted, retried and —
+// when the medium keeps failing — degraded away by the store layer;
+// they never fail a scenario.
 type Runner struct {
 	// workers bounds each fan-out stage (0 = GOMAXPROCS, 1 = fully
 	// sequential), exactly like experiments.Config.Workers.
 	workers int
 
-	// memo serves completed stage values. The sharing is safe because
-	// stage values are immutable once computed — every consumer treats
-	// them read-only, which the differential suite (sweep-vs-sequential
-	// bit-identity) pins.
+	// memo serves completed stage values and result entries. The
+	// sharing is safe because both are immutable once computed — every
+	// consumer treats them read-only, which the differential suite
+	// (sweep-vs-sequential bit-identity) and
+	// TestMemoResultSectionsStayImmutable pin.
 	memo    *memo
 	durable store.Store // optional crash-safe layer; nil = memory-only
 
 	stageRuns    uint64 // stages actually executed
-	memoHits     uint64 // stage lookups served from the in-process memo
+	memoHits     uint64 // stage lookups served from the in-process memo, or replaced by a result hit
 	stageErrors  uint64 // stages that failed (and were evicted for retry)
 	stagePanics  uint64 // panics recovered and converted to StagePanicError
 	profileRuns  uint64 // profile stages executed
@@ -170,7 +177,7 @@ type Stats struct {
 	DiskMisses   uint64 `json:"disk_misses,omitempty"`  // durable lookups that found no record
 	StoreErrors  uint64 `json:"store_errors,omitempty"` // durable-store operations failed post-retry (never fatal)
 	Quarantined  uint64 `json:"quarantined,omitempty"`  // corrupt durable records detected and quarantined
-	// MemoEvictions counts stage values dropped for the byte budget or on TrimMemo.
+	// MemoEvictions counts memo entries dropped for the byte budget or on TrimMemo.
 	MemoEvictions uint64 `json:"memo_evictions"`
 }
 
@@ -229,6 +236,13 @@ const (
 	stageRun      = "run"
 	stageTrace    = "trace"
 )
+
+// resultKind is the memo-key prefix of result entries: a successful
+// scenario's assembled sections under its content key, shared read-only
+// by every result served from them. Result entries live in memory only
+// — never encoded or written to the durable store — so a restarted
+// runner rebuilds them from the stage records.
+const resultKind = "result"
 
 // stage serves one pipeline-stage lookup through the memo, typed by the
 // stage's value: a resident value is served as is; otherwise the first
@@ -673,14 +687,39 @@ func (r *Runner) prepare(s Scenario) (res *Result, err error) {
 
 // complete is a scenario's execute step: it fills the sections of a
 // prepared result, or records the pipeline's error in it.
+//
+// A result entry serves the sections of a content key that already
+// succeeded, skipping stage keys, the leg fan-out and summarization; it
+// counts as the top-level stage lookups it replaces (three for the
+// optimized policy, one otherwise), so Stats read as if those stages
+// were memo hits. A miss executes and, on success only, inserts the
+// sections — cache-aside, so each request's ctx still decides which
+// stages start, while concurrent identical misses share every stage
+// through the stage single-flight. A canceled ctx skips the lookup and
+// fails in the first stage.
 func (r *Runner) complete(ctx context.Context, prepared *Result) (res *Result, err error) {
 	res = prepared
 	defer r.containPanic(res.Scenario, &res, &err)
+	key := resultKind + "|" + res.Key
+	if ctx.Err() == nil {
+		if c, ok := r.memo.get(key).(*Result); ok {
+			hits := uint64(1)
+			if res.Scenario.Partition == PartitionOptimized {
+				hits = 3
+			}
+			atomic.AddUint64(&r.memoHits, hits)
+			res.Shared, res.Partitioned, res.Optimize, res.Compose, res.Curves = c.Shared, c.Partitioned, c.Optimize, c.Compose, c.Curves
+			return res, nil
+		}
+	}
 	if err = r.execute(ctx, res.Scenario, res); err != nil {
 		res.Error = err.Error()
 		res.Shared, res.Partitioned, res.Optimize, res.Compose, res.Curves = nil, nil, nil, nil, nil
+		return res, err
 	}
-	return res, err
+	c := &Result{Shared: res.Shared, Partitioned: res.Partitioned, Optimize: res.Optimize, Compose: res.Compose, Curves: res.Curves}
+	r.memo.put(key, c, int64(resultSize(c)))
+	return res, nil
 }
 
 // containPanic, deferred by prepare and complete, recovers a panic
@@ -731,9 +770,10 @@ func (r *Runner) execute(ctx context.Context, n Scenario, res *Result) error {
 
 	case PartitionOptimized:
 		// The shared baseline and the profile+optimize leg are
-		// independent simulations and run concurrently, exactly like the
-		// legacy study pipeline; the partitioned run needs the optimized
-		// allocation and follows.
+		// independent simulations, so a cold scenario runs them
+		// concurrently and its wall time is the longer leg, not their
+		// sum; the partitioned run needs the optimized allocation and
+		// follows.
 		var (
 			shared *core.Result
 			opt    *core.OptimizeResult
@@ -805,7 +845,7 @@ func (r *Runner) RunBatchContext(ctx context.Context, specs []Scenario) []*Resul
 // executing, such as an engine twin or a renamed copy — does not hold
 // the worker waiting on that execution's stages: it is handed to the
 // scenario executing the key, whose worker runs it right after its own
-// (every stage a memo hit) on a one-worker pool, while this worker moves
+// (a result memo hit) on a one-worker pool, while this worker moves
 // on to the next index. Results stay in input order and each duplicate
 // keeps its own normalized spec and name. Errors are never memoized, so
 // a duplicate whose first execution failed re-executes its stages. A

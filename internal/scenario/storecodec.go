@@ -162,6 +162,37 @@ func runSize(r *core.Result) int {
 	return n
 }
 
+// resultSize counts a result entry's sections in full, including the
+// maps and slices they share with stage values, so the budget stays an
+// upper bound on the bytes the memo holds.
+func resultSize(r *Result) int {
+	n := int(unsafe.Sizeof(*r)) + runSummarySize(r.Shared) + runSummarySize(r.Partitioned)
+	if o := r.Optimize; o != nil {
+		n += int(unsafe.Sizeof(*o)) + mapSize(o.Allocation) + mapSize(o.Expected)
+	}
+	if c := r.Compose; c != nil {
+		n += int(unsafe.Sizeof(*c))
+		for _, e := range c.Entries {
+			n += int(unsafe.Sizeof(e)) + len(e.Name)
+		}
+	}
+	for _, c := range r.Curves {
+		n += int(unsafe.Sizeof(c)) + len(c.Entity) + 8*(len(c.Sizes)+len(c.Misses))
+	}
+	return n
+}
+
+func runSummarySize(s *RunSummary) int {
+	if s == nil {
+		return 0
+	}
+	n := int(unsafe.Sizeof(*s)) + len(s.App) + mapSize(s.TaskCycles) + mapSize(s.TaskCPU)
+	for _, e := range s.Entities {
+		n += int(unsafe.Sizeof(e)) + len(e.Name)
+	}
+	return n
+}
+
 func mapSize[V any](m map[string]V) int {
 	var v V
 	n := 0

@@ -182,8 +182,9 @@ type Health struct {
 	// failed store operations that led there.
 	StoreMode string         `json:"store_mode"`
 	Runner    scenario.Stats `json:"runner_stats"`
-	// Memo is the shared memo's occupancy: resident entries and bytes
-	// against its byte budget. Runner.memo_evictions counts what the
+	// Memo is the shared memo's occupancy: resident entries — the stage
+	// values plus one result entry per successful scenario — and their
+	// bytes against its byte budget. Runner.memo_evictions counts what the
 	// budget pushed out.
 	Memo scenario.MemoUsage `json:"memo"`
 }

@@ -99,7 +99,8 @@ func requireStreamEnd(t *testing.T, line string, delivered, expected int, reason
 
 // TestHealthReportsMemoOccupancy checks /healthz reports the shared
 // memo's occupancy next to runner_stats, and that a served batch stays
-// resident: resubmitting it is a memo hit with no stage re-run.
+// resident: resubmitting it is a result memo hit, counted as the one
+// stage lookup it replaces, with no stage re-run.
 func TestHealthReportsMemoOccupancy(t *testing.T) {
 	srv := testServer(t)
 	if _, h := getHealth(t, srv.URL); h.Memo.Entries != 0 || h.Memo.Bytes != 0 || h.Memo.Budget <= 0 {
@@ -110,8 +111,9 @@ func TestHealthReportsMemoOccupancy(t *testing.T) {
 		t.Fatalf("batch: %d\n%s", status, body)
 	}
 	_, h := getHealth(t, srv.URL)
-	// Two stages: the trace capture and the profile it feeds.
-	if h.Memo.Entries != 2 || h.Memo.Bytes <= 0 || h.Memo.Bytes > h.Memo.Budget {
+	// Two stages, the trace capture and the profile it feeds, plus the
+	// scenario's result entry.
+	if h.Memo.Entries != 3 || h.Memo.Bytes <= 0 || h.Memo.Bytes > h.Memo.Budget {
 		t.Errorf("memo after one batch: %+v", h.Memo)
 	}
 	if h.Runner.StageRuns != 2 || h.Runner.MemoEvictions != 0 {
