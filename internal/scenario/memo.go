@@ -6,17 +6,18 @@ import (
 	"sync/atomic"
 )
 
-// memoBudget bounds the bytes of completed stage values and result
-// entries a Runner keeps resident. It is a byte bound because one
-// paper-scale trace is tens of megabytes while a run summary is a few
-// hundred bytes; the paper-scale studies of both applications record
-// about 73 MB of traces.
+// memoBudget bounds the bytes of completed stage values, result entries
+// and memory-only values (Runner.Memoize) a Runner keeps resident. It
+// is a byte bound because one paper-scale trace is tens of megabytes
+// while a run summary is a few hundred bytes; the paper-scale studies
+// of both applications record about 73 MB of traces.
 const memoBudget = 512 << 20
 
 // memo is a Runner's memo: one table of entries, each holding its
 // computation's single-flight state, the live value and the value's
-// size. The values are stage values and, under result keys, successful
-// scenarios' assembled sections. Settled entries sit on an LRU list
+// size. The values are stage values, successful scenarios' assembled
+// sections under result keys, and memory-only values such as sweep
+// plans under memory keys. Settled entries sit on an LRU list
 // whose total size never exceeds the budget once a settle returns; an
 // entry always leaves whole, so a value and its size cannot drift
 // apart. Entries still computing are not on the list and are never
@@ -31,10 +32,10 @@ type memo struct {
 	evictions atomic.Uint64         // entries dropped by the budget or a trim
 }
 
-// memoEntry is one memo slot, a stage's or a result entry's. The lookup
-// that creates it owns the computation and settles the entry; every
-// other lookup waits on done and then reads val and err, which never
-// change after settling.
+// memoEntry is one memo slot: a stage's, a result entry's or a
+// memory-only value's. The lookup that creates it owns the computation
+// and settles the entry; every other lookup waits on done and then
+// reads val and err, which never change after settling.
 type memoEntry struct {
 	key  string
 	done chan struct{} // closed once the entry is settled

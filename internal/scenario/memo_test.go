@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/faults"
 	"repro/internal/profile"
@@ -78,7 +79,10 @@ type modelKey struct {
 
 func (k modelKey) full() string { return k.kind + "|" + k.key }
 
-var errModel = errors.New("model: computation failed")
+var (
+	errModel      = errors.New("model: computation failed")
+	errModelPanic = errors.New("model: memory-only build panicked")
+)
 
 // lookupAs runs one typed stage lookup whose computation is body.
 func lookupAs[T any](ctx context.Context, rn *Runner, k modelKey, body func() (any, error)) (any, error) {
@@ -96,7 +100,9 @@ func lookupAs[T any](ctx context.Context, rn *Runner, k modelKey, body func() (a
 // whole budget); and injected trace.read faults on resident traces.
 // Result entries take part the way Runner.complete uses them: a get,
 // and on a miss a put of the reference value unless the outcome failed,
-// panicked or was canceled. Every successful lookup must return the
+// panicked or was canceled. Memory-only entries — a sweep plan's kind —
+// take part through Runner.Memoize, whose builds succeed, fail, panic or
+// block like stage computations. Every successful lookup must return the
 // reference value; a key's computation only starts when the key has no
 // entry and never runs twice at once; a result get never installs an
 // entry; errors are never cached; the bookkeeping stays within the
@@ -116,6 +122,10 @@ func TestMemoModel(t *testing.T) {
 		keys = append(keys, modelKey{kind: resultKind, key: fmt.Sprintf("r%d", i), ints: ints})
 	}
 	keys = append(keys, modelKey{kind: resultKind, key: "oversized", ints: int(budget / 8)})
+	for i, ints := range []int{8, 60, 200} {
+		keys = append(keys, modelKey{kind: memoryKind, key: fmt.Sprintf("m%d", i), ints: ints})
+	}
+	keys = append(keys, modelKey{kind: memoryKind, key: "oversized", ints: int(budget / 8)})
 	running := make(map[string]*int32, len(keys))
 	for _, k := range keys {
 		running[k.full()] = new(int32)
@@ -126,6 +136,8 @@ func TestMemoModel(t *testing.T) {
 			return tr
 		case resultKind:
 			return &Result{Curves: []Curve{{Entity: k.key, Sizes: make([]int, k.ints)}}}
+		case memoryKind:
+			return []*Result{{Key: k.key, Scenario: Scenario{Sizes: make([]int, k.ints)}}}
 		}
 		return []profile.Curve{{Entity: k.key, Sizes: make([]int, k.ints)}}
 	}
@@ -136,6 +148,9 @@ func TestMemoModel(t *testing.T) {
 		case resultKind:
 			r, ok := v.(*Result)
 			return ok && len(r.Curves) == 1 && r.Curves[0].Entity == k.key && len(r.Curves[0].Sizes) == k.ints
+		case memoryKind:
+			r, ok := v.([]*Result)
+			return ok && len(r) == 1 && r[0].Key == k.key && len(r[0].Scenario.Sizes) == k.ints
 		}
 		c, ok := v.([]profile.Curve)
 		return ok && len(c) == 1 && c[0].Entity == k.key && len(c[0].Sizes) == k.ints
@@ -169,14 +184,36 @@ func TestMemoModel(t *testing.T) {
 		return true
 	}
 
+	// memoize looks a memory-only key up through Runner.Memoize with
+	// body as the build, recovering the panic a panicking build raises on
+	// the building goroutine into errModelPanic.
+	memoize := func(k modelKey, body func() (any, error)) (v any, err error) {
+		defer func() {
+			if recover() != nil {
+				v, err = nil, errModelPanic
+			}
+		}()
+		return rn.Memoize(k.key, func() (any, int64, error) {
+			v, err := body()
+			if err != nil {
+				return nil, 0, err
+			}
+			return v, int64(PreparedSize(v.([]*Result)[0])), nil
+		})
+	}
+
 	// lookup runs one lookup of k whose computation, if this lookup owns
 	// it, has the given outcome, checks what it returns, and reports
-	// whether it computed.
+	// whether it computed. Memory-only lookups take no ctx, so their
+	// "canceled" outcome is a plain lookup.
 	lookup := func(k modelKey, outcome string) (computed bool) {
 		if k.kind == resultKind {
 			return resultLookup(k, outcome)
 		}
 		ctx := context.Background()
+		if k.kind == memoryKind && outcome == "canceled" {
+			outcome = "ok"
+		}
 		if outcome == "canceled" {
 			ctx = canceled
 		}
@@ -206,9 +243,12 @@ func TestMemoModel(t *testing.T) {
 			v   any
 			err error
 		)
-		if k.kind == stageTrace {
+		switch k.kind {
+		case memoryKind:
+			v, err = memoize(k, body)
+		case stageTrace:
 			v, err = lookupAs[*tracefile.Trace](ctx, rn, k, body)
-		} else {
+		default:
 			v, err = lookupAs[[]profile.Curve](ctx, rn, k, body)
 		}
 		var pe *StagePanicError
@@ -225,6 +265,10 @@ func TestMemoModel(t *testing.T) {
 		case computed && outcome == "panic" && errors.As(err, &pe):
 		case !computed && (errors.Is(err, errModel) || errors.As(err, &pe)):
 			// Shared the failure of a computation that was in flight.
+		case k.kind == memoryKind && computed && outcome == "panic" && errors.Is(err, errModelPanic):
+			// A panicking memory-only build panics on its own goroutine.
+		case k.kind == memoryKind && !computed && errors.Is(err, errStageAborted):
+			// A panicking memory-only build aborts its waiters.
 		default:
 			t.Errorf("%s: outcome %s (computed %v) returned %v", k.full(), outcome, computed, err)
 		}
@@ -272,7 +316,7 @@ func TestMemoModel(t *testing.T) {
 		// resident right after its put unless it exceeds the budget.
 		for _, k := range keys {
 			lookup(k, "ok")
-			if k.kind != resultKind {
+			if k.kind != resultKind && k.kind != memoryKind {
 				continue
 			}
 			if v := rn.memo.get(k.full()); (k.key == "oversized") != (v == nil) || v != nil && !isRef(k, v) {
@@ -415,14 +459,33 @@ func TestMemoHitAllocs(t *testing.T) {
 // the optimize stage is about 2.3× its document. A result entry is
 // never encoded; its estimate is checked against the JSON of its
 // sections, which it counts in full although it shares their maps with
-// stage values.
+// stage values. So is a memory-only entry of prepared scenarios, whose
+// normalized specs spend a pointer and a scalar on each field their JSON
+// spells out.
 func TestMemoSizeTracksDocuments(t *testing.T) {
 	const maxRatio = 2.5
 	rn := NewRunner(2)
+	var prepared []*Result
 	for _, w := range []string{"2jpeg+canny", "mpeg2"} {
-		if _, err := rn.Run(Scenario{Workload: w, Scale: "small", Runs: 1, Partition: PartitionOptimized}); err != nil {
+		res, err := rn.Run(Scenario{Workload: w, Scale: "small", Runs: 1, Partition: PartitionOptimized})
+		if err != nil {
 			t.Fatal(err)
 		}
+		p := *res
+		p.setSections(&Result{})
+		prepared = append(prepared, &p)
+	}
+	// A memory-only entry of prepared scenarios, what a sweep plan holds
+	// beside its coordinates, charged as the plan charges them.
+	_, err := rn.Memoize("prepared", func() (any, int64, error) {
+		n := 0
+		for _, p := range prepared {
+			n += int(unsafe.Sizeof(p)) + PreparedSize(p)
+		}
+		return prepared, int64(n), nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	var resident []*memoEntry
 	rn.memo.mu.Lock()
@@ -438,7 +501,7 @@ func TestMemoSizeTracksDocuments(t *testing.T) {
 			doc []byte
 			err error
 		)
-		if kind == resultKind {
+		if kind == resultKind || kind == memoryKind {
 			doc, err = json.Marshal(e.val)
 		} else {
 			doc, err = encodeStage(kind, e.val)
@@ -453,7 +516,7 @@ func TestMemoSizeTracksDocuments(t *testing.T) {
 			t.Errorf("%s: size %d vs %d-byte document (ratio %.2f)", e.key, e.size, len(doc), r)
 		}
 	}
-	if len(kinds) != 5 {
-		t.Errorf("want every stage kind and the result entries resident, got %v", kinds)
+	if len(kinds) != 6 {
+		t.Errorf("want every stage kind, the result entries and a memory-only entry resident, got %v", kinds)
 	}
 }

@@ -31,29 +31,34 @@ import (
 //
 // On top of the stages, a successful scenario's assembled sections are
 // memoized under its content key, so a warm scenario costs its
-// normalization, one content-key hash and one lookup (see complete).
+// normalization, one content-key hash and one lookup (see complete). A
+// caller that runs the same scenarios again can keep them prepared
+// (Prepare, RunPreparedStream) and skip the normalization and hash too;
+// Memoize holds such values, a sweep's plan for one, in the memo.
 //
-// Within a batch, a duplicate — a scenario whose content key another
-// scenario of the batch is already executing, such as a renamed copy or
-// an engine twin (the engine fields normalize to the production
-// engines) — never holds a worker waiting on that execution: the
-// executing scenario's worker runs it right after its own, a result
-// memo hit (see RunBatchStream).
+// A batch whose every scenario is a result hit is served on the
+// caller's goroutine, without the worker pool. Within any other batch, a
+// duplicate — a scenario whose content key another scenario of the
+// batch is already executing, such as a renamed copy or an engine twin
+// (the engine fields normalize to the production engines) — never holds
+// a worker waiting on that execution: the executing scenario's worker
+// runs it right after its own, a result memo hit (see RunBatchStream).
 //
 // A Runner is safe for concurrent use; the serve mode shares one across
 // requests, turning the memo into a result cache.
 //
 // The memo holds live values, not documents: one table whose entries
 // carry a stage's single-flight state, its decoded value and the
-// value's size, plus the memory-only result entries, evicted
-// least-recently-used against one byte budget (memoBudget). Concurrent
-// identical lookups — including concurrent cold reads of the same
-// durable record — collapse into one computation. With a durable store
-// (the crash-safe on-disk CAS of internal/store), a completed stage is
-// written through once as its versioned document, and a memo miss
-// consults the store before simulating, so warm results survive process
-// restarts; a disk hit is decoded once and then held as a value. Result
-// entries never reach the store: a restarted runner rebuilds them from
+// value's size, plus the memory-only result entries and Memoize
+// values, evicted least-recently-used against one byte budget
+// (memoBudget). Concurrent identical lookups — including concurrent
+// cold reads of the same durable record — collapse into one
+// computation. With a durable store (the crash-safe on-disk CAS of
+// internal/store), a completed stage is written through once as its
+// versioned document, and a memo miss consults the store before
+// simulating, so warm results survive process restarts; a disk hit is
+// decoded once and then held as a value. Result entries and Memoize
+// values never reach the store: a restarted runner rebuilds them from
 // the stage records. Durable-layer failures are counted, retried and —
 // when the medium keeps failing — degraded away by the store layer;
 // they never fail a scenario.
@@ -243,6 +248,34 @@ const (
 // — never encoded or written to the durable store — so a restarted
 // runner rebuilds them from the stage records.
 const resultKind = "result"
+
+// memoryKind is the memo-key prefix of the values Memoize holds.
+const memoryKind = "memory"
+
+// Memoize serves a memory-only value from the memo under key: the first
+// call for the key builds it, concurrent calls share that build, and a
+// successful value stays resident, charged size bytes against the memo's
+// byte budget and evicted like any other entry, until trimmed or pushed
+// out. It is never written to the durable store, and its lookups count
+// nothing in Stats. A build that fails or panics releases every waiter
+// with an error and caches nothing (a panic then continues on the
+// building goroutine), so the next call builds afresh. A sweep memoizes
+// its prepared points this way (see sweep.Prepare).
+func (r *Runner) Memoize(key string, build func() (v any, size int64, err error)) (any, error) {
+	e, owner := r.memo.lookup(memoryKind + "|" + key)
+	if !owner {
+		<-e.done
+		return e.val, e.err
+	}
+	var (
+		v    any
+		size int64
+	)
+	err := errStageAborted // until build returns; a panic unwinds with it
+	defer func() { r.memo.settle(e, v, size, err) }()
+	v, size, err = build()
+	return v, err
+}
 
 // stage serves one pipeline-stage lookup through the memo, typed by the
 // stage's value: a resident value is served as is; otherwise the first
@@ -666,17 +699,18 @@ func (r *Runner) Run(s Scenario) (*Result, error) {
 // shape, so one crashing scenario is one error result, not a dead
 // process.
 func (r *Runner) RunContext(ctx context.Context, s Scenario) (*Result, error) {
-	res, err := r.prepare(s)
+	res, err := r.Prepare(s)
 	if err != nil {
 		return res, err
 	}
 	return r.complete(ctx, res)
 }
 
-// prepare is a scenario's normalize+key step: the returned Result
+// Prepare is a scenario's normalize+key step: the returned Result
 // carries the normalized spec and its content key, or the validation
-// error.
-func (r *Runner) prepare(s Scenario) (res *Result, err error) {
+// error (also recorded in Result.Error). It executes nothing, so a
+// prepared result can be run any number of times by RunPreparedStream.
+func (r *Runner) Prepare(s Scenario) (res *Result, err error) {
 	defer r.containPanic(s, &res, &err)
 	n, err := s.Normalize()
 	if err != nil {
@@ -703,26 +737,37 @@ func (r *Runner) complete(ctx context.Context, prepared *Result) (res *Result, e
 	key := resultKind + "|" + res.Key
 	if ctx.Err() == nil {
 		if c, ok := r.memo.get(key).(*Result); ok {
-			hits := uint64(1)
-			if res.Scenario.Partition == PartitionOptimized {
-				hits = 3
-			}
-			atomic.AddUint64(&r.memoHits, hits)
-			res.Shared, res.Partitioned, res.Optimize, res.Compose, res.Curves = c.Shared, c.Partitioned, c.Optimize, c.Compose, c.Curves
+			atomic.AddUint64(&r.memoHits, resultHits(res))
+			res.setSections(c)
 			return res, nil
 		}
 	}
 	if err = r.execute(ctx, res.Scenario, res); err != nil {
 		res.Error = err.Error()
-		res.Shared, res.Partitioned, res.Optimize, res.Compose, res.Curves = nil, nil, nil, nil, nil
+		res.setSections(&Result{})
 		return res, err
 	}
-	c := &Result{Shared: res.Shared, Partitioned: res.Partitioned, Optimize: res.Optimize, Compose: res.Compose, Curves: res.Curves}
+	c := &Result{}
+	c.setSections(res)
 	r.memo.put(key, c, int64(resultSize(c)))
 	return res, nil
 }
 
-// containPanic, deferred by prepare and complete, recovers a panic
+// resultHits is the number of top-level stage lookups a result hit of
+// prepared replaces: three for the optimized policy, one otherwise.
+func resultHits(prepared *Result) uint64 {
+	if prepared.Scenario.Partition == PartitionOptimized {
+		return 3
+	}
+	return 1
+}
+
+// setSections points res's sections at c's.
+func (res *Result) setSections(c *Result) {
+	res.Shared, res.Partitioned, res.Optimize, res.Compose, res.Curves = c.Shared, c.Partitioned, c.Optimize, c.Compose, c.Curves
+}
+
+// containPanic, deferred by Prepare and complete, recovers a panic
 // outside any stage into a StagePanicError result for spec s.
 func (r *Runner) containPanic(s Scenario, res **Result, err *error) {
 	rec := recover()
@@ -737,7 +782,7 @@ func (r *Runner) containPanic(s Scenario, res **Result, err *error) {
 	rs := *res
 	p.Key = rs.Key
 	rs.Error = p.Error()
-	rs.Shared, rs.Partitioned, rs.Optimize, rs.Compose, rs.Curves = nil, nil, nil, nil, nil
+	rs.setSections(&Result{})
 	*err = p
 }
 
@@ -840,15 +885,20 @@ func (r *Runner) RunBatchContext(ctx context.Context, specs []Scenario) []*Resul
 // left nil. The walk also ends at the first nil slot (nothing later can
 // be streamed in order past a hole).
 //
-// A worker first normalizes and keys its scenario. A duplicate — a
-// scenario whose content key another scenario of the batch is already
-// executing, such as an engine twin or a renamed copy — does not hold
-// the worker waiting on that execution's stages: it is handed to the
-// scenario executing the key, whose worker runs it right after its own
-// (a result memo hit) on a one-worker pool, while this worker moves
-// on to the next index. Results stay in input order and each duplicate
-// keeps its own normalized spec and name. Errors are never memoized, so
-// a duplicate whose first execution failed re-executes its stages. A
+// Every scenario is prepared (normalized and keyed) up front, on the
+// caller's goroutine. A batch whose every scenario is a result hit is
+// then served right there, in order, without the worker pool: a warm
+// batch costs its preparing and one lookup per scenario. Any other
+// batch — one with a miss or a validation failure, or under a canceled
+// ctx — goes to the pool whole. There a duplicate — a scenario whose
+// content key another scenario of the batch is already executing, such
+// as an engine twin or a renamed copy — does not hold the worker
+// waiting on that execution's stages: it is handed to the scenario
+// executing the key, whose worker runs it right after its own (a result
+// memo hit) on a one-worker pool, while this worker moves on to the
+// next index. Results stay in input order and each duplicate keeps its
+// own normalized spec and name. Errors are never memoized, so a
+// duplicate whose first execution failed re-executes its stages. A
 // canceled ctx leaves handed-over duplicates unstarted (nil), and a
 // duplicate whose executing worker died gets a synthesized error
 // result, like any slot whose worker died.
@@ -858,21 +908,69 @@ func (r *Runner) RunBatchContext(ctx context.Context, specs []Scenario) []*Resul
 // channel is closed (every worker finished). Slots already visited by
 // observe are safe immediately.
 func (r *Runner) RunBatchStream(ctx context.Context, specs []Scenario, observe func(int, *Result) bool) ([]*Result, []error, <-chan struct{}) {
+	prepared := make([]*Result, len(specs))
+	errs := make([]error, len(specs))
+	for i, s := range specs {
+		prepared[i], errs[i] = r.Prepare(s)
+	}
+	return r.stream(ctx, specs, prepared, errs, observe)
+}
+
+// RunPreparedStream is RunBatchStream over scenarios already prepared by
+// Prepare: prepared holds what Prepare returned for each scenario and
+// errs its errors (nil when none failed); a sweep plan keeps its points
+// this way. Every slot gets a fresh Result carrying its prepared spec,
+// key and validation error, so the prepared results are never written
+// and one prepared list can run any number of times, concurrently too.
+// The results share each prepared spec's platform and sizes read-only.
+func (r *Runner) RunPreparedStream(ctx context.Context, prepared []*Result, errs []error, observe func(int, *Result) bool) ([]*Result, []error, <-chan struct{}) {
+	fresh := make([]*Result, len(prepared))
+	for i, p := range prepared {
+		fresh[i] = &Result{SchemaVersion: p.SchemaVersion, Key: p.Key, Scenario: p.Scenario, Error: p.Error}
+	}
+	perrs := make([]error, len(prepared))
+	copy(perrs, errs)
+	return r.stream(ctx, nil, fresh, perrs, observe)
+}
+
+// served is the workers-finished channel of a batch served without the
+// pool: closed from the start.
+var served = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// stream runs a prepared batch: prepared holds each scenario's prepared
+// result and perrs its validation error. specs, the raw specs, label
+// the results synthesized for dead workers; nil labels them with the
+// prepared specs.
+func (r *Runner) stream(ctx context.Context, specs []Scenario, prepared []*Result, perrs []error, observe func(int, *Result) bool) ([]*Result, []error, <-chan struct{}) {
+	if r.serveHits(ctx, prepared, perrs) {
+		for i, res := range prepared {
+			if observe != nil && !observe(i, res) {
+				break
+			}
+		}
+		return prepared, perrs, served
+	}
 	d := &dispatch{
-		r:       r,
-		ctx:     ctx,
-		specs:   specs,
-		results: make([]*Result, len(specs)),
-		errs:    make([]error, len(specs)),
-		ready:   make([]chan struct{}, len(specs)),
-		onces:   make([]sync.Once, len(specs)),
+		r:        r,
+		ctx:      ctx,
+		specs:    specs,
+		prepared: prepared,
+		perrs:    perrs,
+		results:  make([]*Result, len(prepared)),
+		errs:     make([]error, len(prepared)),
+		ready:    make([]chan struct{}, len(prepared)),
+		onces:    make([]sync.Once, len(prepared)),
 	}
 	for i := range d.ready {
 		d.ready[i] = make(chan struct{})
 	}
 	done := make(chan struct{})
 	go d.run(done)
-	for i := range specs {
+	for i := range prepared {
 		<-d.ready[i]
 		if d.results[i] == nil {
 			break
@@ -884,17 +982,47 @@ func (r *Runner) RunBatchStream(ctx context.Context, specs []Scenario, observe f
 	return d.results, d.errs, done
 }
 
-// dispatch is one batch of RunBatchStream in flight: the result slots,
-// the channels the in-order walk waits on, and the content keys its
-// workers are executing.
+// serveHits fills every prepared result of a batch from its result
+// entry, counting the hits as complete does, when each one has an
+// entry, and reports whether it did. Otherwise — a miss, a scenario
+// that failed to prepare, or a canceled ctx — it leaves the batch and
+// the counters untouched.
+func (r *Runner) serveHits(ctx context.Context, prepared []*Result, perrs []error) bool {
+	if ctx.Err() != nil {
+		return false
+	}
+	var hits uint64
+	for i, res := range prepared {
+		var c *Result
+		if perrs[i] == nil {
+			c, _ = r.memo.get(resultKind + "|" + res.Key).(*Result)
+		}
+		if c == nil {
+			for _, p := range prepared[:i] {
+				p.setSections(&Result{})
+			}
+			return false
+		}
+		res.setSections(c)
+		hits += resultHits(res)
+	}
+	atomic.AddUint64(&r.memoHits, hits)
+	return true
+}
+
+// dispatch is one batch of RunBatchStream in flight on the worker pool:
+// the prepared scenarios, the result slots, the channels the in-order
+// walk waits on, and the content keys its workers are executing.
 type dispatch struct {
-	r       *Runner
-	ctx     context.Context
-	specs   []Scenario
-	results []*Result
-	errs    []error
-	ready   []chan struct{} // closed once a slot is final
-	onces   []sync.Once
+	r        *Runner
+	ctx      context.Context
+	specs    []Scenario // raw specs, nil for a prepared stream
+	prepared []*Result
+	perrs    []error // validation errors of prepared
+	results  []*Result
+	errs     []error
+	ready    []chan struct{} // closed once a slot is final
+	onces    []sync.Once
 
 	mu        sync.Mutex
 	executing map[string][]handoff // keys executing → duplicates handed to them
@@ -910,21 +1038,25 @@ type handoff struct {
 // slot is final.
 func (d *dispatch) run(done chan<- struct{}) {
 	defer close(done)
-	derr := parallel.Do(parallel.Workers(d.r.workers), len(d.specs), d.work)
+	derr := parallel.Do(parallel.Workers(d.r.workers), len(d.prepared), d.work)
 	// A worker slot that died before its scenario ran (an injected
 	// dispatch fault, or a panic the pool recovered outside the
 	// scenario's own containment) leaves its slot nil with a live
 	// context. Synthesize an error result before closing the channel, so
 	// the in-order walk neither hangs on the unclosed channel nor
 	// mistakes the hole for a cancellation.
-	for i := range d.specs {
+	for i := range d.prepared {
 		if d.results[i] == nil && d.errs[i] == nil && d.ctx.Err() == nil {
 			err := derr
 			if err == nil {
 				err = fmt.Errorf("scenario: batch worker for scenario %d did not run", i)
 			}
+			spec := d.prepared[i].Scenario
+			if d.specs != nil {
+				spec = d.specs[i]
+			}
 			d.errs[i] = err
-			d.results[i] = &Result{SchemaVersion: report.SchemaVersion, Scenario: d.specs[i], Error: err.Error()}
+			d.results[i] = &Result{SchemaVersion: report.SchemaVersion, Scenario: spec, Error: err.Error()}
 		}
 		d.closeReady(i)
 	}
@@ -932,22 +1064,18 @@ func (d *dispatch) run(done chan<- struct{}) {
 
 func (d *dispatch) closeReady(i int) { d.onces[i].Do(func() { close(d.ready[i]) }) }
 
-// work is the pool task of index i: prepare the scenario, then execute
-// it — with every duplicate handed over meanwhile — or, when its key is
-// already executing, hand it to that execution.
+// work is the pool task of index i: record the scenario's validation
+// failure, or execute it — with every duplicate handed over meanwhile —
+// or, when its key is already executing, hand it to that execution.
 func (d *dispatch) work(i int) error {
 	if d.ctx.Err() != nil {
 		d.closeReady(i)
 		return nil
 	}
-	res, err := d.r.prepare(d.specs[i])
-	if err != nil {
+	res := d.prepared[i]
+	if err := d.perrs[i]; err != nil {
 		d.results[i], d.errs[i] = res, err
 		d.closeReady(i)
-		return nil
-	}
-	if len(d.specs) == 1 { // a batch of one has no duplicates to track
-		d.slot(i, res)
 		return nil
 	}
 	d.mu.Lock()

@@ -403,6 +403,7 @@ func (p PlatformSpec) Config() (platform.Config, error) {
 }
 
 func iptr(v int) *int           { return &v }
+func i64ptr(v int64) *int64     { return &v }
 func u64ptr(v uint64) *uint64   { return &v }
 func f64ptr(v float64) *float64 { return &v }
 func bptr(v bool) *bool         { return &v }
@@ -452,7 +453,7 @@ func PlatformSpecOf(pc platform.Config) PlatformSpec {
 			Banks:          iptr(pc.Bus.Banks),
 			LineSize:       iptr(pc.Bus.LineSize),
 		},
-		Sched:         SchedSpec{Quantum: &pc.Sched.Quantum, SwitchCost: &pc.Sched.SwitchCost},
+		Sched:         SchedSpec{Quantum: i64ptr(pc.Sched.Quantum), SwitchCost: u64ptr(pc.Sched.SwitchCost)},
 		SwitchTouches: iptr(pc.SwitchTouches),
 	}
 }

@@ -182,6 +182,53 @@ func resultSize(r *Result) int {
 	return n
 }
 
+// PreparedSize estimates the heap bytes of a prepared result (see
+// Runner.Prepare): the Result, its key and its normalized spec in full.
+// Memory-only memo entries that hold prepared scenarios, such as a
+// sweep plan, charge it to the memo's budget.
+func PreparedSize(r *Result) int {
+	return int(unsafe.Sizeof(*r)) + len(r.Key) + len(r.Error) + specSize(r.Scenario)
+}
+
+// specSize counts what a spec holds beyond its own struct: strings,
+// candidate sizes and the platform spec with every field it points to.
+func specSize(s Scenario) int {
+	n := len(s.Name) + len(s.Base) + len(s.Workload) + len(s.Scale) + len(s.Partition) + len(s.Solver) +
+		len(s.ProfileEngine) + len(s.ProfileLevel) + len(s.ExecEngine) + len(s.AllocWorkload) + len(s.Trace) +
+		8*len(s.Sizes)
+	p := s.Platform
+	if p == nil {
+		return n
+	}
+	n += int(unsafe.Sizeof(*p)) + ptrSize(p.NumCPUs) + ptrSize(p.BaseCPI) +
+		cacheSpecSize(p.L1) + cacheSpecSize(p.L2) + ptrSize(p.L1HitLatency) + ptrSize(p.L2HitLatency) +
+		ptrSize(p.Bus.TransferCycles) + ptrSize(p.Bus.MemLatency) + ptrSize(p.Bus.Banks) + ptrSize(p.Bus.LineSize) +
+		ptrSize(p.Sched.Quantum) + ptrSize(p.Sched.SwitchCost) + ptrSize(p.SwitchTouches)
+	if h := p.Hierarchy; h != nil {
+		n += int(unsafe.Sizeof(*h))
+		for _, l := range h.Levels {
+			n += int(unsafe.Sizeof(l)) + len(l.Name) + len(l.Scope) + ptrSize(l.Sets) + ptrSize(l.Ways) +
+				ptrSize(l.LineSize) + ptrSize(l.HitLatency) + ptrSize(l.Partition)
+			for cpu, c := range l.PerCPU {
+				n += int(unsafe.Sizeof(cpu)+unsafe.Sizeof(c)) + len(cpu) + mapEntryBytes + cacheSpecSize(c)
+			}
+		}
+	}
+	return n
+}
+
+func cacheSpecSize(c CacheSpec) int {
+	return ptrSize(c.Sets) + ptrSize(c.Ways) + ptrSize(c.LineSize)
+}
+
+// ptrSize is the size of what an optional spec field points to.
+func ptrSize[T any](p *T) int {
+	if p == nil {
+		return 0
+	}
+	return int(unsafe.Sizeof(*p))
+}
+
 func runSummarySize(s *RunSummary) int {
 	if s == nil {
 		return 0

@@ -183,9 +183,9 @@ type Health struct {
 	StoreMode string         `json:"store_mode"`
 	Runner    scenario.Stats `json:"runner_stats"`
 	// Memo is the shared memo's occupancy: resident entries — the stage
-	// values plus one result entry per successful scenario — and their
-	// bytes against its byte budget. Runner.memo_evictions counts what the
-	// budget pushed out.
+	// values, one result entry per successful scenario and one plan per
+	// sweep — and their bytes against its byte budget.
+	// Runner.memo_evictions counts what the budget pushed out.
 	Memo scenario.MemoUsage `json:"memo"`
 }
 
@@ -462,12 +462,12 @@ func (s *Server) sweep(w http.ResponseWriter, r *http.Request) {
 	if sw.MaxPoints == 0 || sw.MaxPoints > s.opts.MaxBatch {
 		sw.MaxPoints = s.opts.MaxBatch
 	}
-	// Expand pre-flight: with the cap clamped this is cheap
-	// (simulation-free), and it surfaces EVERY expansion error — not
-	// just what the parse-time probes catch, e.g. a range whose later
-	// values break a field constraint — as a proper 400 before the
-	// response header commits.
-	points, total, err := sw.Expand()
+	// Prepare pre-flight: with the cap clamped this is cheap
+	// (simulation-free, and one plan lookup for a sweep seen before), and
+	// it surfaces EVERY expansion error — not just what the parse-time
+	// probes catch, e.g. a range whose later values break a field
+	// constraint — as a proper 400 before the response header commits.
+	plan, err := sweep.Prepare(s.rn, sw)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
@@ -480,13 +480,13 @@ func (s *Server) sweep(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	delivered := 0
 	var encErr error
-	res, _ := sweep.ExecuteExpanded(ctx, s.rn, sw, points, total, func(p sweep.PointResult) {
+	res, _ := sweep.ExecutePrepared(ctx, s.rn, plan, func(p sweep.PointResult) {
 		if encErr != nil {
 			return
 		}
 		if err := enc.Encode(p.Envelope()); err != nil {
 			encErr = err
-			s.logf("serve: sweep stream: client write failed after %d/%d points: %v", delivered, len(points), err)
+			s.logf("serve: sweep stream: client write failed after %d/%d points: %v", delivered, plan.Len(), err)
 			return
 		}
 		delivered++
@@ -502,7 +502,7 @@ func (s *Server) sweep(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-	s.endStream(enc, flusher, streamEnd(delivered, len(points), ctx, encErr))
+	s.endStream(enc, flusher, streamEnd(delivered, plan.Len(), ctx, encErr))
 }
 
 // explore runs a budgeted Pareto-guided exploration of a sweep-defined

@@ -1,0 +1,38 @@
+package sweep_test
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/scenario"
+	"repro/internal/sweep"
+)
+
+// BenchmarkWarmSweepPaperGrid times a warm Execute of the small 32-point
+// paper grid on the runner that ran it cold: every point's result is
+// resident and the sweep's plan memoized, so an iteration is one spec
+// hash, one plan lookup, 32 result lookups and the aggregation.
+//
+//	go test -run '^$' -bench BenchmarkWarmSweepPaperGrid -benchmem -count 3 ./internal/sweep/
+func BenchmarkWarmSweepPaperGrid(b *testing.B) {
+	sw, ok := experiments.BuiltinSweep(experiments.Small(), experiments.SweepPaperGrid)
+	if !ok {
+		b.Fatal("no built-in paper grid")
+	}
+	rn := scenario.NewRunner(2)
+	defer rn.Close()
+	res, err := sweep.Execute(context.Background(), rn, sw, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res.Failed != 0 {
+		b.Fatalf("cold sweep: %d points failed", res.Failed)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sweep.Execute(context.Background(), rn, sw, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,10 +1,11 @@
 package sweep
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/report"
 	"repro/internal/scenario"
@@ -79,10 +80,11 @@ func (m *Metrics) get(name string) float64 {
 // failures). The exploration layer summarizes its visited points
 // through exactly this derivation, so explore and sweep fronts are
 // computed from identical numbers.
-func MetricsOf(r *scenario.Result) *Metrics { return metricsOf(r) }
+func MetricsOf(r *scenario.Result) *Metrics { return metricsOf(r, l2BytesOf(r.Scenario)) }
 
-// metricsOf derives a point's metrics from its scenario result.
-func metricsOf(r *scenario.Result) *Metrics {
+// metricsOf derives a point's metrics from its scenario result and the
+// L2 capacity of its spec.
+func metricsOf(r *scenario.Result, l2Bytes int) *Metrics {
 	run := r.Partitioned
 	if run == nil {
 		run = r.Shared
@@ -90,21 +92,29 @@ func metricsOf(r *scenario.Result) *Metrics {
 	if run == nil {
 		return nil
 	}
-	m := &Metrics{
+	return &Metrics{
 		Makespan:   run.Makespan,
 		Misses:     run.TotalMisses,
 		Energy:     run.Energy,
 		L2MissRate: run.L2MissRate,
 		CPIMean:    run.CPIMean,
+		L2Bytes:    l2Bytes,
 		MissRatio:  r.MissRatio(),
 	}
-	if p := r.Scenario.Platform; p != nil {
-		if pc, err := p.Config(); err == nil {
-			geom := pc.PartitionGeom()
-			m.L2Bytes = geom.SizeBytes()
-		}
+}
+
+// l2BytesOf is the capacity of a spec's partitioned level (0 when its
+// platform does not assemble).
+func l2BytesOf(s scenario.Scenario) int {
+	if s.Platform == nil {
+		return 0
 	}
-	return m
+	pc, err := s.Platform.Config()
+	if err != nil {
+		return 0
+	}
+	geom := pc.PartitionGeom()
+	return geom.SizeBytes()
 }
 
 // PointResult is one completed point: its coordinates plus the full
@@ -212,45 +222,44 @@ func DefaultPareto() []ParetoPair {
 // not yet started (they are marked Canceled and not observed) and fails
 // the pending stages of points mid-pipeline (also counted Canceled);
 // stages already simulating finish into the shared memo.
+//
+// Execute is Prepare then ExecutePrepared, so a warm sweep costs one
+// hash of the spec, one plan lookup and one result lookup per point.
 func Execute(ctx context.Context, rn *scenario.Runner, sw Sweep, observe func(PointResult)) (*Result, error) {
-	points, total, err := sw.Expand()
+	p, err := Prepare(rn, sw)
 	if err != nil {
 		return nil, err
 	}
-	return ExecuteExpanded(ctx, rn, sw, points, total, observe)
+	return ExecutePrepared(ctx, rn, p, observe)
 }
 
-// ExecuteExpanded is Execute over an already-expanded point list (from
-// sw.Expand) — the serve mode expands once pre-flight, so every
-// expansion error is a proper 400 before the response header commits,
-// and the points are not materialized twice. The only error it returns
-// is ctx's.
-func ExecuteExpanded(ctx context.Context, rn *scenario.Runner, sw Sweep, points []Point, total int, observe func(PointResult)) (*Result, error) {
+// ExecutePrepared is Execute over a plan from Prepare — the serve mode
+// prepares pre-flight, so every expansion error is a proper 400 before
+// the response header commits. The only error it returns is ctx's.
+func ExecutePrepared(ctx context.Context, rn *scenario.Runner, p *Plan, observe func(PointResult)) (*Result, error) {
 	before := rn.Stats()
 
-	specs := make([]scenario.Scenario, len(points))
-	for i, p := range points {
-		specs[i] = p.Scenario
-	}
-	results, errs, done := rn.RunBatchStream(ctx, specs, func(i int, r *scenario.Result) bool {
+	walk := func(i int, r *scenario.Result) bool {
 		if observe != nil {
-			observe(PointResult{Index: i, Coords: points[i].Coords, Result: r})
+			observe(PointResult{Index: i, Coords: p.coords[i], Result: r})
 		}
 		return true
-	})
+	}
+	results, errs, done := rn.RunPreparedStream(ctx, p.prepared, p.errs, walk)
 	<-done
 
+	n := p.Len()
 	res := &Result{
 		SchemaVersion: report.SchemaVersion,
-		Name:          sw.Name,
-		TotalPoints:   total,
-		Executed:      len(points),
-		Truncated:     total - len(points),
-		Points:        make([]PointSummary, len(points)),
+		Name:          p.name,
+		TotalPoints:   p.total,
+		Executed:      n,
+		Truncated:     p.total - n,
+		Points:        make([]PointSummary, n),
 	}
 	res.Stats = rn.Stats().Delta(before)
-	for i, p := range points {
-		ps := PointSummary{Index: i, Coords: p.Coords}
+	for i, coords := range p.coords {
+		ps := PointSummary{Index: i, Coords: coords}
 		switch r := results[i]; {
 		case r == nil:
 			ps.Canceled = true
@@ -265,13 +274,13 @@ func ExecuteExpanded(ctx context.Context, rn *scenario.Runner, sw Sweep, points 
 			res.Failed++
 		default:
 			ps.Key = r.Key
-			ps.Metrics = metricsOf(r)
+			ps.Metrics = metricsOf(r, p.l2Bytes[i])
 		}
 		res.Points[i] = ps
 	}
-	res.Sensitivity = sensitivity(sw, res.Points)
+	res.Sensitivity = sensitivity(p.labels, res.Points)
 	res.Extremes = extremes(res.Points)
-	pairs := sw.Pareto
+	pairs := p.pareto
 	if len(pairs) == 0 {
 		pairs = DefaultPareto()
 	}
@@ -286,7 +295,11 @@ func ExecuteExpanded(ctx context.Context, rn *scenario.Runner, sw Sweep, points 
 // full expansion, exposed so the exploration layer can marginalize over
 // exactly the points it visited.
 func ComputeSensitivity(sw Sweep, points []PointSummary) []AxisSensitivity {
-	return sensitivity(sw, points)
+	labels := make([]string, len(sw.Axes))
+	for i, ax := range sw.Axes {
+		labels[i] = ax.label()
+	}
+	return sensitivity(labels, points)
 }
 
 // ComputeParetoFront computes the non-dominated set of a point-summary
@@ -297,15 +310,14 @@ func ComputeParetoFront(points []PointSummary, pair ParetoPair) ParetoFront {
 	return paretoFront(points, pair)
 }
 
-// sensitivity builds one marginal table per axis over the executed
+// sensitivity builds one marginal table per axis label over the executed
 // points (one pass per axis — never over the axis's declared value
 // domain, which a range axis can make astronomically larger than the
 // capped point set). Rows appear in first-appearance order, which for
 // the dimension-major expansion is exactly the axis's value order.
-func sensitivity(sw Sweep, points []PointSummary) []AxisSensitivity {
+func sensitivity(labels []string, points []PointSummary) []AxisSensitivity {
 	var out []AxisSensitivity
-	for _, ax := range sw.Axes {
-		label := ax.label()
+	for _, label := range labels {
 		var order []string
 		rows := map[string]*SensitivityRow{}
 		for _, p := range points {
@@ -390,14 +402,14 @@ func paretoFront(points []PointSummary, pair ParetoPair) ParetoFront {
 		}
 		cs = append(cs, cand{idx: p.Index, x: p.Metrics.get(pair.X), y: p.Metrics.get(pair.Y)})
 	}
-	sort.Slice(cs, func(a, b int) bool {
-		if cs[a].x != cs[b].x {
-			return cs[a].x < cs[b].x
+	slices.SortFunc(cs, func(a, b cand) int {
+		if c := cmp.Compare(a.x, b.x); c != 0 {
+			return c
 		}
-		if cs[a].y != cs[b].y {
-			return cs[a].y < cs[b].y
+		if c := cmp.Compare(a.y, b.y); c != 0 {
+			return c
 		}
-		return cs[a].idx < cs[b].idx
+		return cmp.Compare(a.idx, b.idx)
 	})
 	// Walk in (x, y) order: a point joins the front when it strictly
 	// improves y, or exactly ties the last admitted point on both

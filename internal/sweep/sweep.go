@@ -9,7 +9,10 @@
 // geometry/policy grid simulates far less than N pipelines), and
 // aggregates the outcomes into a versioned Result: per-axis sensitivity
 // tables, best/worst points per metric, and Pareto fronts such as L2
-// area vs. makespan.
+// area vs. makespan. The expanded and prepared points of a sweep are a
+// Plan, which the runner's memo keeps in memory under a hash of the
+// sweep (Prepare), so a warm sweep costs one hash, one plan lookup and
+// one result lookup per point.
 //
 // Sweeps are data, exactly like scenarios: the CLI runs them from JSON
 // files (`compmem sweep -spec file.json`), the serve mode exposes them

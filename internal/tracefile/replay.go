@@ -114,10 +114,9 @@ func replayVarint(data []byte, pos int) (int64, int) {
 // replayBody returns a task body that interprets one recorded stream.
 // This is the hot loop of every warm (trace-hit) profiling or execution
 // run, decoding tens of millions of events per paper-scale app, so it
-// decodes inline instead of going through the generic walker: the
-// stream was fully validated at decode time, which lets the loop skip
-// per-event error handling and bounds rechecks (corruption panics,
-// surfacing as a task failure). The differential replay ≡ live tests
+// decodes inline: the stream was fully validated at decode time
+// (validateStream), which lets the loop skip per-event error handling
+// and bounds rechecks (corruption panics, surfacing as a task failure). The differential replay ≡ live tests
 // pin this loop's equivalence with the recorded semantics.
 func replayBody(stream []byte, regs []*mem.Region, fifos []*kpn.FIFO) func(*kpn.Ctx) {
 	regionIDs := make([]mem.RegionID, len(regs))

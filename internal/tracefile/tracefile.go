@@ -287,108 +287,6 @@ func (h *Header) validate() error {
 	return nil
 }
 
-// event is one decoded stream event.
-type event struct {
-	op     byte
-	n      uint64 // exec count / bulk length
-	region int
-	addr   uint64 // absolute word-access address
-	off    uint64 // bulk offset
-	fifo   int
-}
-
-// walker decodes one event stream sequentially, tracking the delta base.
-// It validates framing (opcodes, varints, table indices); deep semantic
-// bounds are the caller's job.
-type walker struct {
-	data    []byte
-	pos     int
-	prev    uint64
-	regions int
-	fifos   int
-}
-
-func (w *walker) more() bool { return w.pos < len(w.data) }
-
-func (w *walker) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(w.data[w.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("tracefile: bad uvarint at stream offset %d", w.pos)
-	}
-	w.pos += n
-	return v, nil
-}
-
-func (w *walker) svarint() (int64, error) {
-	v, n := binary.Varint(w.data[w.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("tracefile: bad varint at stream offset %d", w.pos)
-	}
-	w.pos += n
-	return v, nil
-}
-
-func (w *walker) next() (event, error) {
-	var ev event
-	ev.op = w.data[w.pos]
-	w.pos++
-	switch ev.op {
-	case evExec:
-		n, err := w.uvarint()
-		if err != nil {
-			return ev, err
-		}
-		if n > maxExecRun {
-			return ev, fmt.Errorf("tracefile: exec run of %d instructions out of range", n)
-		}
-		ev.n = n
-	case evRead4, evWrite4, evRead1, evWrite1:
-		r, err := w.uvarint()
-		if err != nil {
-			return ev, err
-		}
-		if r >= uint64(w.regions) {
-			return ev, fmt.Errorf("tracefile: access references region %d of %d", r, w.regions)
-		}
-		d, err := w.svarint()
-		if err != nil {
-			return ev, err
-		}
-		ev.region = int(r)
-		ev.addr = uint64(int64(w.prev) + d)
-		w.prev = ev.addr
-	case evBulkRead, evBulkWrite:
-		r, err := w.uvarint()
-		if err != nil {
-			return ev, err
-		}
-		if r >= uint64(w.regions) {
-			return ev, fmt.Errorf("tracefile: bulk references region %d of %d", r, w.regions)
-		}
-		off, err := w.uvarint()
-		if err != nil {
-			return ev, err
-		}
-		n, err := w.uvarint()
-		if err != nil {
-			return ev, err
-		}
-		ev.region, ev.off, ev.n = int(r), off, n
-	case evFifoWrite, evFifoRdOK, evFifoRdEOF, evFifoClose:
-		f, err := w.uvarint()
-		if err != nil {
-			return ev, err
-		}
-		if f >= uint64(w.fifos) {
-			return ev, fmt.Errorf("tracefile: fifo event references fifo %d of %d", f, w.fifos)
-		}
-		ev.fifo = int(f)
-	default:
-		return ev, fmt.Errorf("tracefile: unknown opcode %#x at stream offset %d", ev.op, w.pos-1)
-	}
-	return ev, nil
-}
-
 // accessClass maps a word-access opcode back to (op, size).
 func accessClass(op byte) (trace.Op, uint8) {
 	switch op {
@@ -403,42 +301,18 @@ func accessClass(op byte) (trace.Op, uint8) {
 	}
 }
 
-// validateStreams walks every stream, checking deep bounds (addresses
-// and bulk ranges inside their regions) and the header's event/instr
-// totals, and accumulates Totals. No allocation is proportional to any
-// count declared in the header.
+// validateStreams walks every stream, checking framing (opcodes,
+// varints, table indices), deep bounds (addresses and bulk ranges
+// inside their regions) and the header's event/instr totals, and
+// accumulates Totals. No allocation is proportional to any count
+// declared in the header.
 func (t *Trace) validateStreams() error {
 	h := &t.Header
 	var tot Totals
 	for si, stream := range t.streams {
-		w := walker{data: stream, regions: len(h.Regions), fifos: len(h.FIFOs)}
-		var events uint64
-		for w.more() {
-			ev, err := w.next()
-			if err != nil {
-				return fmt.Errorf("%w (task %q)", err, h.Tasks[si].Name)
-			}
-			events++
-			switch ev.op {
-			case evExec:
-				tot.Instrs += ev.n
-			case evRead4, evWrite4, evRead1, evWrite1:
-				_, size := accessClass(ev.op)
-				ri := h.Regions[ev.region]
-				if ev.addr < ri.Base || ev.addr+uint64(size) > ri.Base+ri.Size {
-					return fmt.Errorf("tracefile: task %q: access at %#x outside region %q", h.Tasks[si].Name, ev.addr, ri.Name)
-				}
-				tot.Accesses++
-			case evBulkRead, evBulkWrite:
-				ri := h.Regions[ev.region]
-				if ev.n == 0 || ev.off+ev.n < ev.off || ev.off+ev.n > ri.Size {
-					return fmt.Errorf("tracefile: task %q: bulk %d@%d outside region %q", h.Tasks[si].Name, ev.n, ev.off, ri.Name)
-				}
-				tot.BulkOps++
-				tot.BulkBytes += ev.n
-			default:
-				tot.FIFOOps++
-			}
+		events, err := h.validateStream(si, stream, &tot)
+		if err != nil {
+			return err
 		}
 		if events != h.Streams[si].Events {
 			return fmt.Errorf("tracefile: task %q: %d events, header declares %d", h.Tasks[si].Name, events, h.Streams[si].Events)
@@ -453,6 +327,118 @@ func (t *Trace) validateStreams() error {
 	}
 	t.Totals = tot
 	return nil
+}
+
+// validateStream checks task si's event stream, adding its events to
+// tot except Events, and returns its event count. Decoding every
+// container runs it over every event, so it decodes inline, like
+// replayBody, instead of building an event per step. Bounds checks are
+// written so that no sum can wrap: an access near 2^64 is outside every
+// region, never inside one.
+func (h *Header) validateStream(si int, stream []byte, tot *Totals) (uint64, error) {
+	task := h.Tasks[si].Name
+	regions, fifos := uint64(len(h.Regions)), uint64(len(h.FIFOs))
+	var events, prev uint64
+	for pos := 0; pos < len(stream); events++ {
+		op := stream[pos]
+		pos++
+		switch op {
+		case evExec:
+			n, sz := uvarintAt(stream, pos)
+			if sz <= 0 {
+				return 0, fmt.Errorf("tracefile: bad uvarint at stream offset %d (task %q)", pos, task)
+			}
+			pos += sz
+			if n > maxExecRun {
+				return 0, fmt.Errorf("tracefile: exec run of %d instructions out of range (task %q)", n, task)
+			}
+			tot.Instrs += n
+		case evRead4, evWrite4, evRead1, evWrite1:
+			r, sz := uvarintAt(stream, pos)
+			if sz <= 0 {
+				return 0, fmt.Errorf("tracefile: bad uvarint at stream offset %d (task %q)", pos, task)
+			}
+			pos += sz
+			if r >= regions {
+				return 0, fmt.Errorf("tracefile: access references region %d of %d (task %q)", r, regions, task)
+			}
+			u, sz := uvarintAt(stream, pos)
+			if sz <= 0 {
+				return 0, fmt.Errorf("tracefile: bad varint at stream offset %d (task %q)", pos, task)
+			}
+			pos += sz
+			d := int64(u >> 1) // zigzag, as binary.Varint
+			if u&1 != 0 {
+				d = ^d
+			}
+			addr := uint64(int64(prev) + d)
+			prev = addr
+			size := uint64(4)
+			if op == evRead1 || op == evWrite1 {
+				size = 1
+			}
+			ri := &h.Regions[r]
+			if addr < ri.Base || size > ri.Size || addr-ri.Base > ri.Size-size {
+				return 0, fmt.Errorf("tracefile: task %q: access at %#x outside region %q", task, addr, ri.Name)
+			}
+			tot.Accesses++
+		case evBulkRead, evBulkWrite:
+			r, sz := uvarintAt(stream, pos)
+			if sz <= 0 {
+				return 0, fmt.Errorf("tracefile: bad uvarint at stream offset %d (task %q)", pos, task)
+			}
+			pos += sz
+			if r >= regions {
+				return 0, fmt.Errorf("tracefile: bulk references region %d of %d (task %q)", r, regions, task)
+			}
+			off, sz := uvarintAt(stream, pos)
+			if sz <= 0 {
+				return 0, fmt.Errorf("tracefile: bad uvarint at stream offset %d (task %q)", pos, task)
+			}
+			pos += sz
+			n, sz := uvarintAt(stream, pos)
+			if sz <= 0 {
+				return 0, fmt.Errorf("tracefile: bad uvarint at stream offset %d (task %q)", pos, task)
+			}
+			pos += sz
+			ri := &h.Regions[r]
+			if n == 0 || off+n < off || off+n > ri.Size {
+				return 0, fmt.Errorf("tracefile: task %q: bulk %d@%d outside region %q", task, n, off, ri.Name)
+			}
+			tot.BulkOps++
+			tot.BulkBytes += n
+		case evFifoWrite, evFifoRdOK, evFifoRdEOF, evFifoClose:
+			f, sz := uvarintAt(stream, pos)
+			if sz <= 0 {
+				return 0, fmt.Errorf("tracefile: bad uvarint at stream offset %d (task %q)", pos, task)
+			}
+			pos += sz
+			if f >= fifos {
+				return 0, fmt.Errorf("tracefile: fifo event references fifo %d of %d (task %q)", f, fifos, task)
+			}
+			tot.FIFOOps++
+		default:
+			return 0, fmt.Errorf("tracefile: unknown opcode %#x at stream offset %d (task %q)", op, pos-1, task)
+		}
+	}
+	return events, nil
+}
+
+// uvarintAt decodes the uvarint at data[pos:] with binary.Uvarint's
+// result convention (a length <= 0 for a truncated or overlong one),
+// taking the one- and two-byte encodings that dominate recorded streams
+// without a call.
+func uvarintAt(data []byte, pos int) (uint64, int) {
+	if pos+1 < len(data) {
+		b0 := data[pos]
+		if b0 < 0x80 {
+			return uint64(b0), 1
+		}
+		if b1 := data[pos+1]; b1 < 0x80 {
+			return uint64(b0&0x7f) | uint64(b1)<<7, 2
+		}
+	}
+	return binary.Uvarint(data[pos:])
 }
 
 // Decode parses and fully validates an encoded trace container. The

@@ -2,6 +2,9 @@ package tracefile
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -89,6 +92,45 @@ func TestCaptureRoundtrip(t *testing.T) {
 	}
 	if !bytes.Equal(fromDisk.Bytes(), tr.Bytes()) {
 		t.Fatal("file roundtrip drifted")
+	}
+}
+
+// wrappedAccessContainer encodes a one-task trace over one region
+// (0x1000 bytes at 0x1000) whose only event reads 4 bytes at address
+// 0xfffffffffffffffe (delta -2 from 0): an access whose end wraps past
+// 2^64.
+func wrappedAccessContainer(t testing.TB) []byte {
+	t.Helper()
+	stream := []byte{evRead4, 0, 3} // region 0, zigzag(-2) = 3
+	h := Header{
+		Meta:    Meta{Workload: "wrapped", Scale: "small"},
+		App:     "wrapped",
+		Regions: []RegionInfo{{Name: "data", Base: 0x1000, Size: 0x1000}},
+		Tasks:   []TaskInfo{{Name: "t", Stack: -1, Heap: -1}},
+		Events:  1,
+		Streams: []StreamInfo{{Events: 1, Bytes: uint64(len(stream))}},
+	}
+	hb, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := append([]byte(Magic), 0, Version, 0, 0)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(hb)))
+	buf = append(append(buf, hb...), stream...)
+	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+}
+
+// TestDecodeRejectsWrappedAccess is the regression test for an access
+// bound that wrapped: a read at 0xfffffffffffffffe ends past 2^64, and
+// the end-of-access sum once wrapped to 2 and passed the region check,
+// after which a replay charged the access with no latency.
+func TestDecodeRejectsWrappedAccess(t *testing.T) {
+	tr, err := Decode(wrappedAccessContainer(t))
+	if err == nil {
+		t.Fatalf("a trace accessing 0xfffffffffffffffe decoded with totals %+v", tr.Totals)
+	}
+	if !strings.Contains(err.Error(), "access at 0xfffffffffffffffe outside region") {
+		t.Errorf("want the out-of-region error, got %v", err)
 	}
 }
 
