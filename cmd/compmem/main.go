@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	compmem [-small] [-runs N] [-solver mckp|ilp] [-json] <command>
+//	compmem [-small] [-runs N] [-workers N] [-json] <command>
 //
 // Commands:
 //
@@ -22,11 +22,7 @@
 //	split     task-unified vs split instruction/data partitions (X4)
 //	migration schedule sensitivity under task migration (X5)
 //	curves    dump the profiled per-entity miss curves m_i(z_p)
-//	bench     time the execution-engine stages (-json for bench.json output)
-//	benchdiff compare two bench JSON reports; warn on regressions:
-//	          benchdiff [-threshold PCT] [-strict] baseline.json current.json
-//	          (-strict exits non-zero on any regression; the default stays annotate-only)
-//	all       everything above except bench
+//	all       everything above except curves
 //	trace     record, inspect and replay access-stream traces:
 //	          trace record -workload NAME [-scale small|paper] [-seed N] [-o file.ctr]
 //	          trace info file.ctr | trace replay [-verify=false] file.ctr
@@ -83,14 +79,12 @@ func newRunner(cfg experiments.Config, storeDir string) (*scenario.Runner, error
 func main() {
 	small := flag.Bool("small", false, "use the fast, small-scale workloads")
 	runs := flag.Int("runs", 2, "profiling repetitions for miss-curve averaging")
-	solver := flag.String("solver", "mckp", "partitioning solver: mckp or ilp")
 	workers := flag.Int("workers", 0, "harness worker pool size; 0 = GOMAXPROCS, 1 = sequential")
-	benchN := flag.Int("benchn", 3, "iterations per stage for the bench command (best is reported)")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON envelopes on stdout")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the command to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile after the command to this file")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: compmem [flags] table1|table2|fig2|fig3|headline|compose|granularity|split|migration|assign|curves|bench|benchdiff|all|trace|run|sweep|explore|serve|scenarios\n")
+		fmt.Fprintf(os.Stderr, "usage: compmem [flags] table1|table2|fig2|fig3|headline|compose|granularity|split|migration|assign|curves|all|trace|run|sweep|explore|serve|scenarios\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -99,15 +93,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg, err := experiments.ConfigFromFlags(experiments.Flags{
+	cfg := experiments.ConfigFromFlags(experiments.Flags{
 		Small:   *small,
 		Runs:    *runs,
-		Solver:  *solver,
 		Workers: *workers,
 	})
-	if err != nil {
-		fatal(err)
-	}
 
 	profiling := false
 	if *cpuProfile != "" {
@@ -123,14 +113,8 @@ func main() {
 	}
 
 	cmd, rest := flag.Arg(0), flag.Args()[1:]
+	var err error
 	switch cmd {
-	case "bench":
-		err = expectNoArgs(cmd, rest)
-		if err == nil {
-			err = runBench(cfg, *benchN, *asJSON)
-		}
-	case "benchdiff":
-		err = runBenchDiff(rest)
 	case "trace":
 		err = runTrace(cfg, rest, *asJSON)
 	case "run":

@@ -33,7 +33,7 @@ func (s Solver) String() string {
 	return "mckp"
 }
 
-// ParseSolver resolves the CLI/spec spelling of a solver.
+// ParseSolver resolves the spec spelling of a solver.
 func ParseSolver(s string) (Solver, error) {
 	switch s {
 	case "mckp", "":

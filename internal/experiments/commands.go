@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/scenario"
 )
@@ -13,13 +12,11 @@ import (
 type Flags struct {
 	Small   bool
 	Runs    int
-	Solver  string // mckp | ilp
 	Workers int
 }
 
-// ConfigFromFlags resolves the flag spellings into a Config in one
-// place. Unknown spellings fail with the valid values spelled out.
-func ConfigFromFlags(f Flags) (Config, error) {
+// ConfigFromFlags resolves the flag values into a Config in one place.
+func ConfigFromFlags(f Flags) Config {
 	cfg := Default()
 	if f.Small {
 		cfg = Small()
@@ -28,12 +25,7 @@ func ConfigFromFlags(f Flags) (Config, error) {
 		cfg.ProfileRuns = f.Runs
 	}
 	cfg.Workers = f.Workers
-	solver, err := core.ParseSolver(f.Solver)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Solver = solver
-	return cfg, nil
+	return cfg
 }
 
 // CommandOutput is one CLI command's rendered artifacts: the text the

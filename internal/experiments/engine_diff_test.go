@@ -25,7 +25,7 @@ func runDirect(w core.Workload, cfg Config) (*directStudy, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt, err := core.Optimize(w, cfg.OptimizeConfig())
+	opt, err := core.Optimize(w, core.OptimizeConfig{Platform: cfg.Platform, Runs: cfg.ProfileRuns, Workers: cfg.Workers})
 	if err != nil {
 		return nil, err
 	}

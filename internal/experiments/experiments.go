@@ -16,7 +16,6 @@
 package experiments
 
 import (
-	"repro/internal/core"
 	"repro/internal/platform"
 	"repro/internal/workloads"
 )
@@ -26,25 +25,12 @@ type Config struct {
 	Scale       workloads.Scale
 	Platform    platform.Config
 	ProfileRuns int
-	Solver      core.Solver
 	// Workers sizes the scenario runner the CLI builds
 	// (scenario.NewRunner), which bounds both its batch pool and
 	// core.Profile's concurrent profiling repetitions: 0 = GOMAXPROCS,
 	// 1 = fully sequential. Every simulation owns its platform instance,
 	// so the results are identical at any worker count.
 	Workers int
-}
-
-// OptimizeConfig translates the harness configuration into the
-// profiling/optimization options, so every caller honors the solver,
-// profiling-run and worker settings.
-func (c Config) OptimizeConfig() core.OptimizeConfig {
-	return core.OptimizeConfig{
-		Platform: c.Platform,
-		Runs:     c.ProfileRuns,
-		Solver:   c.Solver,
-		Workers:  c.Workers,
-	}
 }
 
 // Default returns the paper-scale configuration: the 4-CPU, 512 KB L2

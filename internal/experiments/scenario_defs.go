@@ -34,7 +34,6 @@ func baseSpec(cfg Config) scenario.Scenario {
 		Scale:    cfg.Scale.String(),
 		Platform: &ps,
 		Runs:     cfg.ProfileRuns,
-		Solver:   cfg.Solver.String(),
 	}
 }
 

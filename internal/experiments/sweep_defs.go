@@ -11,10 +11,11 @@ import (
 // SweepPaperGrid is the built-in sweep reproducing the paper's
 // candidate-size exploration as one command: the full 2×JPEG + Canny
 // study swept over the L2 capacity ladder around the section 5 design
-// point, crossed with the execution-side knobs (migration, solver,
-// execution engine). The execution-side axes share their profile stages
-// through the runner's memo — the 32-point grid simulates each distinct
-// (geometry, engine) profile exactly once.
+// point, crossed with migration and the solver and execution-engine
+// spellings. The solver and exec axes only spell twins, which normalize
+// to one spec and share every stage, and migration shares the profile
+// and optimize stages — the 32-point grid simulates each geometry's
+// profile exactly once.
 const SweepPaperGrid = "paper-grid"
 
 // rawInts, rawBools, rawStrings build literal axis values.

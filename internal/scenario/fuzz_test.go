@@ -88,11 +88,11 @@ func addExampleSpecs(f *testing.F) {
 // FuzzNormalize hardens spec decoding and canonicalization against
 // arbitrary bytes: Resolve then Normalize never panic, and a spec that
 // normalizes is a fixed point — normalizing it again changes nothing and
-// keeps its content key — with both engine fields on the production
-// engines.
+// keeps its content key — with both engine fields and the solver on
+// the production ones.
 func FuzzNormalize(f *testing.F) {
 	addExampleSpecs(f)
-	f.Add([]byte(`{"base":"app","exec_engine":"word","profile_engine":"bank","sizes":[8,2]}`))
+	f.Add([]byte(`{"base":"app","exec_engine":"word","profile_engine":"bank","solver":"ilp","sizes":[8,2]}`))
 	f.Add([]byte(`{"workload":"mpeg2","platform":{"hierarchy":{"levels":[{"name":"l1"},{"name":"l2","per_cpu":{"1":{"ways":2}}},{"name":"l3","partition":true}]}}}`))
 	lookup := func(name string) (Scenario, bool) {
 		return Scenario{Workload: "2jpeg+canny", Scale: "small"}, name == "app"
@@ -106,8 +106,8 @@ func FuzzNormalize(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if n.ExecEngine != "merged" || n.ProfileEngine != "stackdist" {
-			t.Fatalf("engines not normalized to production: exec %q, profile %q", n.ExecEngine, n.ProfileEngine)
+		if n.ExecEngine != "merged" || n.ProfileEngine != "stackdist" || n.Solver != "mckp" {
+			t.Fatalf("engines or solver not normalized to production: exec %q, profile %q, solver %q", n.ExecEngine, n.ProfileEngine, n.Solver)
 		}
 		again, err := n.Normalize()
 		if err != nil {

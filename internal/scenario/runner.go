@@ -541,7 +541,9 @@ func (r *Runner) profileStage(ctx context.Context, s Scenario) ([]profile.Curve,
 	})
 }
 
-// optimizeKey extends profileKey with the solver choice.
+// optimizeKey extends profileKey with the solver. Normalize pins it to
+// "mckp", and hashing it keeps every optimize key byte-identical to the
+// keys stored before the ILP spelling normalized away.
 type optimizeKey struct {
 	profileKey
 	Solver string `json:"solver"`

@@ -83,7 +83,12 @@ type Scenario struct {
 	// Runs is the number of jittered profiling repetitions averaged
 	// into the miss curves; default 2.
 	Runs int `json:"runs,omitempty"`
-	// Solver is "mckp" (default) or "ilp".
+	// Solver accepts "mckp" (default) or "ilp" and normalizes to
+	// "mckp": both solve the section 3.2 program exactly, with optimal
+	// costs the oracle test proves equal, so a solver twin shares its
+	// MCKP twin's content key and every stage key (and, where several
+	// allocations tie at the optimum, gets the MCKP one). The ILP itself
+	// is reachable through core.OptimizeConfig.Solver.
 	Solver string `json:"solver,omitempty"`
 	// ProfileEngine accepts "stackdist" (default) or "bank" and
 	// normalizes to "stackdist": the bank-of-caches oracle returns
@@ -524,11 +529,10 @@ func (s Scenario) Normalize() (Scenario, error) {
 	if n.Runs < 0 {
 		return n, fmt.Errorf("scenario: runs %d not positive", n.Runs)
 	}
-	solver, err := core.ParseSolver(n.Solver)
-	if err != nil {
+	if _, err := core.ParseSolver(n.Solver); err != nil {
 		return n, err
 	}
-	n.Solver = solver.String()
+	n.Solver = core.SolverMCKP.String()
 	if _, err := profile.ParseEngine(n.ProfileEngine); err != nil {
 		return n, err
 	}
@@ -717,14 +721,10 @@ func (s Scenario) buildConfig() workloads.BuildConfig {
 }
 
 // optimizeConfig translates a normalized spec into the profiling and
-// optimization options, on the production engines (the zero values).
-// workers bounds the profiling fan-out.
+// optimization options, on the production engines and solver (the zero
+// values). workers bounds the profiling fan-out.
 func (s Scenario) optimizeConfig(workers int) (core.OptimizeConfig, error) {
 	pc, err := s.Platform.Config()
-	if err != nil {
-		return core.OptimizeConfig{}, err
-	}
-	solver, err := core.ParseSolver(s.Solver)
 	if err != nil {
 		return core.OptimizeConfig{}, err
 	}
@@ -732,7 +732,6 @@ func (s Scenario) optimizeConfig(workers int) (core.OptimizeConfig, error) {
 		Platform:     pc,
 		Sizes:        s.Sizes,
 		Runs:         s.Runs,
-		Solver:       solver,
 		Workers:      workers,
 		ProfileLevel: s.ProfileLevel,
 	}, nil

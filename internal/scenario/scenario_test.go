@@ -106,8 +106,8 @@ func TestInvalidSpecs(t *testing.T) {
 }
 
 // TestContentKey checks the content-addressing contract: names and the
-// exact-oracle engine spellings don't matter, defaults are canonical,
-// every semantic field matters.
+// exact-oracle engine and solver spellings don't matter, defaults are
+// canonical, every semantic field matters.
 func TestContentKey(t *testing.T) {
 	base := Scenario{Workload: "mpeg2", Scale: "small"}
 	k0, err := base.Key()
@@ -123,6 +123,7 @@ func TestContentKey(t *testing.T) {
 		"name":           func(s *Scenario) { s.Name = "anything" },
 		"exec":           func(s *Scenario) { s.ExecEngine = "word" },
 		"profile_engine": func(s *Scenario) { s.ProfileEngine = "bank" },
+		"solver":         func(s *Scenario) { s.Solver = "ilp" },
 	} {
 		m := base
 		mutate(&m)
@@ -147,7 +148,6 @@ func TestContentKey(t *testing.T) {
 		"seed":     func(s *Scenario) { s.Seed = 1 },
 		"scale":    func(s *Scenario) { s.Scale = "paper" },
 		"workload": func(s *Scenario) { s.Workload = "jpeg1-only" },
-		"solver":   func(s *Scenario) { s.Solver = "ilp" },
 		"platform": func(s *Scenario) { s.Platform = &PlatformSpec{NumCPUs: iptr(8)} },
 		"runs":     func(s *Scenario) { s.Runs = 5 },
 		"policy":   func(s *Scenario) { s.Partition = PartitionShared },

@@ -118,7 +118,8 @@ type Server struct {
 
 // New builds a Server over a shared runner with default Options. cfg
 // supplies the defaults built-in base scenarios are materialized with
-// (scale, engines, solver), exactly like the CLI flags do for commands.
+// (scale, platform, profiling runs), exactly like the CLI flags do for
+// commands.
 func New(cfg experiments.Config, rn *scenario.Runner) *Server {
 	return NewWithOptions(cfg, rn, Options{})
 }

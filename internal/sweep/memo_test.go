@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -417,5 +418,66 @@ func TestMemoPlanSpecsStayReadOnly(t *testing.T) {
 		if again[i].Scenario.Platform != warm[i].Scenario.Platform {
 			t.Errorf("point %d: warm results do not share the plan's spec", i)
 		}
+	}
+}
+
+// TestMemoSizeMatchesLiveHeap checks the memo's byte accounting against
+// the heap it describes. A fresh runner sweeps the small paper grid cold
+// and then warm, so its memo holds every stage value, result entry and
+// the sweep's plan; MemoUsage().Bytes must then lie within 2.5× of the
+// live heap the runner added, measured after two collections (the
+// second empties sync.Pool's victim cache). A warm-up sweep on a
+// throwaway runner first pays the process-wide one-time costs, which
+// belong to no memo entry. Default traces put the recorded trace in the
+// memo; "trace": "live" leaves it out, so both estimate mixes are held
+// to the bound.
+func TestMemoSizeMatchesLiveHeap(t *testing.T) {
+	const maxRatio = 2.5
+	grid, ok := experiments.BuiltinSweep(experiments.Small(), experiments.SweepPaperGrid)
+	if !ok {
+		t.Fatal("no built-in paper grid")
+	}
+	sweepOnce := func(rn *scenario.Runner, sw sweep.Sweep) {
+		res, err := sweep.Execute(context.Background(), rn, sw, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failed != 0 {
+			t.Fatalf("%d points failed", res.Failed)
+		}
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for _, trace := range []string{"", scenario.TraceLive} {
+		name := trace
+		if name == "" {
+			name = "replay"
+		}
+		t.Run(name, func(t *testing.T) {
+			sw := grid
+			sw.Base.Trace = trace
+			sweepOnce(scenario.NewRunner(2), sw)
+
+			before := liveHeap()
+			rn := scenario.NewRunner(2)
+			sweepOnce(rn, sw)
+			sweepOnce(rn, sw)
+			grown := int64(liveHeap()) - int64(before)
+			u := rn.MemoUsage()
+			runtime.KeepAlive(rn)
+			if grown <= 0 || u.Bytes <= 0 {
+				t.Fatalf("memo estimates %d bytes in %d entries, live heap grew %d bytes", u.Bytes, u.Entries, grown)
+			}
+			r := float64(u.Bytes) / float64(grown)
+			t.Logf("%d entries: estimated %d bytes, live heap grew %d bytes (ratio %.2f)", u.Entries, u.Bytes, grown, r)
+			if r < 1/maxRatio || r > maxRatio {
+				t.Errorf("memo estimate %d bytes vs %d bytes of live heap (ratio %.2f, bound %.1f×)", u.Bytes, grown, r, maxRatio)
+			}
+		})
 	}
 }
