@@ -98,9 +98,9 @@ func (l LevelSpec) ConfigFor(cpu int) Config {
 // cache levels from the CPU-side leaf to the memory-side root, each with
 // its own geometry, sharing scope and hit latency, terminating in the
 // memory port. Today's hard-wired private-L1 + shared-L2 pair is the
-// TwoLevel instance; SingleLevel, deeper trees (shared L3 under private
-// or clustered L2s) and heterogeneous per-CPU geometries are all just
-// other values of the same type.
+// TwoLevel instance; a single shared level, deeper trees (shared L3
+// under private or clustered L2s) and heterogeneous per-CPU geometries
+// are all just other values of the same type.
 type Topology struct {
 	Levels []LevelSpec
 }
@@ -119,19 +119,6 @@ func TwoLevel(l1, l2 Config, l1HitLat, l2HitLat uint64) Topology {
 	return Topology{Levels: []LevelSpec{
 		{Name: n1, Scope: ScopePrivate, Sets: l1.Sets, Ways: l1.Ways, LineSize: l1.LineSize, HitLat: l1HitLat},
 		{Name: n2, Scope: ScopeShared, Sets: l2.Sets, Ways: l2.Ways, LineSize: l2.LineSize, HitLat: l2HitLat, Partition: true},
-	}}
-}
-
-// SingleLevel is a topology with one shared cache between the CPUs and
-// memory (no private caches; every access takes the burst-merged path,
-// exactly like the legacy L1-less hierarchy).
-func SingleLevel(shared Config, hitLat uint64) Topology {
-	name := shared.Name
-	if name == "" {
-		name = "l2"
-	}
-	return Topology{Levels: []LevelSpec{
-		{Name: name, Scope: ScopeShared, Sets: shared.Sets, Ways: shared.Ways, LineSize: shared.LineSize, HitLat: hitLat, Partition: true},
 	}}
 }
 
@@ -367,9 +354,6 @@ func (tr *Tree) Descriptor() *Descriptor { return tr.desc }
 
 // PartitionCache returns the partition level's (single, shared) cache.
 func (tr *Tree) PartitionCache() *Cache { return tr.caches[tr.partLevel][0] }
-
-// PartitionLevel returns the resolved partition level's spec.
-func (tr *Tree) PartitionLevel() LevelSpec { return tr.Topo.Levels[tr.partLevel] }
 
 // SharedCache returns the single instance of the named shared-scope
 // level, or an error (the profiler may tap any shared level by name; an

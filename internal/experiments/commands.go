@@ -56,11 +56,6 @@ var commandScenarios = map[string][]string{
 // allOrder is the command sequence of `compmem all`.
 var allOrder = []string{"headline", "table1", "table2", "fig2", "fig3", "compose", "granularity", "split", "migration", "assign"}
 
-// CommandNames lists the scenario-backed CLI commands in usage order.
-func CommandNames() []string {
-	return []string{"table1", "table2", "fig2", "fig3", "headline", "compose", "granularity", "split", "migration", "assign", "curves", "all"}
-}
-
 // RunCommand executes a CLI command through the scenario layer: it
 // resolves the command to its built-in scenarios, runs them on the
 // Runner (memoized, batched over the worker pool), and renders the text

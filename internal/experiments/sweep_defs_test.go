@@ -37,11 +37,42 @@ func TestPaperGridExpansion(t *testing.T) {
 			t.Errorf("capacity ladder misses %d sets (have %v)", want, sets)
 		}
 	}
-	// Distinct profile stages: capacity × exec engine; everything else
-	// (migration, solver) rides the memo. Documented here as the
-	// amplification contract the acceptance run observes via
-	// Runner.Stats (each shared profile stage executes exactly once).
-	if wantProfiles := 4 * 2; total/wantProfiles != 4 {
-		t.Errorf("grid shape changed: %d points / %d profile stages", total, wantProfiles)
+	// The solver and exec axes only spell twins — both normalize to the
+	// production choice — so the 32 points are 8 distinct scenarios
+	// (capacity × migration). Migration changes neither profiling nor
+	// the solve, so they share one profile and one optimize stage per
+	// capacity, and every point replays the one captured trace.
+	keys := map[string]bool{}
+	stages := map[string]map[string]bool{}
+	for _, p := range points {
+		k, err := p.Scenario.Key()
+		if err != nil {
+			t.Fatalf("point %d: %v", p.Index, err)
+		}
+		keys[k] = true
+		sk, err := p.Scenario.StageKeys()
+		if err != nil {
+			t.Fatalf("point %d: %v", p.Index, err)
+		}
+		for label, key := range sk {
+			if stages[label] == nil {
+				stages[label] = map[string]bool{}
+			}
+			stages[label][key] = true
+		}
+	}
+	if len(keys) != 8 {
+		t.Errorf("paper-grid has %d distinct content keys, want 8", len(keys))
+	}
+	want := map[string]int{"profile": 4, "optimize": 4, "run.shared": 8, "run.partitioned": 8, "trace": 1}
+	for label, n := range want {
+		if got := len(stages[label]); got != n {
+			t.Errorf("paper-grid has %d distinct %s stages, want %d", got, label, n)
+		}
+	}
+	for label := range stages {
+		if _, ok := want[label]; !ok {
+			t.Errorf("paper-grid runs unexpected %s stages", label)
+		}
 	}
 }

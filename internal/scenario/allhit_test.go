@@ -41,7 +41,8 @@ func docs(t *testing.T, results []*Result) []string {
 // workers-finished channel is closed on return, and the results, their
 // order, the observe calls and the counters are what the pool path
 // gives — including when observe stops the walk early. A canceled ctx
-// and a batch with one miss take the pool path.
+// leaves every slot unstarted, and a batch with one miss serves its hits
+// without the pool too, dispatching only the miss.
 func TestMemoAllHitBatchSkipsPool(t *testing.T) {
 	rn := NewRunner(2)
 	specs := allHitSpecs()
@@ -108,15 +109,22 @@ func TestMemoAllHitBatchSkipsPool(t *testing.T) {
 		t.Errorf("canceled batch: saw %v, counters %+v", seen, st)
 	}
 
-	// One miss sends the whole batch to the pool.
+	// A batch with one miss serves its hits without the pool and
+	// dispatches only the miss: its group task and its one profiling
+	// repetition.
 	miss := append(allHitSpecs(), profileOf("jpeg1-only"))
 	miss[3].Seed = 5
 	plan := faults.New(2)
 	restore := faults.Activate(plan)
+	before := rn.Stats()
 	got := rn.RunBatch(miss)
+	st = rn.Stats().Delta(before)
 	restore()
-	if n := plan.Hits(faults.SiteWorker); n < uint64(len(miss)) {
-		t.Errorf("a batch with a miss dispatched %d pool tasks, want at least %d", n, len(miss))
+	if n := plan.Hits(faults.SiteWorker); n != 2 {
+		t.Errorf("a batch with one miss dispatched %d pool tasks, want 2", n)
+	}
+	if st.MemoHits != hits {
+		t.Errorf("a batch with one miss counted %d memo hits, want its %d", st.MemoHits, hits)
 	}
 	if !slices.Equal(docs(t, got[:3]), want) || got[3].Error != "" {
 		t.Errorf("the batch with a miss differs: %v", docs(t, got))

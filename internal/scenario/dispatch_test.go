@@ -101,9 +101,9 @@ func profileOf(workload string) Scenario {
 }
 
 // twinBatch starts [A, A's word twin, B] on two workers, with A blocked
-// in its factory, and returns once B has started too: the worker that
-// drew the duplicate of whichever of A and its twin claimed the key
-// first has handed it over and moved on. The caller opens a.
+// in its factory, and returns once B has started too: A and its twin
+// are one group, so the other worker takes B's group instead of waiting
+// on A's execution. The caller opens a.
 func twinBatch(t *testing.T, ctx context.Context, rn *Runner, a Scenario, ga *gate, b Scenario, gb *gate) *batchRun {
 	t.Helper()
 	twin := a
@@ -178,8 +178,8 @@ func TestBatchDuplicatesRunStagesOnce(t *testing.T) {
 	}
 }
 
-// TestBatchDuplicateCanceled checks a duplicate handed to its executing
-// twin counts as never started: when ctx is canceled before the twin
+// TestBatchDuplicateCanceled checks a duplicate waiting in its group
+// counts as never started: when ctx is canceled before its twin
 // finishes, the duplicate's slot stays nil and none of its stages run,
 // while the scenarios already executing complete.
 func TestBatchDuplicateCanceled(t *testing.T) {
@@ -206,9 +206,9 @@ func TestBatchDuplicateCanceled(t *testing.T) {
 }
 
 // TestBatchDuplicateRetriesFailedLeader checks errors stay unmemoized
-// inside a batch: when the execution a duplicate was handed to fails,
-// the duplicate reports its own outcome — it re-executes the failed
-// stages, and the retry is counted.
+// inside a batch: when the first execution of a group fails, the
+// duplicate after it reports its own outcome — it re-executes the
+// failed stages, and the retry is counted.
 func TestBatchDuplicateRetriesFailedLeader(t *testing.T) {
 	ga, gb := registerGate(t, 1), registerGate(t, 0)
 	rn := NewRunner(2)
@@ -236,55 +236,97 @@ func TestBatchDuplicateRetriesFailedLeader(t *testing.T) {
 	}
 }
 
-// TestBatchDuplicateWorkerFault checks a duplicate never hangs the batch
-// when the worker it was handed to dies before running it: the executing
-// scenario runs its duplicates as tasks of a one-worker pool, and a
-// dispatch fault on that task leaves the duplicate a synthesized error
-// result.
+// TestBatchDuplicateWorkerFault checks a group whose pool task dies
+// never hangs the batch: A and its engine twin are one group, and a
+// fault at its dispatch gives each of them a synthesized error result —
+// its prepared result, normalized spec and key included — while B's
+// group completes.
 func TestBatchDuplicateWorkerFault(t *testing.T) {
 	for _, kind := range []string{"error", "panic"} {
 		t.Run(kind, func(t *testing.T) {
-			ga, gb := registerGate(t, 0), registerGate(t, 0)
-			// Shared-baseline scenarios dispatch nothing on nested pools:
-			// the batch's three dispatches are hits 0-2 of the worker site,
-			// so hit 3 is the leader's dispatch of its duplicate.
+			// On one worker the dispatch ordinals follow the group order, and
+			// shared-baseline scenarios dispatch nothing on nested pools: the
+			// batch's dispatches are A's group task, then B's.
 			plan := faults.New(23)
 			if kind == "error" {
-				plan.ErrorAt(faults.SiteWorker, 3)
+				plan.ErrorAt(faults.SiteWorker, 0)
 			} else {
-				plan.PanicAt(faults.SiteWorker, 3)
+				plan.PanicAt(faults.SiteWorker, 0)
 			}
 			restore := faults.Activate(plan)
 			defer restore()
 
-			shared := func(w string) Scenario {
-				return Scenario{Workload: w, Scale: "small", Partition: PartitionShared}
-			}
-			run := twinBatch(t, context.Background(), NewRunner(2), shared(ga.name), ga, shared(gb.name), gb)
-			ga.open()
-			await(t, run.done, "the batch")
+			a := Scenario{Workload: "jpeg1-only", Scale: "small", Seed: 3, Partition: PartitionShared}
+			twin := a
+			twin.ExecEngine = "word"
+			b := a
+			b.Seed = 4
+			results, errs, done := NewRunner(1).RunBatchStream(context.Background(), []Scenario{a, twin, b}, nil)
+			await(t, done, "the batch")
 			restore()
 
-			if hits := plan.Hits(faults.SiteWorker); hits != 4 {
-				t.Fatalf("want 4 worker dispatches, got %d", hits)
+			if hits := plan.Hits(faults.SiteWorker); hits != 2 {
+				t.Fatalf("want 2 worker dispatches, got %d", hits)
 			}
-			var ran, synthesized int
-			for i, r := range run.results[:2] {
-				switch {
-				case r == nil:
-					t.Fatalf("result %d is nil", i)
-				case r.Error == "" && r.Shared != nil:
-					ran++
-				case strings.Contains(r.Error, "parallel.worker") && run.errs[i] != nil:
-					synthesized++
+			for i, r := range results[:2] {
+				if r == nil || !strings.Contains(r.Error, "parallel.worker") || errs[i] == nil {
+					t.Fatalf("slot %d: want a synthesized error naming parallel.worker, got %+v (err %v)", i, r, errs[i])
+				}
+				if r.Key == "" || r.Key != results[0].Key || r.Scenario.ExecEngine != "merged" {
+					t.Errorf("slot %d: a synthesized result must be the prepared one, got %+v", i, r)
 				}
 			}
-			if ran != 1 || synthesized != 1 {
-				t.Errorf("want one executed scenario and one synthesized error, got %+v and %+v", run.results[0], run.results[1])
-			}
-			if r := run.results[2]; r == nil || r.Error != "" {
-				t.Errorf("the unrelated scenario must complete, got %+v", r)
+			if r := results[2]; r == nil || r.Error != "" || r.Shared == nil {
+				t.Errorf("B must complete, got %+v", r)
 			}
 		})
+	}
+}
+
+// TestBatchDuplicatesDispatchOncePerKey checks a batch is its distinct
+// keys: with A warm, [A, B, B's exec twin, A renamed, C, B] dispatches
+// one pool task per missing key (shared-baseline scenarios dispatch no
+// nested pool tasks, so the worker site counts exactly those), runs one
+// shared run per missing key, serves A, its renamed copy and B's two
+// duplicates as result hits, and gives every slot the result of its
+// spec run alone.
+func TestBatchDuplicatesDispatchOncePerKey(t *testing.T) {
+	shared := func(seed uint64) Scenario {
+		return Scenario{Workload: "jpeg1-only", Scale: "small", Seed: seed, Partition: PartitionShared}
+	}
+	a, b, c := shared(0), shared(1), shared(2)
+	twin := b
+	twin.ExecEngine = "word"
+	renamed := a
+	renamed.Name = "renamed"
+	batch := []Scenario{a, b, twin, renamed, c, b}
+
+	rn := NewRunner(2)
+	if _, err := rn.Run(a); err != nil {
+		t.Fatal(err)
+	}
+	plan := faults.New(29)
+	restore := faults.Activate(plan)
+	before := rn.Stats()
+	results := rn.RunBatch(batch)
+	st := rn.Stats().Delta(before)
+	restore()
+
+	if n := plan.Hits(faults.SiteWorker); n != 2 {
+		t.Errorf("want one pool task per missing key (2), got %d dispatches", n)
+	}
+	if st.RunRuns != 2 || st.MemoHits != 4 {
+		t.Errorf("want 2 shared runs and 4 result hits, got %+v", st)
+	}
+	for i, s := range batch {
+		alone, err := NewRunner(1).Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := json.Marshal(results[i])
+		want, _ := json.Marshal(alone)
+		if string(got) != string(want) {
+			t.Errorf("result %d differs from the spec run alone:\n%s\nvs\n%s", i, got, want)
+		}
 	}
 }

@@ -173,7 +173,9 @@ func TestBatchIsolatesPanickingScenario(t *testing.T) {
 // survives a fault at the worker-dispatch boundary itself (before the
 // scenario's own containment even starts): the dead slot becomes a
 // synthesized error result, the walk does not deadlock, and the other
-// scenarios stream normally.
+// scenario — another content key, so another pool task — streams
+// normally. TestBatchDuplicateWorkerFault covers a dead task's
+// duplicates.
 func TestWorkerDispatchFaultSynthesizesResult(t *testing.T) {
 	for _, kind := range []string{"error", "panic"} {
 		t.Run(kind, func(t *testing.T) {
@@ -186,10 +188,12 @@ func TestWorkerDispatchFaultSynthesizesResult(t *testing.T) {
 			restore := faults.Activate(plan)
 			defer restore()
 
-			rn := NewRunner(1) // sequential: dispatch ordinal == batch index
+			rn := NewRunner(1) // sequential: the first dispatch is the first key's
 			spec := Scenario{Workload: "jpeg1-only", Scale: "small", Runs: 1, Partition: PartitionProfile}
+			other := spec
+			other.Seed = 1
 			var seen []int
-			results, errs, done := rn.RunBatchStream(context.Background(), []Scenario{spec, spec},
+			results, errs, done := rn.RunBatchStream(context.Background(), []Scenario{spec, other},
 				func(i int, res *Result) bool {
 					seen = append(seen, i)
 					return true

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -36,13 +35,13 @@ import (
 // (Prepare, RunPreparedStream) and skip the normalization and hash too;
 // Memoize holds such values, a sweep's plan for one, in the memo.
 //
-// A batch whose every scenario is a result hit is served on the
-// caller's goroutine, without the worker pool. Within any other batch, a
-// duplicate — a scenario whose content key another scenario of the
-// batch is already executing, such as a renamed copy or an engine twin
-// (the engine fields normalize to the production engines) — never holds
-// a worker waiting on that execution: the executing scenario's worker
-// runs it right after its own, a result memo hit (see RunBatchStream).
+// A batch is its distinct keys: its result hits and validation failures
+// are served on the caller's goroutine, and the other scenarios are
+// grouped by content key, one worker-pool task per key. A duplicate —
+// a renamed copy, or an engine twin (the engine fields normalize to the
+// production engines) — joins its key's group and is a result hit right
+// after the group's first scenario executes, so it never holds a worker
+// waiting on that execution (see RunBatchStream).
 //
 // A Runner is safe for concurrent use; the serve mode shares one across
 // requests, turning the memo into a result cache.
@@ -887,35 +886,32 @@ func (r *Runner) RunBatchContext(ctx context.Context, specs []Scenario) []*Resul
 // left nil. The walk also ends at the first nil slot (nothing later can
 // be streamed in order past a hole).
 //
-// Every scenario is prepared (normalized and keyed) up front, on the
-// caller's goroutine. A batch whose every scenario is a result hit is
-// then served right there, in order, without the worker pool: a warm
-// batch costs its preparing and one lookup per scenario. Any other
-// batch — one with a miss or a validation failure, or under a canceled
-// ctx — goes to the pool whole. There a duplicate — a scenario whose
-// content key another scenario of the batch is already executing, such
-// as an engine twin or a renamed copy — does not hold the worker
-// waiting on that execution's stages: it is handed to the scenario
-// executing the key, whose worker runs it right after its own (a result
-// memo hit) on a one-worker pool, while this worker moves on to the
-// next index. Results stay in input order and each duplicate keeps its
-// own normalized spec and name. Errors are never memoized, so a
-// duplicate whose first execution failed re-executes its stages. A
-// canceled ctx leaves handed-over duplicates unstarted (nil), and a
-// duplicate whose executing worker died gets a synthesized error
-// result, like any slot whose worker died.
+// A batch is its distinct keys. Every scenario is prepared (normalized
+// and keyed) up front, on the caller's goroutine, and one that failed to
+// prepare or whose content key has a result entry is final right there:
+// validation failures and result hits never reach the worker pool, so a
+// warm batch costs its preparing and one lookup per scenario. The other
+// scenarios are grouped by content key in order of first appearance — a
+// renamed copy or an engine twin joins its key's group — and each group
+// is one pool task that completes its scenarios in input order: the
+// first executes, and the rest are result hits that keep their own
+// normalized spec and name. Errors are never memoized, so when the first
+// fails the next re-executes. A canceled ctx leaves every scenario not
+// yet started nil, and a group whose task died gives each scenario it
+// did not finish a synthesized error result.
 //
 // RunBatchStream returns as soon as the walk ends; the results and
 // errors slices are safe to read in full only after the returned
-// channel is closed (every worker finished). Slots already visited by
-// observe are safe immediately.
+// channel is closed (every group finished; a batch with no group starts
+// no goroutine and returns it closed). Slots already visited by observe
+// are safe immediately.
 func (r *Runner) RunBatchStream(ctx context.Context, specs []Scenario, observe func(int, *Result) bool) ([]*Result, []error, <-chan struct{}) {
 	prepared := make([]*Result, len(specs))
 	errs := make([]error, len(specs))
 	for i, s := range specs {
 		prepared[i], errs[i] = r.Prepare(s)
 	}
-	return r.stream(ctx, specs, prepared, errs, observe)
+	return r.stream(ctx, prepared, errs, observe)
 }
 
 // RunPreparedStream is RunBatchStream over scenarios already prepared by
@@ -932,199 +928,122 @@ func (r *Runner) RunPreparedStream(ctx context.Context, prepared []*Result, errs
 	}
 	perrs := make([]error, len(prepared))
 	copy(perrs, errs)
-	return r.stream(ctx, nil, fresh, perrs, observe)
+	return r.stream(ctx, fresh, perrs, observe)
 }
 
-// served is the workers-finished channel of a batch served without the
-// pool: closed from the start.
+// served is the workers-finished channel of a batch with no group:
+// closed from the start.
 var served = func() chan struct{} {
 	c := make(chan struct{})
 	close(c)
 	return c
 }()
 
-// stream runs a prepared batch: prepared holds each scenario's prepared
-// result and perrs its validation error. specs, the raw specs, label
-// the results synthesized for dead workers; nil labels them with the
-// prepared specs.
-func (r *Runner) stream(ctx context.Context, specs []Scenario, prepared []*Result, perrs []error, observe func(int, *Result) bool) ([]*Result, []error, <-chan struct{}) {
-	if r.serveHits(ctx, prepared, perrs) {
-		for i, res := range prepared {
-			if observe != nil && !observe(i, res) {
-				break
-			}
+// stream runs a prepared batch in place: results holds each scenario's
+// prepared result, which becomes its result, and errs its validation
+// error.
+func (r *Runner) stream(ctx context.Context, results []*Result, errs []error, observe func(int, *Result) bool) ([]*Result, []error, <-chan struct{}) {
+	if ctx.Err() != nil {
+		return make([]*Result, len(results)), make([]error, len(results)), served
+	}
+	b := r.group(ctx, results, errs)
+	done := served
+	if b != nil {
+		running := make(chan struct{})
+		go b.run(running)
+		done = running
+	}
+	for i := range results {
+		if b != nil && b.ready[i] != nil {
+			<-b.ready[i]
 		}
-		return prepared, perrs, served
-	}
-	d := &dispatch{
-		r:        r,
-		ctx:      ctx,
-		specs:    specs,
-		prepared: prepared,
-		perrs:    perrs,
-		results:  make([]*Result, len(prepared)),
-		errs:     make([]error, len(prepared)),
-		ready:    make([]chan struct{}, len(prepared)),
-		onces:    make([]sync.Once, len(prepared)),
-	}
-	for i := range d.ready {
-		d.ready[i] = make(chan struct{})
-	}
-	done := make(chan struct{})
-	go d.run(done)
-	for i := range prepared {
-		<-d.ready[i]
-		if d.results[i] == nil {
-			break
-		}
-		if observe != nil && !observe(i, d.results[i]) {
+		if results[i] == nil || observe != nil && !observe(i, results[i]) {
 			break
 		}
 	}
-	return d.results, d.errs, done
+	return results, errs, done
 }
 
-// serveHits fills every prepared result of a batch from its result
-// entry, counting the hits as complete does, when each one has an
-// entry, and reports whether it did. Otherwise — a miss, a scenario
-// that failed to prepare, or a canceled ctx — it leaves the batch and
-// the counters untouched.
-func (r *Runner) serveHits(ctx context.Context, prepared []*Result, perrs []error) bool {
-	if ctx.Err() != nil {
-		return false
-	}
-	var hits uint64
-	for i, res := range prepared {
-		var c *Result
-		if perrs[i] == nil {
-			c, _ = r.memo.get(resultKind + "|" + res.Key).(*Result)
+// batch is the part of a prepared batch that goes to the worker pool:
+// its slots grouped by content key.
+type batch struct {
+	r       *Runner
+	ctx     context.Context
+	results []*Result
+	errs    []error
+	groups  [][]int         // the slots of each content key, in input order
+	ready   []chan struct{} // closed once a grouped slot is final; nil for the others
+}
+
+// group finalizes the slots of a prepared batch that failed to prepare
+// or have a result entry, serving and counting each hit as complete
+// does, and groups the rest by content key in order of first
+// appearance. It returns nil, having allocated nothing, when every slot
+// is final.
+func (r *Runner) group(ctx context.Context, results []*Result, errs []error) *batch {
+	var (
+		b    *batch
+		keys map[string]int // content key → its index in b.groups
+		hits uint64
+	)
+	for i, res := range results {
+		if errs[i] != nil {
+			continue
 		}
-		if c == nil {
-			for _, p := range prepared[:i] {
-				p.setSections(&Result{})
-			}
-			return false
+		if c, ok := r.memo.get(resultKind + "|" + res.Key).(*Result); ok {
+			res.setSections(c)
+			hits += resultHits(res)
+			continue
 		}
-		res.setSections(c)
-		hits += resultHits(res)
+		if b == nil {
+			b = &batch{r: r, ctx: ctx, results: results, errs: errs, ready: make([]chan struct{}, len(results))}
+			keys = make(map[string]int)
+		}
+		g, ok := keys[res.Key]
+		if !ok {
+			g = len(b.groups)
+			keys[res.Key] = g
+			b.groups = append(b.groups, nil)
+		}
+		b.groups[g] = append(b.groups[g], i)
+		b.ready[i] = make(chan struct{})
 	}
 	atomic.AddUint64(&r.memoHits, hits)
-	return true
+	return b
 }
 
-// dispatch is one batch of RunBatchStream in flight on the worker pool:
-// the prepared scenarios, the result slots, the channels the in-order
-// walk waits on, and the content keys its workers are executing.
-type dispatch struct {
-	r        *Runner
-	ctx      context.Context
-	specs    []Scenario // raw specs, nil for a prepared stream
-	prepared []*Result
-	perrs    []error // validation errors of prepared
-	results  []*Result
-	errs     []error
-	ready    []chan struct{} // closed once a slot is final
-	onces    []sync.Once
-
-	mu        sync.Mutex
-	executing map[string][]handoff // keys executing → duplicates handed to them
-}
-
-// handoff is a duplicate waiting for the worker executing its key.
-type handoff struct {
-	i   int
-	res *Result // the duplicate's own prepared result
-}
-
-// run executes the batch over the worker pool and closes done once every
-// slot is final.
-func (d *dispatch) run(done chan<- struct{}) {
+// run completes each group as one task of the worker pool, its slots in
+// input order until ctx is canceled, and closes done once every slot is
+// final.
+func (b *batch) run(done chan<- struct{}) {
 	defer close(done)
-	derr := parallel.Do(parallel.Workers(d.r.workers), len(d.prepared), d.work)
-	// A worker slot that died before its scenario ran (an injected
+	finished := make([]int, len(b.groups))
+	err := parallel.Do(parallel.Workers(b.r.workers), len(b.groups), func(g int) error {
+		for _, i := range b.groups[g] {
+			if b.ctx.Err() != nil {
+				break
+			}
+			b.results[i], b.errs[i] = b.r.complete(b.ctx, b.results[i])
+			finished[g]++
+			close(b.ready[i])
+		}
+		return nil
+	})
+	// A slot its group did not finish is unstarted under a canceled ctx
+	// (nil). Under a live ctx its group's task died — an injected
 	// dispatch fault, or a panic the pool recovered outside the
-	// scenario's own containment) leaves its slot nil with a live
-	// context. Synthesize an error result before closing the channel, so
-	// the in-order walk neither hangs on the unclosed channel nor
+	// scenarios' own containment — so err is set: the slot gets a
+	// synthesized error result, and the in-order walk neither hangs nor
 	// mistakes the hole for a cancellation.
-	for i := range d.prepared {
-		if d.results[i] == nil && d.errs[i] == nil && d.ctx.Err() == nil {
-			err := derr
-			if err == nil {
-				err = fmt.Errorf("scenario: batch worker for scenario %d did not run", i)
+	for g, slots := range b.groups {
+		for _, i := range slots[finished[g]:] {
+			if b.ctx.Err() != nil {
+				b.results[i] = nil
+			} else {
+				b.errs[i] = err
+				b.results[i].Error = err.Error()
 			}
-			spec := d.prepared[i].Scenario
-			if d.specs != nil {
-				spec = d.specs[i]
-			}
-			d.errs[i] = err
-			d.results[i] = &Result{SchemaVersion: report.SchemaVersion, Scenario: spec, Error: err.Error()}
+			close(b.ready[i])
 		}
-		d.closeReady(i)
-	}
-}
-
-func (d *dispatch) closeReady(i int) { d.onces[i].Do(func() { close(d.ready[i]) }) }
-
-// work is the pool task of index i: record the scenario's validation
-// failure, or execute it — with every duplicate handed over meanwhile —
-// or, when its key is already executing, hand it to that execution.
-func (d *dispatch) work(i int) error {
-	if d.ctx.Err() != nil {
-		d.closeReady(i)
-		return nil
-	}
-	res := d.prepared[i]
-	if err := d.perrs[i]; err != nil {
-		d.results[i], d.errs[i] = res, err
-		d.closeReady(i)
-		return nil
-	}
-	d.mu.Lock()
-	if dups, executing := d.executing[res.Key]; executing {
-		d.executing[res.Key] = append(dups, handoff{i, res})
-		d.mu.Unlock()
-		return nil // the key's executing worker runs it next
-	}
-	if d.executing == nil {
-		d.executing = make(map[string][]handoff)
-	}
-	d.executing[res.Key] = nil
-	d.mu.Unlock()
-	d.slot(i, res)
-	return d.drain(res.Key)
-}
-
-// drain runs the duplicates handed to key's execution, as tasks of a
-// one-worker pool, until none are left; it returns the pool's first
-// error.
-func (d *dispatch) drain(key string) error {
-	var first error
-	for {
-		d.mu.Lock()
-		dups := d.executing[key]
-		if len(dups) == 0 {
-			delete(d.executing, key)
-			d.mu.Unlock()
-			return first
-		}
-		d.executing[key] = nil
-		d.mu.Unlock()
-		err := parallel.Do(1, len(dups), func(k int) error {
-			d.slot(dups[k].i, dups[k].res)
-			return nil
-		})
-		if first == nil {
-			first = err
-		}
-	}
-}
-
-// slot executes one prepared scenario into slot i; a canceled ctx leaves
-// the slot nil.
-func (d *dispatch) slot(i int, res *Result) {
-	defer d.closeReady(i)
-	if d.ctx.Err() == nil {
-		d.results[i], d.errs[i] = d.r.complete(d.ctx, res)
 	}
 }

@@ -339,32 +339,83 @@ type StreamEnd struct {
 	Error     string `json:"error,omitempty"`
 }
 
-// streamEnd classifies how a stream finished.
-func streamEnd(delivered, expected int, ctx context.Context, encErr error) StreamEnd {
-	end := StreamEnd{Delivered: delivered, Expected: expected}
+// ndjson is one NDJSON response stream: startStream commits its
+// header, emit writes each per-item envelope, aggregate the summary of a
+// stream that delivered everything, and end the terminal stream.end.
+// Every envelope is flushed as soon as it is written. The first failed
+// write is kept: it stops every later emit and aggregate, and end
+// reports it.
+type ndjson struct {
+	s         *Server
+	ctx       context.Context
+	path      string // the endpoint, for the log
+	enc       *json.Encoder
+	flusher   http.Flusher
+	delivered int   // per-item envelopes written
+	err       error // the first failed write
+}
+
+// startStream commits a 200 NDJSON response for the request.
+func (s *Server) startStream(w http.ResponseWriter, r *http.Request) *ndjson {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	return &ndjson{s: s, ctx: r.Context(), path: r.URL.Path, enc: json.NewEncoder(w), flusher: flusher}
+}
+
+// write encodes and flushes one envelope; a failure is logged, not
+// fatal (the client may be gone).
+func (st *ndjson) write(env report.Envelope) error {
+	if err := st.enc.Encode(env); err != nil {
+		st.s.logf("serve: %s: writing %s after %d delivered: %v", st.path, env.Kind, st.delivered, err)
+		return err
+	}
+	if st.flusher != nil {
+		st.flusher.Flush()
+	}
+	return nil
+}
+
+// emit writes one per-item envelope unless an earlier write failed, and
+// reports whether it was delivered.
+func (st *ndjson) emit(env report.Envelope) bool {
+	if st.err == nil {
+		st.err = st.write(env)
+	}
+	if st.err != nil {
+		return false
+	}
+	st.delivered++
+	return true
+}
+
+// aggregate writes the stream's summary envelope, unless an earlier
+// write failed or the request context expired.
+func (st *ndjson) aggregate(env report.Envelope) {
+	if st.err == nil && st.ctx.Err() == nil {
+		st.err = st.write(env)
+	}
+}
+
+// end classifies how the stream finished against the expected count of
+// per-item envelopes and writes the terminal envelope (best-effort). A
+// non-nil failed — a run that ended in an error — reports an otherwise
+// complete stream as truncated.
+func (st *ndjson) end(expected int, failed error) {
+	end := StreamEnd{Delivered: st.delivered, Expected: expected}
 	switch {
-	case encErr != nil:
-		end.Reason, end.Error = "error", encErr.Error()
-	case ctx.Err() != nil:
-		end.Reason, end.Error = "canceled", ctx.Err().Error()
-	case delivered < expected:
+	case st.err != nil:
+		end.Reason, end.Error = "error", st.err.Error()
+	case st.ctx.Err() != nil:
+		end.Reason, end.Error = "canceled", st.ctx.Err().Error()
+	case failed != nil:
+		end.Reason, end.Error = "truncated", failed.Error()
+	case st.delivered < expected:
 		end.Reason = "truncated"
 	default:
 		end.Reason = "complete"
 	}
-	return end
-}
-
-// endStream writes the terminal envelope (best-effort: the client may
-// already be gone — that is logged, not fatal).
-func (s *Server) endStream(enc *json.Encoder, flusher http.Flusher, end StreamEnd) {
-	if err := enc.Encode(report.NewEnvelope(StreamEndKind, end)); err != nil {
-		s.logf("serve: writing stream.end (%s, %d/%d): %v", end.Reason, end.Delivered, end.Expected, err)
-		return
-	}
-	if flusher != nil {
-		flusher.Flush()
-	}
+	st.write(report.NewEnvelope(StreamEndKind, end))
 }
 
 func (s *Server) batch(w http.ResponseWriter, r *http.Request) {
@@ -405,11 +456,7 @@ func (s *Server) batch(w http.ResponseWriter, r *http.Request) {
 		specs[i] = spec
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	ctx := r.Context()
+	st := s.startStream(w, r)
 
 	// Fan the batch out over the runner's pool and stream each result in
 	// submission order the moment it and its predecessors are done. The
@@ -420,21 +467,10 @@ func (s *Server) batch(w http.ResponseWriter, r *http.Request) {
 	// and shared, so the work is not wasted). A scenario whose pipeline
 	// panicked arrives as a result with its "error" field set; the
 	// stream, and every other request, keeps going.
-	delivered := 0
-	var encErr error
-	s.rn.RunBatchStream(ctx, specs, func(i int, res *scenario.Result) bool {
-		if err := enc.Encode(res.Envelope()); err != nil {
-			encErr = err
-			s.logf("serve: batch stream: client write failed after %d/%d results: %v", delivered, len(specs), err)
-			return false
-		}
-		delivered++
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
+	s.rn.RunBatchStream(r.Context(), specs, func(i int, res *scenario.Result) bool {
+		return st.emit(res.Envelope())
 	})
-	s.endStream(enc, flusher, streamEnd(delivered, len(specs), ctx, encErr))
+	st.end(len(specs), nil)
 }
 
 // sweep expands and executes a declarative parameter sweep, streaming
@@ -474,36 +510,12 @@ func (s *Server) sweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	ctx := r.Context()
-	delivered := 0
-	var encErr error
-	res, _ := sweep.ExecutePrepared(ctx, s.rn, plan, func(p sweep.PointResult) {
-		if encErr != nil {
-			return
-		}
-		if err := enc.Encode(p.Envelope()); err != nil {
-			encErr = err
-			s.logf("serve: sweep stream: client write failed after %d/%d points: %v", delivered, plan.Len(), err)
-			return
-		}
-		delivered++
-		if flusher != nil {
-			flusher.Flush()
-		}
-	})
-	if res != nil && ctx.Err() == nil && encErr == nil {
-		if err := enc.Encode(res.Envelope()); err != nil {
-			encErr = err
-			s.logf("serve: sweep stream: writing aggregate: %v", err)
-		} else if flusher != nil {
-			flusher.Flush()
-		}
+	st := s.startStream(w, r)
+	res, _ := sweep.ExecutePrepared(r.Context(), s.rn, plan, func(p sweep.PointResult) { st.emit(p.Envelope()) })
+	if res != nil {
+		st.aggregate(res.Envelope())
 	}
-	s.endStream(enc, flusher, streamEnd(delivered, plan.Len(), ctx, encErr))
+	st.end(plan.Len(), nil)
 }
 
 // explore runs a budgeted Pareto-guided exploration of a sweep-defined
@@ -545,44 +557,16 @@ func (s *Server) explore(w http.ResponseWriter, r *http.Request) {
 		budget = s.opts.MaxBatch
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	ctx := r.Context()
-	delivered := 0
-	var encErr error
-	res, runErr := explore.Run(ctx, s.rn, ex, explore.Options{Budget: budget}, func(p explore.PointResult) {
-		if encErr != nil {
-			return
-		}
-		if err := enc.Encode(p.Envelope()); err != nil {
-			encErr = err
-			s.logf("serve: explore stream: client write failed after %d points: %v", delivered, err)
-			return
-		}
-		delivered++
-		if flusher != nil {
-			flusher.Flush()
-		}
-	})
-	if res != nil && runErr == nil && ctx.Err() == nil && encErr == nil {
-		if err := enc.Encode(res.Envelope()); err != nil {
-			encErr = err
-			s.logf("serve: explore stream: writing aggregate: %v", err)
-		} else if flusher != nil {
-			flusher.Flush()
-		}
+	st := s.startStream(w, r)
+	res, runErr := explore.Run(r.Context(), s.rn, ex, explore.Options{Budget: budget}, func(p explore.PointResult) { st.emit(p.Envelope()) })
+	if res != nil && runErr == nil {
+		st.aggregate(res.Envelope())
 	}
 	// An adaptive search's point count is not knowable upfront, so the
 	// terminal envelope cannot promise an expected count the way the
 	// batch and sweep streams do: expected mirrors delivered, and a
 	// search failing mid-run is reported as a truncation.
-	end := streamEnd(delivered, delivered, ctx, encErr)
-	if runErr != nil && end.Reason == "complete" {
-		end.Reason, end.Error = "truncated", runErr.Error()
-	}
-	s.endStream(enc, flusher, end)
+	st.end(st.delivered, runErr)
 }
 
 // reject writes an over-capacity (or draining) response with the
