@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/arena"
 )
 
 // Sharing scopes of a cache level. A scope is the string form used in
@@ -291,29 +293,48 @@ func (t Topology) Validate(numCPUs int) error {
 // instances of every level, group-assigned, plus the per-CPU hierarchy
 // paths the execution engine charges through.
 type Tree struct {
-	// Topo is shared read-only with the interned Descriptor the tree
-	// was instantiated from; it must not be mutated.
+	// Topo is the tree's own deep copy of the topology it was built from.
 	Topo    Topology
 	NumCPUs int
 
-	desc        *Descriptor
 	caches      [][]*Cache // [level][group]
 	groups      []int      // CPUs per instance, per level
 	firstShared int
 	partLevel   int
 }
 
-// Build instantiates the topology's caches. Shared levels get one
-// instance, cluster:N levels one per N CPUs, private levels one per CPU
-// (named "<level>.<cpu>"; per-CPU geometry overrides apply there).
-// It is Describe (interned, shared across equal topologies) followed by
-// a heap-allocated Instantiate.
-func (t Topology) Build(numCPUs int) (*Tree, error) {
-	d, err := t.Describe(numCPUs)
-	if err != nil {
+// Build validates the topology and instantiates its caches. Shared
+// levels get one instance, cluster:N levels one per N CPUs, private
+// levels one per CPU (named "<level>.<cpu>"; per-CPU geometry overrides
+// apply there). Every instance's line state is drawn from the arena
+// (heap-allocated when a is nil).
+func (t Topology) Build(numCPUs int, a *arena.Arena) (*Tree, error) {
+	if err := t.Validate(numCPUs); err != nil {
 		return nil, err
 	}
-	return d.Instantiate(nil), nil
+	tr := &Tree{
+		Topo:        t.Clone(),
+		NumCPUs:     numCPUs,
+		caches:      make([][]*Cache, len(t.Levels)),
+		groups:      make([]int, len(t.Levels)),
+		firstShared: t.FirstShared(),
+		partLevel:   t.PartitionIndex(),
+	}
+	for li, l := range tr.Topo.Levels {
+		g, _ := GroupSize(l.Scope, numCPUs)
+		n := numCPUs / g
+		row := make([]*Cache, n)
+		for i := range row {
+			cfg := l.ConfigFor(i * g) // identity for non-private scopes
+			if n > 1 {
+				cfg.Name = l.Name + "." + strconv.Itoa(i)
+			}
+			row[i] = newIn(cfg, a)
+		}
+		tr.groups[li] = g
+		tr.caches[li] = row
+	}
+	return tr, nil
 }
 
 // NumLevels returns the level count.
@@ -333,9 +354,6 @@ func (tr *Tree) LevelCaches(level int) []*Cache { return tr.caches[level] }
 // geometry the execution engine's line-register files are keyed by), or
 // 0 when the leaf is already shared (no cacheable batching).
 func (tr *Tree) MaxLeafSets() int {
-	if tr.desc != nil {
-		return tr.desc.MaxLeafSets()
-	}
 	if tr.firstShared == 0 {
 		return 0
 	}
@@ -347,10 +365,6 @@ func (tr *Tree) MaxLeafSets() int {
 	}
 	return most
 }
-
-// Descriptor returns the interned immutable descriptor the tree was
-// instantiated from, or nil for a hand-assembled tree.
-func (tr *Tree) Descriptor() *Descriptor { return tr.desc }
 
 // PartitionCache returns the partition level's (single, shared) cache.
 func (tr *Tree) PartitionCache() *Cache { return tr.caches[tr.partLevel][0] }

@@ -109,7 +109,7 @@ func TestTopologyValidate(t *testing.T) {
 // exactly like the legacy L1-less hierarchy.
 func TestSingleLevelTopology(t *testing.T) {
 	topo := Topology{Levels: []LevelSpec{{Name: "l2", Scope: ScopeShared, Sets: 64, Ways: 4, LineSize: 64, HitLat: 8}}}
-	tr, err := topo.Build(2)
+	tr, err := topo.Build(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestSingleLevelTopology(t *testing.T) {
 	// A dirty eviction from the (shared) leaf is a root writeback, not a
 	// leaf-to-next one: it posts to memory and must not count as a
 	// private-leaf writeback (the legacy L1-less hierarchy's semantics).
-	tiny, err := Topology{Levels: []LevelSpec{{Name: "l2", Scope: ScopeShared, Sets: 1, Ways: 1, LineSize: 64, HitLat: 8}}}.Build(1)
+	tiny, err := Topology{Levels: []LevelSpec{{Name: "l2", Scope: ScopeShared, Sets: 1, Ways: 1, LineSize: 64, HitLat: 8}}}.Build(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestClusterTreeSharing(t *testing.T) {
 		{Name: "l2", Scope: ClusterScope(2), Sets: 16, Ways: 2, LineSize: 64, HitLat: 8},
 		l3Spec(),
 	}}
-	tr, err := topo.Build(4)
+	tr, err := topo.Build(4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestPerCPUHeterogeneousGeometry(t *testing.T) {
 	l1 := l1Spec()
 	l1.PerCPU = map[int]Geometry{1: {Sets: 32, Ways: 4}}
 	topo := Topology{Levels: []LevelSpec{l1, l3Spec()}}
-	tr, err := topo.Build(2)
+	tr, err := topo.Build(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,9 +23,9 @@ import (
 const smallStudyAllocBudget = 75_000
 
 // TestSmallStudyBoundedAllocs pins the per-run allocation count of a
-// complete Small-scale study. The first study warms the arena pool and
-// the interned topology descriptor; steady-state studies must then fit
-// the budget.
+// complete Small-scale study. The first study warms the arena pool;
+// steady-state studies, each building its own cache trees on pooled
+// arenas, must then fit the budget.
 func TestSmallStudyBoundedAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full study in -short mode")
@@ -64,33 +64,18 @@ func miniGrid(cfg Config) sweep.Sweep {
 	}
 }
 
-// TestConcurrentSimulationsBitIdentical is the isolation proof for the
-// shared immutable artifacts: two independent simulations that resolve
-// the same interned topology descriptor, run concurrently with each
-// other AND with a sweep executing on its own runner, must produce
-// results bit-identical to the same work run sequentially. Under -race
-// this doubles as the data-race check for the descriptor/state split
-// and the arena pool.
+// TestConcurrentSimulationsBitIdentical is the isolation proof for
+// concurrent simulations: two independent simulations of the same
+// platform config, each building its own cache tree on a pooled arena,
+// run concurrently with each other AND with a sweep executing on its
+// own runner, must produce results bit-identical to the same work run
+// sequentially. Under -race this doubles as the data-race check for the
+// arena pool and the config the simulations read.
 func TestConcurrentSimulationsBitIdentical(t *testing.T) {
 	cfg := Small()
 	rc := core.RunConfig{Platform: cfg.Platform}
 	wA := workloads.JPEGCanny(workloads.Small, nil)
 	wB := workloads.MPEG2(workloads.Small, nil)
-
-	// Both simulations must share one immutable descriptor: interning
-	// is keyed by the canonical topology encoding, so equal configs
-	// resolve to the same pointer.
-	d1, err := cfg.Platform.Topology.Describe(cfg.Platform.NumCPUs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := cfg.Platform.Topology.Describe(cfg.Platform.NumCPUs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1 != d2 {
-		t.Fatalf("equal topologies interned to distinct descriptors: %p vs %p", d1, d2)
-	}
 
 	// Sequential reference.
 	seqA, err := core.Run(wA, rc)

@@ -50,8 +50,12 @@ func TestParseSpec(t *testing.T) {
 		len(got.Rungs) != 2 || got.Rungs[0] != 1 || got.Rungs[1] != 2 {
 		t.Errorf("strategy round-trip: got %+v", got)
 	}
-	if n, err := ex.Sweep.Total(); err != nil || n != 6 {
-		t.Errorf("space size: %d (%v), want 6", n, err)
+	sp, err := ex.Sweep.Index()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.Total() != 6 {
+		t.Errorf("space size: %d, want 6", sp.Total())
 	}
 }
 
@@ -83,8 +87,12 @@ func TestParseBuiltinSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := ex.Sweep.Total(); err != nil || ex.Name != "paper-grid" || n != 32 {
-		t.Errorf("builtin sweep: name %q, total %d (%v)", ex.Name, n, err)
+	sp, err := ex.Sweep.Index()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.Name != "paper-grid" || sp.Total() != 32 {
+		t.Errorf("builtin sweep: name %q, total %d", ex.Name, sp.Total())
 	}
 	if _, err := Parse([]byte(`{"sweep": "no-such-grid"}`), nil, lookup); err == nil {
 		t.Error("unknown builtin sweep must fail")

@@ -2,7 +2,6 @@ package explore
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -671,19 +670,7 @@ func (s *searcher) simulate(ctx context.Context, indices []int, rung int) ([]swe
 	<-done
 	out := make([]sweep.PointSummary, len(indices))
 	for i, pt := range points {
-		ps := sweep.PointSummary{Index: pt.Index, Coords: pt.Coords}
-		switch r := results[i]; {
-		case r == nil:
-			ps.Canceled = true
-		case r.Error != "" && (errors.Is(errs[i], context.Canceled) || errors.Is(errs[i], context.DeadlineExceeded)):
-			ps.Key, ps.Error, ps.Canceled = r.Key, r.Error, true
-		case r.Error != "":
-			ps.Key, ps.Error = r.Key, r.Error
-		default:
-			ps.Key = r.Key
-			ps.Metrics = sweep.MetricsOf(r)
-		}
-		out[i] = ps
+		out[i] = sweep.Summarize(pt.Index, pt.Coords, results[i], errs[i], 0)
 	}
 	return out, nil
 }

@@ -164,22 +164,20 @@ var arenaPool = sync.Pool{New: func() any { return arena.New() }}
 // regions live there). rtData and rtBSS are the run-time system's shared
 // sections; they may be nil, disabling OS memory traffic.
 //
-// The immutable topology descriptor is interned (shared read-only across
-// all platforms of the same spec); the per-simulation state — cache line
-// state, entity counters, the tasks' line-register files — comes from a
-// pooled bump arena that Release recycles.
+// Every simulation builds its own cache tree; the per-simulation state
+// — cache line state, entity counters, the tasks' line-register files —
+// comes from a pooled bump arena that Release recycles.
 func New(cfg Config, as *mem.AddressSpace, rtData, rtBSS *mem.Region) (*Platform, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	p := &Platform{cfg: cfg, as: as, rtData: rtData, rtBSS: rtBSS}
 	p.bus = bus.New(cfg.Bus)
-	desc, err := cfg.Topology.Describe(cfg.NumCPUs)
+	p.arena = arenaPool.Get().(*arena.Arena)
+	tree, err := cfg.Topology.Build(cfg.NumCPUs, p.arena)
 	if err != nil {
 		return nil, err
 	}
-	p.arena = arenaPool.Get().(*arena.Arena)
-	tree := desc.Instantiate(p.arena)
 	p.tree = tree
 	for k := 0; k < tree.NumLevels(); k++ {
 		for _, c := range tree.LevelCaches(k) {

@@ -94,6 +94,7 @@ func FuzzNormalize(f *testing.F) {
 	addExampleSpecs(f)
 	f.Add([]byte(`{"base":"app","exec_engine":"word","profile_engine":"bank","solver":"ilp","sizes":[8,2]}`))
 	f.Add([]byte(`{"workload":"mpeg2","platform":{"hierarchy":{"levels":[{"name":"l1"},{"name":"l2","per_cpu":{"1":{"ways":2}}},{"name":"l3","partition":true}]}}}`))
+	f.Add([]byte(`{"base":"app","sizes":[64,1,64,2,1]}`))
 	lookup := func(name string) (Scenario, bool) {
 		return Scenario{Workload: "2jpeg+canny", Scale: "small"}, name == "app"
 	}
@@ -108,6 +109,11 @@ func FuzzNormalize(f *testing.F) {
 		}
 		if n.ExecEngine != "merged" || n.ProfileEngine != "stackdist" || n.Solver != "mckp" {
 			t.Fatalf("engines or solver not normalized to production: exec %q, profile %q, solver %q", n.ExecEngine, n.ProfileEngine, n.Solver)
+		}
+		for i := 1; i < len(n.Sizes); i++ {
+			if n.Sizes[i] <= n.Sizes[i-1] {
+				t.Fatalf("normalized sizes not strictly ascending: %v", n.Sizes)
+			}
 		}
 		again, err := n.Normalize()
 		if err != nil {

@@ -203,7 +203,7 @@ func TestPerCPUGeometryJSONRoundTrip(t *testing.T) {
 		t.Errorf("content key drifted through JSON: %s vs %s", k1, k2)
 	}
 	// The override actually lands on the built tree.
-	tr, err := pc1.Topology.Build(pc1.NumCPUs)
+	tr, err := pc1.Topology.Build(pc1.NumCPUs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,7 +152,7 @@ func TestMemoResultSectionsStayImmutable(t *testing.T) {
 	}
 	var points int
 	res, err := sweep.Execute(context.Background(), rn, sw, func(p sweep.PointResult) {
-		if sweep.MetricsOf(p.Result) != nil {
+		if sweep.Summarize(p.Index, p.Coords, p.Result, nil, 0).Metrics != nil {
 			points++
 		}
 	})

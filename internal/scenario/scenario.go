@@ -19,7 +19,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -106,7 +106,9 @@ type Scenario struct {
 	// The oracle itself is reachable through platform.Config.Engine.
 	ExecEngine string `json:"exec_engine,omitempty"`
 	// Sizes restricts the candidate partition sizes (allocation units,
-	// powers of two); nil means the default 1..128 ladder.
+	// powers of two, in any order and with repeats allowed: the
+	// normalized list is sorted and distinct); nil means the default
+	// 1..128 ladder.
 	Sizes []int `json:"sizes,omitempty"`
 	// Migration enables dynamic scheduling with task migration for the
 	// measured shared/partitioned executions. Profiling runs always use
@@ -546,7 +548,8 @@ func (s Scenario) Normalize() (Scenario, error) {
 		n.Sizes = []int{1, 2, 4, 8, 16, 32, 64, 128}
 	} else {
 		n.Sizes = append([]int(nil), n.Sizes...)
-		sort.Ints(n.Sizes)
+		slices.Sort(n.Sizes)
+		n.Sizes = slices.Compact(n.Sizes) // a repeated size is no extra candidate
 		for _, v := range n.Sizes {
 			if v <= 0 || v&(v-1) != 0 {
 				return n, fmt.Errorf("scenario: candidate size %d not a positive power of two", v)

@@ -124,6 +124,7 @@ func TestContentKey(t *testing.T) {
 		"exec":           func(s *Scenario) { s.ExecEngine = "word" },
 		"profile_engine": func(s *Scenario) { s.ProfileEngine = "bank" },
 		"solver":         func(s *Scenario) { s.Solver = "ilp" },
+		"repeated sizes": func(s *Scenario) { s.Sizes = []int{1, 2, 4, 8, 16, 32, 64, 64, 128} },
 	} {
 		m := base
 		mutate(&m)

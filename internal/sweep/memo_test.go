@@ -377,7 +377,7 @@ func TestMemoPlanSpecsStayReadOnly(t *testing.T) {
 	served := func() []*scenario.Result {
 		var out []*scenario.Result
 		res, err := sweep.ExecutePrepared(context.Background(), rn, plan, func(p sweep.PointResult) {
-			if sweep.MetricsOf(p.Result) == nil && p.Result.Scenario.Partition != scenario.PartitionProfile {
+			if sweep.Summarize(p.Index, p.Coords, p.Result, nil, 0).Metrics == nil && p.Result.Scenario.Partition != scenario.PartitionProfile {
 				t.Errorf("point %d has no metrics", p.Index)
 			}
 			out = append(out, p.Result)

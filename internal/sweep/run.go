@@ -75,15 +75,35 @@ func (m *Metrics) get(name string) float64 {
 	return 0
 }
 
-// MetricsOf derives a point's metrics from its scenario result — nil
-// when the result carries no measured run (profile/optimize policies,
-// failures). The exploration layer summarizes its visited points
-// through exactly this derivation, so explore and sweep fronts are
-// computed from identical numbers.
-func MetricsOf(r *scenario.Result) *Metrics { return metricsOf(r, l2BytesOf(r.Scenario)) }
+// Summarize turns a finished point into its summary. The point is
+// canceled when it never started (r is nil) or when err, its run error,
+// says the context expired before its remaining stages; failed when r
+// carries any other error; else measured, with metrics from its
+// primary run (none for profile/optimize policies). l2Bytes is the
+// capacity of the point's partition level when the caller already has
+// it (a sweep plan keeps it per point); 0 derives it from r's spec.
+// Sweeps and explorations summarize their points through this one
+// function, so their fronts are computed from identical numbers.
+func Summarize(index int, coords []Coord, r *scenario.Result, err error, l2Bytes int) PointSummary {
+	ps := PointSummary{Index: index, Coords: coords}
+	switch {
+	case r == nil:
+		ps.Canceled = true
+	case r.Error != "":
+		ps.Key, ps.Error = r.Key, r.Error
+		ps.Canceled = errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	default:
+		ps.Key = r.Key
+		if l2Bytes == 0 {
+			l2Bytes = l2BytesOf(r.Scenario)
+		}
+		ps.Metrics = metricsOf(r, l2Bytes)
+	}
+	return ps
+}
 
 // metricsOf derives a point's metrics from its scenario result and the
-// L2 capacity of its spec.
+// L2 capacity of its spec — nil when the result carries no measured run.
 func metricsOf(r *scenario.Result, l2Bytes int) *Metrics {
 	run := r.Partitioned
 	if run == nil {
@@ -259,22 +279,12 @@ func ExecutePrepared(ctx context.Context, rn *scenario.Runner, p *Plan, observe 
 	}
 	res.Stats = rn.Stats().Delta(before)
 	for i, coords := range p.coords {
-		ps := PointSummary{Index: i, Coords: coords}
-		switch r := results[i]; {
-		case r == nil:
-			ps.Canceled = true
+		ps := Summarize(i, coords, results[i], errs[i], p.l2Bytes[i])
+		switch {
+		case ps.Canceled:
 			res.Canceled++
-		case r.Error != "" && (errors.Is(errs[i], context.Canceled) || errors.Is(errs[i], context.DeadlineExceeded)):
-			// The point started but ctx expired before its remaining
-			// stages: a cancellation, not an experiment failure.
-			ps.Key, ps.Error, ps.Canceled = r.Key, r.Error, true
-			res.Canceled++
-		case r.Error != "":
-			ps.Key, ps.Error = r.Key, r.Error
+		case ps.Error != "":
 			res.Failed++
-		default:
-			ps.Key = r.Key
-			ps.Metrics = metricsOf(r, p.l2Bytes[i])
 		}
 		res.Points[i] = ps
 	}

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -108,7 +109,7 @@ func TestSpaceCoordRoundTrip(t *testing.T) {
 // TestHugeSpaceExplorableNotExpandable is the regression test for the
 // lazy-indexing contract: a space beyond the 4096-point exhaustive cap
 // stays addressable point by point (Total, PointAt), while Expand and
-// Size keep refusing it — exploration scales, exhaustive expansion
+// Execute keep refusing it — exploration scales, exhaustive expansion
 // stays bounded.
 func TestHugeSpaceExplorableNotExpandable(t *testing.T) {
 	sw := Sweep{
@@ -118,16 +119,13 @@ func TestHugeSpaceExplorableNotExpandable(t *testing.T) {
 			{Name: "l2_kb", Field: "platform.l2.kb", Values: rawValues(t128, t256)},
 		},
 	}
-	total, err := sw.Total()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 2 << 16; total != want {
-		t.Fatalf("Total() = %d, want %d", total, want)
-	}
 	sp, err := sw.Index()
 	if err != nil {
 		t.Fatal(err)
+	}
+	total := sp.Total()
+	if want := 2 << 16; total != want {
+		t.Fatalf("Total() = %d, want %d", total, want)
 	}
 	// A point deep past the exhaustive cap materializes fine.
 	deep := 5*4096 + 3
@@ -141,7 +139,12 @@ func TestHugeSpaceExplorableNotExpandable(t *testing.T) {
 	if _, _, err := sw.Expand(); err == nil || !strings.Contains(err.Error(), "default cap") {
 		t.Errorf("uncapped Expand of a %d-point space must fail with the default-cap error, got %v", total, err)
 	}
-	if _, _, err := sw.Size(); err == nil {
-		t.Error("Size must keep refusing an uncapped over-limit expansion")
+	rn := scenario.NewRunner(1)
+	defer rn.Close()
+	if _, err := Execute(context.Background(), rn, sw, nil); err == nil || !strings.Contains(err.Error(), "default cap") {
+		t.Errorf("uncapped Execute of a %d-point space must fail with the default-cap error, got %v", total, err)
+	}
+	if st := rn.Stats(); st.StageRuns != 0 {
+		t.Errorf("a refused sweep must simulate nothing: %+v", st)
 	}
 }

@@ -350,32 +350,6 @@ func (sw Sweep) dims() ([]dim, int, error) {
 	return dims, total, nil
 }
 
-// plan validates the sweep and computes its dimensions, full product
-// size and capped point count — everything Expand needs short of
-// materializing the points.
-func (sw Sweep) plan() ([]dim, int, int, error) {
-	dims, total, err := sw.dims()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	limit := total
-	if sw.MaxPoints > 0 && limit > sw.MaxPoints {
-		limit = sw.MaxPoints
-	}
-	if sw.MaxPoints == 0 && total > DefaultMaxPoints {
-		return nil, 0, 0, fmt.Errorf("sweep: expansion has %d points (over the %d default cap); set max_points to run a truncated prefix deliberately", total, DefaultMaxPoints)
-	}
-	return dims, total, limit, nil
-}
-
-// Size reports the capped point count and the full cross-product size
-// without materializing any point — the cheap pre-flight check the
-// serve mode runs before committing to a 200 response.
-func (sw Sweep) Size() (executed, total int, err error) {
-	_, total, limit, err := sw.plan()
-	return limit, total, err
-}
-
 // Expand materializes the cross-product (zip groups count as one
 // dimension; within a dimension-major, last-dimension-fastest order,
 // so the first axis varies slowest). It returns the points actually to
@@ -383,13 +357,16 @@ func (sw Sweep) Size() (executed, total int, err error) {
 // product size. The order is a function of the spec alone, so sweep
 // results are stable across runs, platforms and worker counts.
 func (sw Sweep) Expand() ([]Point, int, error) {
-	_, total, limit, err := sw.plan()
-	if err != nil {
-		return nil, 0, err
-	}
 	sp, err := sw.Index()
 	if err != nil {
 		return nil, 0, err
+	}
+	if sw.MaxPoints == 0 && sp.total > DefaultMaxPoints {
+		return nil, 0, fmt.Errorf("sweep: expansion has %d points (over the %d default cap); set max_points to run a truncated prefix deliberately", sp.total, DefaultMaxPoints)
+	}
+	limit := sp.total
+	if sw.MaxPoints > 0 && limit > sw.MaxPoints {
+		limit = sw.MaxPoints
 	}
 	points := make([]Point, limit)
 	for p := 0; p < limit; p++ {
@@ -399,7 +376,7 @@ func (sw Sweep) Expand() ([]Point, int, error) {
 		}
 		points[p] = pt
 	}
-	return points, total, nil
+	return points, sp.total, nil
 }
 
 // Space is the index-addressed view of a sweep's cross-product: points
@@ -512,23 +489,4 @@ func (sp *Space) PointAt(p int) (Point, error) {
 	}
 	s.Name = fmt.Sprintf("%s[%s]", sp.name, coordString(coords))
 	return Point{Index: p, Coords: coords, Scenario: s}, nil
-}
-
-// Total reports the full cross-product size without materializing any
-// point and without the exhaustive-expansion caps — the index-addressed
-// counterpart of Size.
-func (sw Sweep) Total() (int, error) {
-	_, total, err := sw.dims()
-	return total, err
-}
-
-// PointAt materializes one point of the cross-product by index. For
-// repeated addressing, build the Space once with Index instead (this
-// convenience re-validates the sweep per call).
-func (sw Sweep) PointAt(p int) (Point, error) {
-	sp, err := sw.Index()
-	if err != nil {
-		return Point{}, err
-	}
-	return sp.PointAt(p)
 }

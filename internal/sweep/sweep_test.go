@@ -3,6 +3,8 @@ package sweep
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -424,18 +426,56 @@ func TestHugeRangeCappedSweep(t *testing.T) {
 		"axes": [{"field": "seed", "range": {"from": 0, "count": 100000000}}],
 		"max_points": 2
 	}`)
-	if executed, total, err := sw.Size(); err != nil || executed != 2 || total != 100000000 {
-		t.Fatalf("Size = %d of %d, %v", executed, total, err)
-	}
 	res, err := Execute(context.Background(), scenario.NewRunner(1), sw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Executed != 2 || res.Truncated != 100000000-2 {
+	if res.Executed != 2 || res.TotalPoints != 100000000 || res.Truncated != 100000000-2 {
 		t.Fatalf("bad cap accounting: %+v", res)
 	}
 	if len(res.Sensitivity) != 1 || len(res.Sensitivity[0].Rows) != 2 {
 		t.Fatalf("sensitivity must cover only executed values, got %+v", res.Sensitivity)
+	}
+}
+
+// TestSummarizeClassifiesPoints pins the point classifier sweeps and
+// explorations share: an unstarted point and one whose context expired
+// mid-pipeline are canceled, any other error fails the point, and a
+// measured point takes its metrics from the partitioned run, with the
+// L2 capacity given or derived from its spec.
+func TestSummarizeClassifiesPoints(t *testing.T) {
+	spec, err := baseScenario().Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coords := []Coord{{Axis: "seed", Value: "0"}}
+	if ps := Summarize(3, coords, nil, nil, 0); !ps.Canceled || ps.Index != 3 || ps.Error != "" || len(ps.Coords) != 1 {
+		t.Errorf("unstarted point: %+v", ps)
+	}
+	failed := &scenario.Result{Key: "k", Scenario: spec, Error: "stage failed"}
+	for _, err := range []error{context.Canceled, fmt.Errorf("profile: %w", context.DeadlineExceeded)} {
+		if ps := Summarize(0, coords, failed, err, 0); !ps.Canceled || ps.Key != "k" || ps.Error != "stage failed" {
+			t.Errorf("point expired by %v: %+v", err, ps)
+		}
+	}
+	if ps := Summarize(0, coords, failed, errors.New("stage failed"), 0); ps.Canceled || ps.Error != "stage failed" || ps.Metrics != nil {
+		t.Errorf("failed point: %+v", ps)
+	}
+	profiled := &scenario.Result{Key: "k", Scenario: spec}
+	if ps := Summarize(0, coords, profiled, nil, 0); ps.Canceled || ps.Error != "" || ps.Key != "k" || ps.Metrics != nil {
+		t.Errorf("a point without a measured run must carry no metrics: %+v", ps)
+	}
+	measured := &scenario.Result{Key: "k", Scenario: spec,
+		Shared:      &scenario.RunSummary{Makespan: 9, TotalMisses: 30},
+		Partitioned: &scenario.RunSummary{Makespan: 7, TotalMisses: 10},
+	}
+	const defaultL2 = 2048 * 4 * 64 // the default tile's shared L2
+	for given, want := range map[int]int{0: defaultL2, 4096: 4096} {
+		ps := Summarize(0, coords, measured, nil, given)
+		if m := ps.Metrics; ps.Canceled || ps.Error != "" || m == nil ||
+			m.Makespan != 7 || m.Misses != 10 || m.MissRatio != 3 || m.L2Bytes != want {
+			t.Errorf("measured point with l2Bytes %d: %+v, metrics %+v", given, ps, ps.Metrics)
+		}
 	}
 }
 
