@@ -139,12 +139,6 @@ func NewTwoLevel(l1, l2 *Cache, l1HitLat, l2HitLat uint64, memPort MemPort) *Hie
 	return NewHierarchy([]*Cache{l1, l2}, 1, []uint64{l1HitLat, l2HitLat}, memPort)
 }
 
-// Level returns the k-th level's cache (0 = leaf).
-func (h *Hierarchy) Level(k int) *Cache { return h.levels[k] }
-
-// NumLevels returns the path depth.
-func (h *Hierarchy) NumLevels() int { return len(h.levels) }
-
 // Leaf returns the leaf-side private/cluster cache, or nil when the
 // first level is already shared.
 func (h *Hierarchy) Leaf() *Cache {

@@ -217,9 +217,6 @@ func New(cfg Config, as *mem.AddressSpace, rtData, rtBSS *mem.Region) (*Platform
 // Cores returns the tile's processors.
 func (p *Platform) Cores() []*cpu.Core { return p.cores }
 
-// Tree returns the instantiated cache topology.
-func (p *Platform) Tree() *cache.Tree { return p.tree }
-
 // L2 returns the partition level's shared cache — the cache the OS
 // partitions, the profiler taps by default and RunResult.L2 reports
 // (named for the classic two-level tile, where it is the L2).

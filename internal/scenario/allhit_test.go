@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -213,26 +214,28 @@ func TestMemoPreparedStreamLeavesPreparedUntouched(t *testing.T) {
 
 // TestMemoizeSharesOneBuild checks the memory-only entry point:
 // concurrent calls of a key share one build; the value is resident and
-// charged its size; a failed or panicking build releases every waiter
-// with an error and caches nothing; lookups count nothing in Stats; and
-// TrimMemo evicts the entry like any other.
+// charged its heap bytes (a 100-byte string here); a failed or
+// panicking build releases every waiter with an error and caches
+// nothing; lookups count nothing in Stats; and TrimMemo evicts the
+// entry like any other.
 func TestMemoizeSharesOneBuild(t *testing.T) {
 	rn := NewRunner(1)
 	before := rn.Stats()
 	errBuild := errors.New("build failed")
+	plan := strings.Repeat("p", 100)
 	for _, outcome := range []string{"error", "panic", "ok"} {
 		var builds int32
 		release := make(chan struct{})
-		build := func() (any, int64, error) {
+		build := func() (any, error) {
 			atomic.AddInt32(&builds, 1)
 			<-release
 			switch outcome {
 			case "error":
-				return nil, 0, errBuild
+				return nil, errBuild
 			case "panic":
 				panic("build panicked")
 			}
-			return "plan", 100, nil
+			return plan, nil
 		}
 		const callers = 6
 		vals := make([]any, callers)
@@ -265,7 +268,7 @@ func TestMemoizeSharesOneBuild(t *testing.T) {
 		for c := 0; c < callers; c++ {
 			switch outcome {
 			case "ok":
-				if vals[c] != "plan" || errs[c] != nil || panicked[c] {
+				if vals[c] != plan || errs[c] != nil || panicked[c] {
 					t.Errorf("ok: caller %d got %v, %v", c, vals[c], errs[c])
 				}
 			default:
@@ -284,7 +287,7 @@ func TestMemoizeSharesOneBuild(t *testing.T) {
 	if u := rn.MemoUsage(); u.Entries != 1 || u.Bytes != 100 {
 		t.Errorf("after a successful build the memo holds %+v, want the one 100-byte entry", u)
 	}
-	if v, err := rn.Memoize("k", func() (any, int64, error) { t.Error("a resident key rebuilt"); return nil, 0, nil }); v != "plan" || err != nil {
+	if v, err := rn.Memoize("k", func() (any, error) { t.Error("a resident key rebuilt"); return nil, nil }); v != plan || err != nil {
 		t.Errorf("resident lookup: %v, %v", v, err)
 	}
 	if st := rn.Stats().Delta(before); st != (Stats{}) {

@@ -95,6 +95,7 @@ func FuzzNormalize(f *testing.F) {
 	f.Add([]byte(`{"base":"app","exec_engine":"word","profile_engine":"bank","solver":"ilp","sizes":[8,2]}`))
 	f.Add([]byte(`{"workload":"mpeg2","platform":{"hierarchy":{"levels":[{"name":"l1"},{"name":"l2","per_cpu":{"1":{"ways":2}}},{"name":"l3","partition":true}]}}}`))
 	f.Add([]byte(`{"base":"app","sizes":[64,1,64,2,1]}`))
+	f.Add([]byte(`{"base":"app","sizes":[]}`))
 	lookup := func(name string) (Scenario, bool) {
 		return Scenario{Workload: "2jpeg+canny", Scale: "small"}, name == "app"
 	}

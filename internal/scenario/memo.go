@@ -2,8 +2,11 @@ package scenario
 
 import (
 	"container/list"
+	"reflect"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/tracefile"
 )
 
 // memoBudget bounds the bytes of completed stage values, result entries
@@ -17,11 +20,12 @@ const memoBudget = 512 << 20
 // computation's single-flight state, the live value and the value's
 // size. The values are stage values, successful scenarios' assembled
 // sections under result keys, and memory-only values such as sweep
-// plans under memory keys. Settled entries sit on an LRU list
-// whose total size never exceeds the budget once a settle returns; an
-// entry always leaves whole, so a value and its size cannot drift
-// apart. Entries still computing are not on the list and are never
-// evicted.
+// plans under memory keys. The memo sizes every value itself, by one
+// walk of what the value reaches (heapBytes), so no caller estimates or
+// charges bytes. Settled entries sit on an LRU list whose total size
+// never exceeds the budget once a settle returns; an entry always leaves
+// whole, so a value and its size cannot drift apart. Entries still
+// computing are not on the list and are never evicted.
 type memo struct {
 	budget int64
 
@@ -89,9 +93,9 @@ func (m *memo) get(key string) any {
 
 // put makes v resident under key unless the key already has an entry
 // (a concurrent put of the same value won).
-func (m *memo) put(key string, v any, size int64) {
+func (m *memo) put(key string, v any) {
 	if e, owner := m.lookup(key); owner {
-		m.settle(e, v, size, nil)
+		m.settle(e, v, nil)
 	}
 }
 
@@ -100,7 +104,11 @@ func (m *memo) put(key string, v any, size int64) {
 // whole budget reaches the waiters but is not retained; any other value
 // becomes resident and evicts least-recently-used entries until the
 // resident bytes fit the budget.
-func (m *memo) settle(e *memoEntry, v any, size int64, err error) {
+func (m *memo) settle(e *memoEntry, v any, err error) {
+	var size int64
+	if err == nil {
+		size = heapBytes(v)
+	}
 	m.mu.Lock()
 	e.val, e.err, e.size = v, err, size
 	switch {
@@ -156,4 +164,73 @@ func (m *memo) remove(e *memoEntry) {
 	e.elem = nil
 	delete(m.entries, e.key)
 	m.bytes -= e.size
+}
+
+// heapBytes is the size the memo charges a value: the heap bytes it
+// reaches. A trace counts its encoded container alone, since its stream
+// slices alias the container; any other value is walked.
+func heapBytes(v any) int64 {
+	if t, ok := v.(*tracefile.Trace); ok {
+		return int64(t.Size())
+	}
+	return walkBytes(reflect.ValueOf(v))
+}
+
+// mapEntryBytes approximates a map entry's share of its table beyond
+// the key and value themselves.
+const mapEntryBytes = 16
+
+// walkBytes counts the heap bytes v reaches: a pointer its pointee, a
+// string its bytes, a slice cap × element size, a map mapEntryBytes per
+// entry beyond its key and value, each plus what its elements reach, and
+// a struct what its fields reach. A value reached twice counts twice, so
+// a result entry is charged in full for the maps and slices it shares
+// with stage values. Interfaces and arrays are not followed: heap behind
+// them is charged nothing. The walk has no visited set, so a value with
+// a cycle recurses until the goroutine's stack overflows, a fatal error
+// no recover catches; memo values hold no cycles.
+func walkBytes(v reflect.Value) int64 {
+	var n int64
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			n = int64(v.Type().Elem().Size()) + walkBytes(v.Elem())
+		}
+	case reflect.String:
+		n = int64(v.Len())
+	case reflect.Slice:
+		n = int64(v.Cap()) * int64(v.Type().Elem().Size())
+		if holdsHeap(v.Type().Elem()) {
+			for i := range v.Len() {
+				n += walkBytes(v.Index(i))
+			}
+		}
+	case reflect.Map:
+		t := v.Type()
+		n = int64(v.Len()) * int64(t.Key().Size()+t.Elem().Size()+mapEntryBytes)
+		for it := v.MapRange(); it.Next(); {
+			n += walkBytes(it.Key()) + walkBytes(it.Value())
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			n += walkBytes(v.Field(i))
+		}
+	}
+	return n
+}
+
+// holdsHeap reports whether a value of type t can reach heap bytes: it
+// is, or is a struct holding, a string, pointer, slice or map.
+func holdsHeap(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.String, reflect.Pointer, reflect.Slice, reflect.Map:
+		return true
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if holdsHeap(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -179,8 +179,7 @@ func TestMemoModel(t *testing.T) {
 		if outcome == "fail" || outcome == "panic" {
 			return false
 		}
-		c := ref(k).(*Result)
-		rn.memo.put(k.full(), c, int64(resultSize(c)))
+		rn.memo.put(k.full(), ref(k))
 		return true
 	}
 
@@ -193,13 +192,7 @@ func TestMemoModel(t *testing.T) {
 				v, err = nil, errModelPanic
 			}
 		}()
-		return rn.Memoize(k.key, func() (any, int64, error) {
-			v, err := body()
-			if err != nil {
-				return nil, 0, err
-			}
-			return v, int64(PreparedSize(v.([]*Result)[0])), nil
-		})
+		return rn.Memoize(k.key, body)
 	}
 
 	// lookup runs one lookup of k whose computation, if this lookup owns
@@ -350,6 +343,7 @@ func TestMemoModel(t *testing.T) {
 // TestMemoEvictsLeastRecentlyUsed checks the eviction order: a hit
 // refreshes an entry, so both the budget and a trim evict the least
 // recently used entry first, and a negative trim empties the memo.
+// Each value is a 10-byte string, so the 30-byte budget holds three.
 func TestMemoEvictsLeastRecentlyUsed(t *testing.T) {
 	m := newMemo(30)
 	put := func(key string) {
@@ -357,7 +351,7 @@ func TestMemoEvictsLeastRecentlyUsed(t *testing.T) {
 		if !owner {
 			t.Fatalf("%s: first lookup must own the computation", key)
 		}
-		m.settle(e, key, 10, nil)
+		m.settle(e, strings.Repeat(key, 10), nil)
 	}
 	resident := func() (out []string) {
 		m.mu.Lock()
@@ -389,14 +383,15 @@ func TestMemoEvictsLeastRecentlyUsed(t *testing.T) {
 // TestMemoOversizedValueReachesWaitersNotRetained pins the budget's edge:
 // a value larger than the whole budget is handed to every lookup that
 // waited on its computation, but it does not stay resident and it does
-// not push out the entries that fit.
+// not push out the entries that fit. The values are strings, a 40-byte
+// one that fits the 100-byte budget and a 101-byte one that does not.
 func TestMemoOversizedValueReachesWaitersNotRetained(t *testing.T) {
 	m := newMemo(100)
 	small, owner := m.lookup("small")
 	if !owner {
 		t.Fatal("first lookup must own the computation")
 	}
-	m.settle(small, "small value", 40, nil)
+	m.settle(small, strings.Repeat("s", 40), nil)
 
 	big, owner := m.lookup("big")
 	if !owner {
@@ -410,10 +405,11 @@ func TestMemoOversizedValueReachesWaitersNotRetained(t *testing.T) {
 		}
 		waiters = append(waiters, e)
 	}
-	m.settle(big, "big value", 101, nil)
+	bigVal := strings.Repeat("b", 101)
+	m.settle(big, bigVal, nil)
 	for _, e := range waiters {
 		<-e.done
-		if e.val != "big value" || e.err != nil {
+		if e.val != bigVal || e.err != nil {
 			t.Errorf("waiter got %v, %v", e.val, e.err)
 		}
 	}
@@ -449,6 +445,35 @@ func TestMemoHitAllocs(t *testing.T) {
 	}
 }
 
+// TestMemoHeapBytes pins the walk that sizes memo values on small
+// literals: a string counts its bytes, a slice its capacity, a map
+// mapEntryBytes per entry beyond its key and value plus the key's bytes,
+// a pointer its pointee, and a trace its container alone. A map reached
+// through an unexported field, as a sweep plan's specs reach their
+// per-CPU overrides, is walked like any other.
+func TestMemoHeapBytes(t *testing.T) {
+	type hidden struct{ perCPU map[string]CacheSpec }
+	two := 2
+	tr := goldenTrace(t)
+	for _, c := range []struct {
+		name string
+		v    any
+		want int64
+	}{
+		{"string", "hello", 5},
+		{"slice cap beyond len", make([]float64, 2, 5), 5 * 8},
+		{"one-entry map", map[string]int{"ab": 1}, 16 + 8 + mapEntryBytes + 2},
+		{"nil pointer", (*Result)(nil), 0},
+		{"pointer to a struct", &profile.Curve{Entity: "abc", Sizes: []int{1, 2}}, int64(unsafe.Sizeof(profile.Curve{})) + 3 + 2*8},
+		{"unexported map field", &hidden{map[string]CacheSpec{"1": {Ways: &two}}}, 8 + (16 + int64(unsafe.Sizeof(CacheSpec{})) + mapEntryBytes) + 1 + 8},
+		{"golden trace", tr, int64(tr.Size())},
+	} {
+		if got := heapBytes(c.v); got != c.want {
+			t.Errorf("%s: %d bytes, want %d", c.name, got, c.want)
+		}
+	}
+}
+
 // TestMemoSizeTracksDocuments checks each kind's size estimate against
 // its encoded document over small-scale versions of the built-in
 // application studies: exactly the container size for traces, and
@@ -476,14 +501,8 @@ func TestMemoSizeTracksDocuments(t *testing.T) {
 		prepared = append(prepared, &p)
 	}
 	// A memory-only entry of prepared scenarios, what a sweep plan holds
-	// beside its coordinates, charged as the plan charges them.
-	_, err := rn.Memoize("prepared", func() (any, int64, error) {
-		n := 0
-		for _, p := range prepared {
-			n += int(unsafe.Sizeof(p)) + PreparedSize(p)
-		}
-		return prepared, int64(n), nil
-	})
+	// beside its coordinates.
+	_, err := rn.Memoize("prepared", func() (any, error) { return prepared, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,5 +537,46 @@ func TestMemoSizeTracksDocuments(t *testing.T) {
 	}
 	if len(kinds) != 6 {
 		t.Errorf("want every stage kind, the result entries and a memory-only entry resident, got %v", kinds)
+	}
+}
+
+// BenchmarkHeapBytes times the walk that sizes a value entering the
+// memo, over one small-scale 2jpeg+canny value of each kind the memo
+// holds: the profile, optimize and partitioned-run stage values, the
+// result entry, a prepared scenario (what a sweep plan holds per point)
+// and the trace.
+func BenchmarkHeapBytes(b *testing.B) {
+	rn := NewRunner(2)
+	spec := Scenario{Workload: "2jpeg+canny", Scale: "small", Runs: 1, Partition: PartitionOptimized}
+	prepared, err := rn.Run(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prepared.setSections(&Result{})
+	keys, err := spec.StageKeys()
+	if err != nil {
+		b.Fatal(err)
+	}
+	values := []struct {
+		kind string
+		v    any
+	}{
+		{"profile", rn.memo.get(keys["profile"])},
+		{"optimize", rn.memo.get(keys["optimize"])},
+		{"run", rn.memo.get(keys["run.partitioned"])},
+		{"result", rn.memo.get(resultKind + "|" + prepared.Key)},
+		{"prepared", prepared},
+		{"trace", rn.memo.get(keys["trace"])},
+	}
+	for _, c := range values {
+		if c.v == nil {
+			b.Fatalf("no resident %s value", c.kind)
+		}
+		b.Run(c.kind, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				heapBytes(c.v)
+			}
+		})
 	}
 }

@@ -50,8 +50,9 @@ import (
 // carry a stage's single-flight state, its decoded value and the
 // value's size, plus the memory-only result entries and Memoize
 // values, evicted least-recently-used against one byte budget
-// (memoBudget). Concurrent identical lookups — including concurrent
-// cold reads of the same durable record — collapse into one
+// (memoBudget); each value's size comes from one walk of the value as
+// it enters the memo. Concurrent identical lookups — including
+// concurrent cold reads of the same durable record — collapse into one
 // computation. With a durable store (the crash-safe on-disk CAS of
 // internal/store), a completed stage is written through once as its
 // versioned document, and a memo miss consults the store before
@@ -127,9 +128,6 @@ func NewRunner(workers int) *Runner {
 func NewRunnerWithStore(workers int, durable store.Store) *Runner {
 	return &Runner{workers: workers, memo: newMemo(memoBudget), durable: durable}
 }
-
-// Workers returns the runner's worker-pool knob (0 = GOMAXPROCS).
-func (r *Runner) Workers() int { return r.workers }
 
 // StoreMode reports the runner's persistence mode: "memory" without a
 // durable store, "disk" with one, and "degraded" once a failing medium
@@ -253,26 +251,27 @@ const memoryKind = "memory"
 
 // Memoize serves a memory-only value from the memo under key: the first
 // call for the key builds it, concurrent calls share that build, and a
-// successful value stays resident, charged size bytes against the memo's
-// byte budget and evicted like any other entry, until trimmed or pushed
-// out. It is never written to the durable store, and its lookups count
-// nothing in Stats. A build that fails or panics releases every waiter
-// with an error and caches nothing (a panic then continues on the
-// building goroutine), so the next call builds afresh. A sweep memoizes
-// its prepared points this way (see sweep.Prepare).
-func (r *Runner) Memoize(key string, build func() (v any, size int64, err error)) (any, error) {
+// successful value stays resident, charged the heap bytes one walk of it
+// finds against the memo's byte budget and evicted like any other entry,
+// until trimmed or pushed out. It is never written to the durable store,
+// and its lookups count nothing in Stats. A build that fails or panics
+// releases every waiter with an error and caches nothing (a panic then
+// continues on the building goroutine), so the next call builds afresh.
+// A sweep memoizes its prepared points this way (see sweep.Prepare).
+//
+// The value must hold no cycles: the walk that sizes it would overflow
+// the goroutine's stack, a fatal error that ends the process. Heap the
+// value reaches only through interface or array fields is not charged.
+func (r *Runner) Memoize(key string, build func() (any, error)) (any, error) {
 	e, owner := r.memo.lookup(memoryKind + "|" + key)
 	if !owner {
 		<-e.done
 		return e.val, e.err
 	}
-	var (
-		v    any
-		size int64
-	)
+	var v any
 	err := errStageAborted // until build returns; a panic unwinds with it
-	defer func() { r.memo.settle(e, v, size, err) }()
-	v, size, err = build()
+	defer func() { r.memo.settle(e, v, err) }()
+	v, err = build()
 	return v, err
 }
 
@@ -341,18 +340,15 @@ var errStageAborted = errors.New("scenario: stage computation aborted")
 
 // fill computes the entry this lookup owns — from the durable store
 // when it holds the stage, otherwise by executing f and writing the
-// result through to the store — and settles it with the value's size.
+// result through to the store — and settles it.
 func (r *Runner) fill(kind string, e *memoEntry, f func() (any, error)) {
 	var v any
 	err := errStageAborted // until an outcome is known; a panic unwinds with it
 	defer func() {
-		size := 0
-		if err == nil {
-			size = codecs[kind].size(v)
-		} else {
+		if err != nil {
 			atomic.AddUint64(&r.stageErrors, 1)
 		}
-		r.memo.settle(e, v, int64(size), err)
+		r.memo.settle(e, v, err)
 	}()
 	if dv, ok := r.loadDurable(kind, e.key); ok {
 		v, err = dv, nil
@@ -750,7 +746,7 @@ func (r *Runner) complete(ctx context.Context, prepared *Result) (res *Result, e
 	}
 	c := &Result{}
 	c.setSections(res)
-	r.memo.put(key, c, int64(resultSize(c)))
+	r.memo.put(key, c)
 	return res, nil
 }
 

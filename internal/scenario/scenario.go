@@ -107,8 +107,8 @@ type Scenario struct {
 	ExecEngine string `json:"exec_engine,omitempty"`
 	// Sizes restricts the candidate partition sizes (allocation units,
 	// powers of two, in any order and with repeats allowed: the
-	// normalized list is sorted and distinct); nil means the default
-	// 1..128 ladder.
+	// normalized list is sorted and distinct); nil or empty means the
+	// default 1..128 ladder.
 	Sizes []int `json:"sizes,omitempty"`
 	// Migration enables dynamic scheduling with task migration for the
 	// measured shared/partitioned executions. Profiling runs always use
@@ -544,7 +544,7 @@ func (s Scenario) Normalize() (Scenario, error) {
 	}
 	n.ExecEngine = platform.EngineLineMerged.String()
 
-	if n.Sizes == nil {
+	if len(n.Sizes) == 0 {
 		n.Sizes = []int{1, 2, 4, 8, 16, 32, 64, 128}
 	} else {
 		n.Sizes = append([]int(nil), n.Sizes...)

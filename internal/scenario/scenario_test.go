@@ -125,6 +125,7 @@ func TestContentKey(t *testing.T) {
 		"profile_engine": func(s *Scenario) { s.ProfileEngine = "bank" },
 		"solver":         func(s *Scenario) { s.Solver = "ilp" },
 		"repeated sizes": func(s *Scenario) { s.Sizes = []int{1, 2, 4, 8, 16, 32, 64, 64, 128} },
+		"empty sizes":    func(s *Scenario) { s.Sizes = []int{} },
 	} {
 		m := base
 		mutate(&m)

@@ -3,7 +3,6 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
-	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -32,13 +31,11 @@ type stageDoc struct {
 }
 
 // stageCodec is one stage kind's row of the codec table: encode renders
-// the live value as the document's data field, decode rebuilds the live
-// value from it, and size estimates the heap bytes the live value holds,
-// which the memo charges against its budget.
+// the live value as the document's data field, and decode rebuilds the
+// live value from it.
 type stageCodec struct {
 	encode func(v any) ([]byte, error)
 	decode func(data []byte) (any, error)
-	size   func(v any) int
 }
 
 // codecs maps each stage kind to its codec. The JSON kinds hold
@@ -54,17 +51,14 @@ var codecs = map[string]stageCodec{
 			err := json.Unmarshal(data, &curves)
 			return curves, err
 		},
-		size: func(v any) int { return curvesSize(v.([]profile.Curve)) },
 	},
 	stageOptimize: {
 		encode: json.Marshal,
 		decode: decodeJSON[core.OptimizeResult],
-		size:   func(v any) int { return optimizeSize(v.(*core.OptimizeResult)) },
 	},
 	stageRun: {
 		encode: json.Marshal,
 		decode: decodeJSON[core.Result],
-		size:   func(v any) int { return runSize(v.(*core.Result)) },
 	},
 	stageTrace: {
 		encode: func(v any) ([]byte, error) { return json.Marshal(v.(*tracefile.Trace).Bytes()) },
@@ -81,7 +75,6 @@ var codecs = map[string]stageCodec{
 			}
 			return tracefile.Decode(raw)
 		},
-		size: func(v any) int { return v.(*tracefile.Trace).Size() },
 	},
 }
 
@@ -131,120 +124,4 @@ func decodeStage(kind string, b []byte) (any, error) {
 		return nil, fmt.Errorf("scenario: decoding %s stage: %w", kind, err)
 	}
 	return v, nil
-}
-
-// The size estimates count what a live value holds on the heap: its
-// structs, slice and string payloads, and map entries. mapEntryBytes
-// approximates a map entry's share of its buckets beyond the key and
-// value themselves.
-const mapEntryBytes = 16
-
-func curvesSize(curves []profile.Curve) int {
-	n := len(curves) * int(unsafe.Sizeof(profile.Curve{}))
-	for _, c := range curves {
-		n += len(c.Entity) + 8*(len(c.Sizes)+len(c.Misses))
-	}
-	return n
-}
-
-func optimizeSize(o *core.OptimizeResult) int {
-	return int(unsafe.Sizeof(*o)) + mapSize(o.Allocation) + curvesSize(o.Curves) + mapSize(o.Expected)
-}
-
-func runSize(r *core.Result) int {
-	n := int(unsafe.Sizeof(*r)) + len(r.App) + mapSize(r.TaskCycles) + mapSize(r.TaskCPU)
-	if r.Platform != nil {
-		n += int(unsafe.Sizeof(*r.Platform)) + 8*len(r.Platform.CPIs)
-	}
-	for _, e := range r.Entities {
-		n += int(unsafe.Sizeof(e)) + len(e.Name)
-	}
-	return n
-}
-
-// resultSize counts a result entry's sections in full, including the
-// maps and slices they share with stage values, so the budget stays an
-// upper bound on the bytes the memo holds.
-func resultSize(r *Result) int {
-	n := int(unsafe.Sizeof(*r)) + runSummarySize(r.Shared) + runSummarySize(r.Partitioned)
-	if o := r.Optimize; o != nil {
-		n += int(unsafe.Sizeof(*o)) + mapSize(o.Allocation) + mapSize(o.Expected)
-	}
-	if c := r.Compose; c != nil {
-		n += int(unsafe.Sizeof(*c))
-		for _, e := range c.Entries {
-			n += int(unsafe.Sizeof(e)) + len(e.Name)
-		}
-	}
-	for _, c := range r.Curves {
-		n += int(unsafe.Sizeof(c)) + len(c.Entity) + 8*(len(c.Sizes)+len(c.Misses))
-	}
-	return n
-}
-
-// PreparedSize estimates the heap bytes of a prepared result (see
-// Runner.Prepare): the Result, its key and its normalized spec in full.
-// Memory-only memo entries that hold prepared scenarios, such as a
-// sweep plan, charge it to the memo's budget.
-func PreparedSize(r *Result) int {
-	return int(unsafe.Sizeof(*r)) + len(r.Key) + len(r.Error) + specSize(r.Scenario)
-}
-
-// specSize counts what a spec holds beyond its own struct: strings,
-// candidate sizes and the platform spec with every field it points to.
-func specSize(s Scenario) int {
-	n := len(s.Name) + len(s.Base) + len(s.Workload) + len(s.Scale) + len(s.Partition) + len(s.Solver) +
-		len(s.ProfileEngine) + len(s.ProfileLevel) + len(s.ExecEngine) + len(s.AllocWorkload) + len(s.Trace) +
-		8*len(s.Sizes)
-	p := s.Platform
-	if p == nil {
-		return n
-	}
-	n += int(unsafe.Sizeof(*p)) + ptrSize(p.NumCPUs) + ptrSize(p.BaseCPI) +
-		cacheSpecSize(p.L1) + cacheSpecSize(p.L2) + ptrSize(p.L1HitLatency) + ptrSize(p.L2HitLatency) +
-		ptrSize(p.Bus.TransferCycles) + ptrSize(p.Bus.MemLatency) + ptrSize(p.Bus.Banks) + ptrSize(p.Bus.LineSize) +
-		ptrSize(p.Sched.Quantum) + ptrSize(p.Sched.SwitchCost) + ptrSize(p.SwitchTouches)
-	if h := p.Hierarchy; h != nil {
-		n += int(unsafe.Sizeof(*h))
-		for _, l := range h.Levels {
-			n += int(unsafe.Sizeof(l)) + len(l.Name) + len(l.Scope) + ptrSize(l.Sets) + ptrSize(l.Ways) +
-				ptrSize(l.LineSize) + ptrSize(l.HitLatency) + ptrSize(l.Partition)
-			for cpu, c := range l.PerCPU {
-				n += int(unsafe.Sizeof(cpu)+unsafe.Sizeof(c)) + len(cpu) + mapEntryBytes + cacheSpecSize(c)
-			}
-		}
-	}
-	return n
-}
-
-func cacheSpecSize(c CacheSpec) int {
-	return ptrSize(c.Sets) + ptrSize(c.Ways) + ptrSize(c.LineSize)
-}
-
-// ptrSize is the size of what an optional spec field points to.
-func ptrSize[T any](p *T) int {
-	if p == nil {
-		return 0
-	}
-	return int(unsafe.Sizeof(*p))
-}
-
-func runSummarySize(s *RunSummary) int {
-	if s == nil {
-		return 0
-	}
-	n := int(unsafe.Sizeof(*s)) + len(s.App) + mapSize(s.TaskCycles) + mapSize(s.TaskCPU)
-	for _, e := range s.Entities {
-		n += int(unsafe.Sizeof(e)) + len(e.Name)
-	}
-	return n
-}
-
-func mapSize[V any](m map[string]V) int {
-	var v V
-	n := 0
-	for k := range m {
-		n += int(unsafe.Sizeof(k)+unsafe.Sizeof(v)) + len(k) + mapEntryBytes
-	}
-	return n
 }

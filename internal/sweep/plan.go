@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"slices"
-	"unsafe"
 
 	"repro/internal/scenario"
 )
@@ -57,16 +56,16 @@ func Prepare(rn *scenario.Runner, sw Sweep) (*Plan, error) {
 		buildErr error
 		owner    bool
 	)
-	v, err := rn.Memoize(key, func() (any, int64, error) {
+	v, err := rn.Memoize(key, func() (any, error) {
 		owner = true
 		built, buildErr = buildPlan(rn, sw)
 		switch {
 		case buildErr != nil:
-			return nil, 0, buildErr
+			return nil, buildErr
 		case built.errs != nil:
-			return nil, 0, errUnprepared
+			return nil, errUnprepared
 		}
-		return built, built.size(), nil
+		return built, nil
 	})
 	switch {
 	case err == nil:
@@ -114,14 +113,12 @@ func buildPlan(rn *scenario.Runner, sw Sweep) (*Plan, error) {
 
 // planKeyDoc is what a plan key hashes: every field of the sweep. Raw
 // axis values are hashed as their exact text, which their coordinate
-// labels are made of, and a base with an empty but non-nil sizes list
-// (which normalizes to no candidate sizes) is told apart from one
-// without sizes (which normalizes to the default ladder): the two
-// encode alike.
+// labels are made of. A base with an empty sizes list and one without
+// sizes encode alike and share a key, which is right: both normalize to
+// the default ladder.
 type planKeyDoc struct {
 	Name      string            `json:"name"`
 	Base      scenario.Scenario `json:"base"`
-	NoSizes   bool              `json:"no_sizes,omitempty"`
 	Axes      []planKeyAxis     `json:"axes"`
 	MaxPoints int               `json:"max_points"`
 	Pareto    []ParetoPair      `json:"pareto"`
@@ -142,7 +139,6 @@ func planKey(sw Sweep) (key string, ok bool) {
 	doc := planKeyDoc{
 		Name:      sw.Name,
 		Base:      sw.Base,
-		NoSizes:   sw.Base.Sizes != nil && len(sw.Base.Sizes) == 0,
 		Axes:      make([]planKeyAxis, len(sw.Axes)),
 		MaxPoints: sw.MaxPoints,
 		Pareto:    sw.Pareto,
@@ -160,28 +156,4 @@ func planKey(sw Sweep) (key string, ok bool) {
 	}
 	sum := sha256.Sum256(b)
 	return "sweep.plan|" + hex.EncodeToString(sum[:16]), true
-}
-
-// size estimates the plan's heap bytes: its own slices and strings, and
-// every coordinate and prepared scenario in full, although points share
-// their axis labels.
-func (p *Plan) size() int64 {
-	n := int(unsafe.Sizeof(*p)) + len(p.name)
-	for _, l := range p.labels {
-		n += int(unsafe.Sizeof(l)) + len(l)
-	}
-	for _, pr := range p.pareto {
-		n += int(unsafe.Sizeof(pr)) + len(pr.X) + len(pr.Y)
-	}
-	for _, cs := range p.coords {
-		n += int(unsafe.Sizeof(cs))
-		for _, c := range cs {
-			n += int(unsafe.Sizeof(c)) + len(c.Axis) + len(c.Value)
-		}
-	}
-	for _, r := range p.prepared {
-		n += int(unsafe.Sizeof(r)) + scenario.PreparedSize(r)
-	}
-	n += 8 * len(p.l2Bytes)
-	return int64(n)
 }

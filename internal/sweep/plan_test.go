@@ -9,10 +9,9 @@ import (
 	"repro/internal/scenario"
 )
 
-// TestMemoPlanSizeTracksDocument checks a plan's size estimate against
-// the JSON of everything it holds, within the 2.5× bound the memo's
-// size test applies to every kind, and that the memo charges the plan
-// exactly its estimate.
+// TestMemoPlanSizeTracksDocument checks the bytes the memo charges a
+// plan against the JSON of everything the plan holds, within the 2.5×
+// bound the memo's size test applies to every kind.
 func TestMemoPlanSizeTracksDocument(t *testing.T) {
 	const maxRatio = 2.5
 	raw, err := os.ReadFile(filepath.Join("..", "..", "examples", "scenarios", "sweep-l2-grid.json"))
@@ -43,19 +42,20 @@ func TestMemoPlanSizeTracksDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := float64(p.size()) / float64(len(doc)); r < 1/maxRatio || r > maxRatio {
-		t.Errorf("plan size %d vs %d-byte document (ratio %.2f)", p.size(), len(doc), r)
+	u := rn.MemoUsage()
+	if u.Entries != 1 {
+		t.Fatalf("the memo holds %+v, want the plan alone", u)
 	}
-	if u := rn.MemoUsage(); u.Entries != 1 || u.Bytes != p.size() {
-		t.Errorf("the memo holds %+v, want the plan's %d bytes alone", u, p.size())
+	if r := float64(u.Bytes) / float64(len(doc)); r < 1/maxRatio || r > maxRatio {
+		t.Errorf("plan size %d vs %d-byte document (ratio %.2f)", u.Bytes, len(doc), r)
 	}
 }
 
 // TestMemoPlanKeyTellsEncodingTwinsApart checks the plan key separates
-// sweeps that plain JSON encodes alike but that run differently: a base
-// with an empty sizes list (no candidate sizes) and one without sizes
-// (the default ladder), and axis values differing only in spacing
-// (their raw text is their coordinate label).
+// sweeps that plain JSON encodes alike but that run differently: axis
+// values differing only in spacing (their raw text is their coordinate
+// label). A base with an empty sizes list runs the default ladder, like
+// one without sizes, and shares its plan key.
 func TestMemoPlanKeyTellsEncodingTwinsApart(t *testing.T) {
 	base := Sweep{
 		Base: scenario.Scenario{Workload: "jpeg1-only", Scale: "small"},
@@ -66,7 +66,7 @@ func TestMemoPlanKeyTellsEncodingTwinsApart(t *testing.T) {
 	tight := base
 	tight.Axes = []Axis{{Field: "sizes", Values: []json.RawMessage{json.RawMessage(`[1,2]`)}}}
 	keys := map[string]string{}
-	for name, sw := range map[string]Sweep{"base": base, "empty sizes": empty, "tight": tight} {
+	for name, sw := range map[string]Sweep{"base": base, "tight": tight} {
 		k, ok := planKey(sw)
 		if !ok {
 			t.Fatalf("%s: no key", name)
@@ -80,5 +80,37 @@ func TestMemoPlanKeyTellsEncodingTwinsApart(t *testing.T) {
 	k2, _ := planKey(base)
 	if k1 != k2 {
 		t.Error("the plan key is not a function of the sweep")
+	}
+	if ke, _ := planKey(empty); ke != k1 {
+		t.Error("a base with an empty sizes list must share the plan key of one without sizes")
+	}
+}
+
+// TestMemoPlanPerCPUBase checks that a plan whose specs carry per-CPU
+// cache overrides, a map the plan reaches through its unexported
+// fields, is sized and memoized like any other: the second Prepare of
+// the sweep is a hit on the first one's plan.
+func TestMemoPlanPerCPUBase(t *testing.T) {
+	sw, err := Parse([]byte(`{
+		"base": {"workload": "jpeg1-only", "scale": "small", "platform": {"hierarchy": {"levels": [
+			{"name": "l1", "per_cpu": {"0": {"sets": 128}}},
+			{"name": "l2", "partition": true}
+		]}}},
+		"axes": [{"field": "seed", "values": [1, 2]}]
+	}`), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rn := scenario.NewRunner(1)
+	p, err := Prepare(rn, sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := Prepare(rn, sw)
+	if err != nil || again != p {
+		t.Fatalf("the second Prepare built a new plan (%v)", err)
+	}
+	if u := rn.MemoUsage(); u.Entries != 1 || u.Bytes <= 0 {
+		t.Errorf("the memo holds %+v, want the plan alone", u)
 	}
 }
