@@ -202,8 +202,8 @@ type Result struct {
 }
 
 // Access performs one memory access, possibly split over two lines, and
-// returns true if every referenced line hit. This is the trace.Sink shape
-// used by tests; the hierarchy uses AccessLine for latency accounting.
+// returns true if every referenced line hit. Tests drive a cache this
+// way; the hierarchy uses AccessLine for latency accounting.
 func (c *Cache) Access(a trace.Access) bool {
 	size := uint64(a.Size)
 	if size == 0 {

@@ -99,12 +99,10 @@ func (oc *OptimizeConfig) fillDefaults() {
 // reproduce Tables 1-2 and Figure 3.
 type OptimizeResult struct {
 	Allocation Allocation
-	Curves     []profile.Curve
 	// Expected holds m̄_i at the chosen allocation per entity — the
 	// model prediction that Figure 3 compares against simulation.
 	Expected map[string]float64
 	Budget   int // optimizable units after rt and pinned FIFOs
-	Solver   Solver
 }
 
 // Profile runs the workload oc.Runs times under the shared-cache strategy
@@ -283,10 +281,8 @@ func OptimizeFromCurves(app *App, curves []profile.Curve, oc OptimizeConfig) (*O
 	}
 	return &OptimizeResult{
 		Allocation: alloc,
-		Curves:     curves,
 		Expected:   expected,
 		Budget:     budget,
-		Solver:     oc.Solver,
 	}, nil
 }
 

@@ -6,16 +6,20 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/platform"
+	"repro/internal/profile"
 	"repro/internal/workloads"
 )
 
 // directStudy is one application study computed on core directly:
-// shared baseline, profile + optimize, partitioned run, and the Figure 3
-// comparison. The scenario runner normalizes every spec to the
-// production engines, so this is how the differential tests reach the
-// word-exact oracle (through platform.Config.Engine).
+// shared baseline, profiled miss curves, the allocation solved from
+// them, partitioned run, and the Figure 3 comparison. The scenario
+// runner normalizes every spec to the production engines and always
+// replays a recorded trace, so this is how the differential tests reach
+// the word-exact oracle (through platform.Config.Engine) and the live
+// functional applications (through the workload they pass).
 type directStudy struct {
 	Shared, Part *core.Result
+	Curves       []profile.Curve
 	Opt          *core.OptimizeResult
 	Compose      *core.ComposeReport
 }
@@ -25,7 +29,16 @@ func runDirect(w core.Workload, cfg Config) (*directStudy, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt, err := core.Optimize(w, core.OptimizeConfig{Platform: cfg.Platform, Runs: cfg.ProfileRuns, Workers: cfg.Workers})
+	oc := core.OptimizeConfig{Platform: cfg.Platform, Runs: cfg.ProfileRuns, Workers: cfg.Workers}
+	curves, err := core.Profile(w, oc)
+	if err != nil {
+		return nil, err
+	}
+	app, err := w.Factory()
+	if err != nil {
+		return nil, err
+	}
+	opt, err := core.OptimizeFromCurves(app, curves, oc)
 	if err != nil {
 		return nil, err
 	}
@@ -33,7 +46,7 @@ func runDirect(w core.Workload, cfg Config) (*directStudy, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &directStudy{shared, part, opt, core.CompareExpectedSimulated(opt.Expected, part)}, nil
+	return &directStudy{shared, part, curves, opt, core.CompareExpectedSimulated(opt.Expected, part)}, nil
 }
 
 // diffResults fails the test if two Results differ in any observable:

@@ -28,7 +28,7 @@ func FuzzDecodeStage(f *testing.F) {
 	curves := []profile.Curve{{Entity: "FrontEnd1", Sizes: []int{1, 2, 4}, Misses: []float64{4608, 4423.5, 1003}, Accesses: 4608}}
 	values := map[string]any{
 		stageProfile:  curves,
-		stageOptimize: &core.OptimizeResult{Allocation: core.Allocation{"FrontEnd1": 4}, Curves: curves, Expected: map[string]float64{"FrontEnd1": 4423.5}, Budget: 32},
+		stageOptimize: &core.OptimizeResult{Allocation: core.Allocation{"FrontEnd1": 4}, Expected: map[string]float64{"FrontEnd1": 4423.5}, Budget: 32},
 		stageRun:      &core.Result{App: "jpeg1", Entities: []core.EntityResult{{Name: "FrontEnd1", Accesses: 9, Misses: 3}}, TaskCycles: map[string]uint64{"FrontEnd1": 77}},
 		stageTrace:    goldenTrace(f),
 	}
@@ -89,13 +89,14 @@ func addExampleSpecs(f *testing.F) {
 // arbitrary bytes: Resolve then Normalize never panic, and a spec that
 // normalizes is a fixed point — normalizing it again changes nothing and
 // keeps its content key — with both engine fields and the solver on
-// the production ones.
+// the production ones, and the trace mode cleared.
 func FuzzNormalize(f *testing.F) {
 	addExampleSpecs(f)
 	f.Add([]byte(`{"base":"app","exec_engine":"word","profile_engine":"bank","solver":"ilp","sizes":[8,2]}`))
 	f.Add([]byte(`{"workload":"mpeg2","platform":{"hierarchy":{"levels":[{"name":"l1"},{"name":"l2","per_cpu":{"1":{"ways":2}}},{"name":"l3","partition":true}]}}}`))
 	f.Add([]byte(`{"base":"app","sizes":[64,1,64,2,1]}`))
 	f.Add([]byte(`{"base":"app","sizes":[]}`))
+	f.Add([]byte(`{"base":"app","trace":"live"}`))
 	lookup := func(name string) (Scenario, bool) {
 		return Scenario{Workload: "2jpeg+canny", Scale: "small"}, name == "app"
 	}
@@ -110,6 +111,9 @@ func FuzzNormalize(f *testing.F) {
 		}
 		if n.ExecEngine != "merged" || n.ProfileEngine != "stackdist" || n.Solver != "mckp" {
 			t.Fatalf("engines or solver not normalized to production: exec %q, profile %q, solver %q", n.ExecEngine, n.ProfileEngine, n.Solver)
+		}
+		if n.Trace != "" {
+			t.Fatalf("trace mode %q not normalized to replay", n.Trace)
 		}
 		for i := 1; i < len(n.Sizes); i++ {
 			if n.Sizes[i] <= n.Sizes[i-1] {

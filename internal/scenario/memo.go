@@ -128,16 +128,6 @@ func (m *memo) settle(e *memoEntry, v any, err error) {
 	close(e.done)
 }
 
-// drop removes a resident entry whose value failed a read check, so the
-// next lookup recomputes it. It is a no-op once the entry has left.
-func (m *memo) drop(e *memoEntry) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e.elem != nil {
-		m.remove(e)
-	}
-}
-
 // trim evicts least-recently-used entries until at most n remain.
 func (m *memo) trim(n int) {
 	m.mu.Lock()
@@ -155,15 +145,12 @@ func (m *memo) usage() MemoUsage {
 
 // evict drops the least recently used resident entry.
 func (m *memo) evict() {
-	m.remove(m.lru.Back().Value.(*memoEntry))
-	m.evictions.Add(1)
-}
-
-func (m *memo) remove(e *memoEntry) {
+	e := m.lru.Back().Value.(*memoEntry)
 	m.lru.Remove(e.elem)
 	e.elem = nil
 	delete(m.entries, e.key)
 	m.bytes -= e.size
+	m.evictions.Add(1)
 }
 
 // heapBytes is the size the memo charges a value: the heap bytes it

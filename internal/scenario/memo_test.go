@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,7 +16,6 @@ import (
 	"time"
 	"unsafe"
 
-	"repro/internal/faults"
 	"repro/internal/profile"
 	"repro/internal/tracefile"
 )
@@ -96,17 +96,16 @@ func lookupAs[T any](ctx context.Context, rn *Runner, k modelKey, body func() (a
 // TestMemoModel runs seeded random interleavings of stage lookups
 // against a reference map: computations that succeed, fail, panic,
 // block, or are never started because the lookup's ctx is canceled;
-// TrimMemo; budget-forced eviction (one key's value is larger than the
-// whole budget); and injected trace.read faults on resident traces.
-// Result entries take part the way Runner.complete uses them: a get,
-// and on a miss a put of the reference value unless the outcome failed,
-// panicked or was canceled. Memory-only entries — a sweep plan's kind —
-// take part through Runner.Memoize, whose builds succeed, fail, panic or
-// block like stage computations. Every successful lookup must return the
-// reference value; a key's computation only starts when the key has no
-// entry and never runs twice at once; a result get never installs an
-// entry; errors are never cached; the bookkeeping stays within the
-// budget throughout; and every injected fault is counted.
+// TrimMemo; and budget-forced eviction (one key's value is larger than
+// the whole budget). Result entries take part the way Runner.complete
+// uses them: a get, and on a miss a put of the reference value unless
+// the outcome failed, panicked or was canceled. Memory-only entries — a
+// sweep plan's kind — take part through Runner.Memoize, whose builds
+// succeed, fail, panic or block like stage computations. Every
+// successful lookup must return the reference value; a key's
+// computation only starts when the key has no entry and never runs
+// twice at once; a result get never installs an entry; errors are never
+// cached; and the bookkeeping stays within the budget throughout.
 func TestMemoModel(t *testing.T) {
 	tr := goldenTrace(t)
 	budget := int64(3 * tr.Size())
@@ -269,13 +268,7 @@ func TestMemoModel(t *testing.T) {
 	}
 
 	outcomes := []string{"ok", "ok", "ok", "ok", "ok", "ok", "fail", "panic", "block", "block", "canceled"}
-	var injected uint64
 	for round := uint64(0); round < 3; round++ {
-		plan := faults.New(round + 1)
-		plan.ErrorAt(faults.SiteTraceRead, plan.Pick(400, 60)...)
-		restore := faults.Activate(plan)
-		before := rn.Stats()
-
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
@@ -295,15 +288,8 @@ func TestMemoModel(t *testing.T) {
 			}(int64(round*10) + int64(g))
 		}
 		wg.Wait()
-		restore()
 
 		checkMemo(t, rn.memo, true)
-		st := rn.Stats().Delta(before)
-		fired := plan.Fired(faults.SiteTraceRead, faults.Error)
-		if st.StoreErrors != fired {
-			t.Errorf("round %d: %d trace.read faults injected, %d counted", round, fired, st.StoreErrors)
-		}
-		injected += fired
 		// Errors are never cached: with every computation succeeding,
 		// each key serves its reference value, and a result entry is
 		// resident right after its put unless it exceeds the budget.
@@ -317,18 +303,6 @@ func TestMemoModel(t *testing.T) {
 			}
 		}
 		checkMemo(t, rn.memo, true)
-	}
-	if injected == 0 {
-		t.Error("no trace.read fault fired on a resident trace")
-	}
-	// A fault on a resident trace evicts it, so the lookup recaptures.
-	tk := keys[len(keys)-1]
-	lookup(tk, "ok")
-	restore := faults.Activate(faults.New(9).ErrorAt(faults.SiteTraceRead, 0))
-	recaptured := lookup(tk, "ok")
-	restore()
-	if !recaptured {
-		t.Error("a trace.read fault on a resident trace must evict it and recapture")
 	}
 	if rn.Stats().MemoEvictions == 0 {
 		t.Error("a budget of three traces over this key space must evict")
@@ -425,8 +399,7 @@ func TestMemoOversizedValueReachesWaitersNotRetained(t *testing.T) {
 }
 
 // TestMemoHitAllocs pins a memo hit — the path every warm request takes
-// per stage — at zero allocations, for a trace (which also passes the
-// trace.read fault site) and for a JSON kind.
+// per stage — at zero allocations, for a trace and for a JSON kind.
 func TestMemoHitAllocs(t *testing.T) {
 	rn := NewRunner(1)
 	values := map[string]any{
@@ -474,19 +447,25 @@ func TestMemoHeapBytes(t *testing.T) {
 	}
 }
 
-// TestMemoSizeTracksDocuments checks each kind's size estimate against
-// its encoded document over small-scale versions of the built-in
-// application studies: exactly the container size for traces, and
-// within 2.5× of the document for the JSON kinds. The live values are
-// larger than their JSON: a curve keeps 8 bytes per size and miss count
-// where its document spends two to five digits, and a map entry costs
-// about 40 bytes of slots beyond its key, so an honest heap estimate of
-// the optimize stage is about 2.3× its document. A result entry is
-// never encoded; its estimate is checked against the JSON of its
-// sections, which it counts in full although it shares their maps with
-// stage values. So is a memory-only entry of prepared scenarios, whose
-// normalized specs spend a pointer and a scalar on each field their JSON
-// spells out.
+// TestMemoSizeTracksDocuments checks each kind's size estimate over
+// small-scale versions of the built-in application studies: a trace is
+// charged exactly its container size, and every other value within
+// 2.5× of a yardstick. For the profile and run kinds that is the
+// encoded document: their live values are larger than their JSON (a
+// curve keeps 8 bytes per size and miss count where its document spends
+// two to five digits). An optimize value is two small maps, the
+// allocation and the expected misses, and a map entry costs about 40
+// bytes of slots beyond its key, several times the entry's JSON; so its
+// yardstick is the heap itself, the live bytes one decoded copy of its
+// document holds. A result entry is never encoded; its estimate is
+// checked against the JSON of its sections, which it counts in full
+// although it shares their maps with stage values. So is a memory-only
+// entry of prepared scenarios, whose normalized specs spend a pointer
+// and a scalar on each field their JSON spells out. A JSON stage value
+// decoded from its document, what a disk hit makes resident, must be
+// charged no more than the fresh value it was encoded from; a profile of
+// five candidate sizes checks that for curves whose slices
+// encoding/json would grow past their length.
 func TestMemoSizeTracksDocuments(t *testing.T) {
 	const maxRatio = 2.5
 	rn := NewRunner(2)
@@ -499,6 +478,9 @@ func TestMemoSizeTracksDocuments(t *testing.T) {
 		p := *res
 		p.setSections(&Result{})
 		prepared = append(prepared, &p)
+	}
+	if _, err := rn.Run(Scenario{Workload: "mpeg2", Scale: "small", Runs: 1, Partition: PartitionProfile, Sizes: []int{1, 2, 4, 8, 16}}); err != nil {
+		t.Fatal(err)
 	}
 	// A memory-only entry of prepared scenarios, what a sweep plan holds
 	// beside its coordinates.
@@ -531,13 +513,50 @@ func TestMemoSizeTracksDocuments(t *testing.T) {
 		if tr, ok := e.val.(*tracefile.Trace); ok && e.size != int64(tr.Size()) {
 			t.Errorf("%s: size %d, trace container %d bytes", e.key, e.size, tr.Size())
 		}
-		if r := float64(e.size) / float64(len(doc)); r < 1/maxRatio || r > maxRatio {
-			t.Errorf("%s: size %d vs %d-byte document (ratio %.2f)", e.key, e.size, len(doc), r)
+		if kind != resultKind && kind != memoryKind && kind != stageTrace {
+			v, err := decodeStage(kind, doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := heapBytes(v); n > e.size {
+				t.Errorf("%s: decoded from its document, charged %d bytes, fresh %d", e.key, n, e.size)
+			}
+		}
+		yardstick, what := int64(len(doc)), "document"
+		if kind == stageOptimize {
+			yardstick, what = decodedHeap(t, kind, doc), "live heap of a decoded copy"
+		}
+		if r := float64(e.size) / float64(yardstick); r < 1/maxRatio || r > maxRatio {
+			t.Errorf("%s: size %d vs %d-byte %s (ratio %.2f)", e.key, e.size, yardstick, what, r)
 		}
 	}
 	if len(kinds) != 6 {
 		t.Errorf("want every stage kind, the result entries and a memory-only entry resident, got %v", kinds)
 	}
+}
+
+// decodedHeap returns the live heap one decoded copy of a stage
+// document holds, averaged over copies kept alive together so that the
+// collector's granularity washes out.
+func decodedHeap(t *testing.T, kind string, doc []byte) int64 {
+	t.Helper()
+	copies := make([]any, 256)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range copies {
+		v, err := decodeStage(kind, doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copies[i] = v
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(copies)
+	return (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(len(copies))
 }
 
 // BenchmarkHeapBytes times the walk that sizes a value entering the

@@ -113,30 +113,79 @@ func TestStagePanicIsContainedAndEvicted(t *testing.T) {
 // TestPlatformPanicPastSpecChecks checks a platform-construction panic
 // that spec validation cannot catch (it fires inside the workload
 // factory, deep in the memory model) still comes back as a structured
-// per-scenario error.
+// per-scenario error. The factory first runs in the trace capture the
+// shared run replays, so the panic is attributed to the trace stage.
+// TestNestedWorkerPanicIsContainedAndEvicted covers a panic that
+// crosses a worker boundary inside a stage.
 func TestPlatformPanicPastSpecChecks(t *testing.T) {
 	registerBadPlatform(t, "bad-align")
 	rn := NewRunner(2)
-	// partition "shared" exercises the run stage; runs > 1 exercises the
-	// nested parallel fan-out, so the panic crosses a worker boundary
-	// (*parallel.PanicError) before the stage reshapes it. Trace mode
-	// "live" keeps the factory build inside the run stage (the default
-	// replay mode would surface it in the trace capture instead).
-	spec := Scenario{Workload: "bad-align", Scale: "small", Runs: 2, Partition: PartitionShared, Trace: TraceLive}
+	spec := Scenario{Workload: "bad-align", Scale: "small", Partition: PartitionShared}
 
 	res, err := rn.RunContext(context.Background(), spec)
 	var pe *StagePanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("want *StagePanicError, got %v", err)
 	}
-	if pe.Stage != "run" {
-		t.Errorf("panic must be attributed to the run stage, got %q", pe.Stage)
+	if pe.Stage != "trace" {
+		t.Errorf("panic must be attributed to the trace stage, got %q", pe.Stage)
 	}
-	if !strings.Contains(res.Error, "panic in run stage") {
+	if !strings.Contains(res.Error, "panic in trace stage") {
 		t.Errorf("result must embed the structured panic, got %q", res.Error)
 	}
 	if st := rn.Stats(); st.StagePanics == 0 {
 		t.Errorf("platform panic must be counted: %+v", st)
+	}
+}
+
+// TestNestedWorkerPanicIsContainedAndEvicted checks a panic inside a
+// stage's own fan-out: a runs: 2 profile stage profiles its repetitions
+// on the worker pool, whose recovery hands the stage a
+// *parallel.PanicError rather than a panic. The stage must report it as
+// a *StagePanicError of its own kind carrying the injected value, evict
+// its entry like any failure, and succeed on retry over the trace it
+// already captured.
+func TestNestedWorkerPanicIsContainedAndEvicted(t *testing.T) {
+	const seed = 23
+	rn := NewRunner(2)
+	spec := Scenario{Workload: "jpeg1-only", Scale: "small", Runs: 2, Partition: PartitionProfile}
+	keys, err := spec.StageKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The profiling repetitions are the scenario's only worker-pool
+	// dispatches: Run serves a single scenario on the caller's goroutine.
+	restore := faults.Activate(faults.New(seed).PanicAt(faults.SiteWorker, 0))
+	_, err = rn.Run(spec)
+	restore()
+	var pe *StagePanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("want *StagePanicError, got %v", err)
+	}
+	want := faults.PanicValue{Site: faults.SiteWorker, Ordinal: 0, Seed: seed}
+	if pe.Stage != "profile" || pe.Key != keys["profile"] || pe.Value != want {
+		t.Errorf("the worker panic must be attributed to the profile stage with the injected value, got stage %q key %q value %v", pe.Stage, pe.Key, pe.Value)
+	}
+	if pe.Stack == "" {
+		t.Error("panic error must carry the worker's stack")
+	}
+	if rn.memo.get(keys["profile"]) != nil {
+		t.Error("the panicked profile stage must be evicted")
+	}
+	if st := rn.Stats(); st.StagePanics != 1 || st.StageErrors != 1 {
+		t.Errorf("want 1 counted panic evicting 1 stage, got %+v", st)
+	}
+
+	res, err := rn.Run(spec)
+	if err != nil {
+		t.Fatalf("retry after a contained worker panic must succeed, got %v", err)
+	}
+	if len(res.Curves) == 0 {
+		t.Error("retried run produced no curves")
+	}
+	if st := rn.Stats(); st.ProfileRuns != 2 || st.TraceRuns != 1 {
+		t.Errorf("the retry must re-profile over the resident trace, got %+v", st)
 	}
 }
 

@@ -143,10 +143,11 @@ func summarizeRun(res *core.Result) *RunSummary {
 }
 
 // summarizeOptimize converts an optimizer result into the document shape
-// (curves are carried separately, only under the profile policy).
+// (curves are carried separately, only under the profile policy). The
+// pipeline always solves with the MCKP solver (see optimizeConfig).
 func summarizeOptimize(opt *core.OptimizeResult) *OptimizeSummary {
 	return &OptimizeSummary{
-		Solver:     opt.Solver.String(),
+		Solver:     core.SolverMCKP.String(),
 		Budget:     opt.Budget,
 		TotalUnits: opt.Allocation.TotalUnits(),
 		Allocation: opt.Allocation,

@@ -303,35 +303,21 @@ func stage[T any](ctx context.Context, r *Runner, kind, key string, f func() (T,
 	return v.(T), nil
 }
 
-// lookup is stage's untyped core over the full memo key; a hit
-// allocates nothing.
+// lookup is stage's untyped core over the full memo key: the owner of
+// a new entry fills it, and every other lookup waits for the entry to
+// settle, sharing a computation in flight. A hit allocates nothing.
 func (r *Runner) lookup(kind, key string, f func() (any, error)) (any, error) {
-	for {
-		e, owner := r.memo.lookup(key)
-		if owner {
-			r.fill(kind, e, f)
-			return e.val, e.err
-		}
-		select {
-		case <-e.done:
-			// A resident value. Trace hits keep their read fault site: an
-			// injected read error behaves exactly like a corrupt document
-			// (counted, evicted, recaptured), so the recapture semantics
-			// are independent of which layer served the trace.
-			if kind == stageTrace && faults.Point(faults.SiteTraceRead) != nil {
-				atomic.AddUint64(&r.storeErrors, 1)
-				r.memo.drop(e)
-				continue
-			}
-		default:
-			<-e.done // share the computation in flight
-		}
-		atomic.AddUint64(&r.memoHits, 1)
-		if kind == stageTrace {
-			atomic.AddUint64(&r.traceHits, 1)
-		}
+	e, owner := r.memo.lookup(key)
+	if owner {
+		r.fill(kind, e, f)
 		return e.val, e.err
 	}
+	<-e.done
+	atomic.AddUint64(&r.memoHits, 1)
+	if kind == stageTrace {
+		atomic.AddUint64(&r.traceHits, 1)
+	}
+	return e.val, e.err
 }
 
 // errStageAborted settles an entry whose computation unwound without
@@ -484,13 +470,9 @@ func (r *Runner) traceStage(ctx context.Context, s Scenario) (*tracefile.Trace, 
 }
 
 // workload returns the factory the pipeline stages build app instances
-// from: a replay workload backed by the trace stage (the default — a
-// warm trace makes every later stage skip functional execution
-// entirely), or the live functional workload under trace mode "live".
+// from: a replay workload backed by the trace stage, so a warm trace
+// makes every later stage skip functional execution entirely.
 func (r *Runner) workload(ctx context.Context, s Scenario) (core.Workload, error) {
-	if s.Trace == TraceLive {
-		return workloads.Build(s.Workload, s.buildConfig())
-	}
 	t, err := r.traceStage(ctx, s)
 	if err != nil {
 		return core.Workload{}, err
@@ -641,11 +623,13 @@ func allocStageKey(s Scenario) string {
 
 // StageKeys returns the full store keys ("<kind>|<hash>") of every
 // pipeline stage the scenario's partition policy executes, labeled
-// "profile", "optimize", "run.shared" and "run.partitioned". These keys
-// are durable identifiers: persisted results are addressed by them
-// across process restarts, so any drift in Normalize or the per-stage
-// key derivations silently orphans every cached result — the golden
-// tests pin them for the built-in scenarios.
+// "profile", "optimize", "run.shared" and "run.partitioned", plus the
+// trace stage every one of them replays ("trace", and "trace.alloc" for
+// an alloc_workload stand-in). These keys are durable identifiers:
+// persisted results are addressed by them across process restarts, so
+// any drift in Normalize or the per-stage key derivations silently
+// orphans every cached result — the golden tests pin them for the
+// built-in scenarios.
 func (s Scenario) StageKeys() (map[string]string, error) {
 	n, err := s.Normalize()
 	if err != nil {
@@ -667,11 +651,9 @@ func (s Scenario) StageKeys() (map[string]string, error) {
 		keys["run.shared"] = stageRun + "|" + runStageKey(n, core.Shared, "")
 		keys["run.partitioned"] = stageRun + "|" + runStageKey(n, core.Partitioned, allocStageKey(n))
 	}
-	if n.Trace != TraceLive {
-		keys["trace"] = stageTrace + "|" + traceStageKey(n)
-		if a := allocSpec(n); a.Workload != n.Workload {
-			keys["trace.alloc"] = stageTrace + "|" + traceStageKey(a)
-		}
+	keys["trace"] = stageTrace + "|" + traceStageKey(n)
+	if a := allocSpec(n); a.Workload != n.Workload {
+		keys["trace.alloc"] = stageTrace + "|" + traceStageKey(a)
 	}
 	return keys, nil
 }

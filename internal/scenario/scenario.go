@@ -119,25 +119,21 @@ type Scenario struct {
 	// scenario's own — the compositionality ablation validates a solo
 	// task under the full application's allocation this way.
 	AllocWorkload string `json:"alloc_workload,omitempty"`
-	// Trace selects the functional-execution source for the pipeline
-	// stages: "replay" (the default; canonicalized to empty) drives the
-	// profiler and the measured executions from the workload's recorded
+	// Trace accepts "replay" (default) or "live" and normalizes to the
+	// empty string: every pipeline stage replays the workload's recorded
 	// access-stream trace, captured once per (workload, scale, seed) by
-	// the trace stage and persisted through the store layers; "live"
-	// re-runs the functional apps for every stage. Replay is proven
-	// bit-identical to live (see internal/tracefile), so the choice
-	// cannot affect results and is cleared from the content address —
-	// both modes share every stage key.
+	// the trace stage and persisted through the store layers. Replay is
+	// bit-identical to re-running the functional applications (the
+	// differential tests in internal/experiments prove it on core), so a
+	// live spec shares its replay twin's content key and every stage key.
 	Trace string `json:"trace,omitempty"`
 }
 
-// Trace modes (Scenario.Trace).
+// Trace spellings Normalize accepts (Scenario.Trace); both normalize to
+// the empty string.
 const (
-	// TraceReplay drives pipeline stages from the recorded trace
-	// (default; normalizes to the empty string).
 	TraceReplay = "replay"
-	// TraceLive re-runs the functional applications for every stage.
-	TraceLive = "live"
+	TraceLive   = "live"
 )
 
 // CacheSpec overrides a cache geometry. Fields are pointers so that an
@@ -467,8 +463,9 @@ func PlatformSpecOf(pc platform.Config) PlatformSpec {
 
 // Normalize validates the spec and returns its canonical form: every
 // defaultable field filled with its canonical value, enum spellings
-// canonicalized, sizes sorted, and both engine fields set to the
-// production engines (the exact oracles compute identical results).
+// canonicalized, sizes sorted, both engine fields set to the production
+// engines and the trace mode cleared (the exact oracles, and a live
+// functional run, compute identical results).
 // Two specs describing the same experiment normalize identically, which
 // is what makes content addressing work.
 func (s Scenario) Normalize() (Scenario, error) {
@@ -518,9 +515,8 @@ func (s Scenario) Normalize() (Scenario, error) {
 	}
 
 	switch n.Trace {
-	case "", TraceReplay:
-		n.Trace = "" // replay is the canonical default
-	case TraceLive:
+	case "", TraceReplay, TraceLive:
+		n.Trace = ""
 	default:
 		return n, fmt.Errorf("scenario: unknown trace mode %q (want %q or %q)", n.Trace, TraceReplay, TraceLive)
 	}
@@ -599,7 +595,6 @@ func (s Scenario) Key() (string, error) {
 // contentKey hashes a normalized spec into its content address.
 func (n Scenario) contentKey() string {
 	n.Name = ""
-	n.Trace = "" // replay ≡ live, so the mode is non-semantic
 	return hashJSON(n)
 }
 

@@ -105,9 +105,9 @@ func TestInvalidSpecs(t *testing.T) {
 	}
 }
 
-// TestContentKey checks the content-addressing contract: names and the
-// exact-oracle engine and solver spellings don't matter, defaults are
-// canonical, every semantic field matters.
+// TestContentKey checks the content-addressing contract: names, the
+// exact-oracle engine and solver spellings and the trace mode don't
+// matter, defaults are canonical, every semantic field matters.
 func TestContentKey(t *testing.T) {
 	base := Scenario{Workload: "mpeg2", Scale: "small"}
 	k0, err := base.Key()
@@ -126,6 +126,7 @@ func TestContentKey(t *testing.T) {
 		"solver":         func(s *Scenario) { s.Solver = "ilp" },
 		"repeated sizes": func(s *Scenario) { s.Sizes = []int{1, 2, 4, 8, 16, 32, 64, 64, 128} },
 		"empty sizes":    func(s *Scenario) { s.Sizes = []int{} },
+		"trace live":     func(s *Scenario) { s.Trace = TraceLive },
 	} {
 		m := base
 		mutate(&m)

@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/store"
 )
@@ -216,6 +218,30 @@ func TestStageDocVersionAndKindMismatch(t *testing.T) {
 	}
 	if _, err := decodeStage(stageProfile, []byte(`not json`)); err == nil {
 		t.Error("garbage must not decode")
+	}
+}
+
+// TestStageDocOptimizeRetiredFields checks that an optimize record
+// written while its document still repeated the profiled curves and
+// named the solver decodes to the allocation, expected misses and
+// budget: the fields left the document without a StageDocVersion bump
+// or a change of stage key, so such records stay addressed and must
+// keep serving warm restarts.
+func TestStageDocOptimizeRetiredFields(t *testing.T) {
+	const doc = `{"v":1,"kind":"optimize","data":{"Allocation":{"FrontEnd1":4,"sync":1},` +
+		`"Curves":[{"Entity":"FrontEnd1","Sizes":[1,2,4],"Misses":[4608,4423.5,1003],"Accesses":4608}],` +
+		`"Expected":{"FrontEnd1":1003,"sync":12},"Budget":32,"Solver":1}}`
+	v, err := decodeStage(stageOptimize, []byte(doc))
+	if err != nil {
+		t.Fatalf("an optimize record with the retired fields must decode: %v", err)
+	}
+	want := &core.OptimizeResult{
+		Allocation: core.Allocation{"FrontEnd1": 4, "sync": 1},
+		Expected:   map[string]float64{"FrontEnd1": 1003, "sync": 12},
+		Budget:     32,
+	}
+	if !reflect.DeepEqual(v, want) {
+		t.Errorf("decoded %+v, want %+v", v, want)
 	}
 }
 

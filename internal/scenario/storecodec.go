@@ -48,8 +48,18 @@ var codecs = map[string]stageCodec{
 		encode: json.Marshal,
 		decode: func(data []byte) (any, error) {
 			var curves []profile.Curve
-			err := json.Unmarshal(data, &curves)
-			return curves, err
+			if err := json.Unmarshal(data, &curves); err != nil {
+				return nil, err
+			}
+			// encoding/json grows every slice as it decodes, leaving up to
+			// twice its length in spare capacity that a fresh value does
+			// not hold; the memo keeps copies made at the exact lengths.
+			exact := exactLen(curves)
+			for i := range exact {
+				exact[i].Sizes = exactLen(exact[i].Sizes)
+				exact[i].Misses = exactLen(exact[i].Misses)
+			}
+			return exact, nil
 		},
 	},
 	stageOptimize: {
@@ -76,6 +86,13 @@ var codecs = map[string]stageCodec{
 			return tracefile.Decode(raw)
 		},
 	},
+}
+
+// exactLen copies s into a slice whose capacity is its length.
+func exactLen[T any](s []T) []T {
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
 }
 
 // decodeJSON decodes a stage value into a fresh T.

@@ -7,14 +7,17 @@ import (
 	"repro/internal/faults"
 )
 
-// TestTraceReadFaultRecaptures proves the corrupt-trace contract:
-// a recorded trace that fails to decode (the trace.read fault site
-// models bit rot in either store layer) is treated as a miss — the
-// record is evicted, the stage recaptures from a live functional run,
-// and the scenario still succeeds with bit-identical results. Corruption
-// costs a re-run, never a failed scenario.
+// TestTraceReadFaultRecaptures proves the corrupt-trace contract: a
+// stored trace record that fails to decode (the trace.read fault site
+// models bit rot in the durable store) is treated as a miss — counted,
+// the record deleted, the stage recaptured from a live functional run —
+// and the scenario still succeeds with bit-identical results.
+// Corruption costs a re-run, never a failed scenario. A resident trace
+// is a value no decode touches, so the memo is trimmed first and the
+// trace can only come back from disk.
 func TestTraceReadFaultRecaptures(t *testing.T) {
-	rn := NewRunner(1)
+	rn := diskRunner(t, 1, t.TempDir())
+	defer rn.Close()
 	first := smallSpec()
 	if _, err := rn.Run(first); err != nil {
 		t.Fatal(err)
@@ -22,10 +25,11 @@ func TestTraceReadFaultRecaptures(t *testing.T) {
 	if st := rn.Stats(); st.TraceRuns != 1 || st.StoreErrors != 0 {
 		t.Fatalf("setup: want exactly the cold capture, got %+v", st)
 	}
+	rn.TrimMemo(0)
 
 	// A second spec sharing the workload but not the profile key forces
-	// a fresh profile stage, whose trace lookup is the first *decode* of
-	// the recorded trace (the capture itself never decodes). Arm that
+	// a fresh profile stage, whose trace lookup is the first decode of
+	// the stored trace (the capture itself never decodes). Arm that
 	// decode to fail.
 	second := smallSpec()
 	second.Runs = 3

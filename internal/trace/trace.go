@@ -1,6 +1,6 @@
 // Package trace defines the memory access record exchanged between the
 // cores, the cache hierarchy and the profiler, plus deterministic
-// synthetic access-stream generators used by tests and micro-benchmarks.
+// synthetic access-stream generators used by tests.
 package trace
 
 import (
@@ -41,62 +41,6 @@ type Access struct {
 	Region mem.RegionID // owning entity, resolved at issue time
 }
 
-// Sink consumes a stream of accesses. Cache levels, the profiler and the
-// statistics collectors all implement Sink.
-type Sink interface {
-	// Access processes one memory reference and returns its latency
-	// in cycles as seen by the issuing core.
-	Access(a Access) uint64
-}
-
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(Access) uint64
-
-// Access implements Sink.
-func (f SinkFunc) Access(a Access) uint64 { return f(a) }
-
-// CountingSink counts accesses by operation; its latency is constant.
-// It is the "functional-only" memory system used when an application is
-// executed purely for its output or for trace capture.
-type CountingSink struct {
-	Latency uint64
-	Reads   uint64
-	Writes  uint64
-	Fetches uint64
-}
-
-// Access implements Sink.
-func (c *CountingSink) Access(a Access) uint64 {
-	switch a.Op {
-	case Read:
-		c.Reads++
-	case Write:
-		c.Writes++
-	case Fetch:
-		c.Fetches++
-	}
-	return c.Latency
-}
-
-// Total returns the total number of accesses seen.
-func (c *CountingSink) Total() uint64 { return c.Reads + c.Writes + c.Fetches }
-
-// TeeSink forwards every access to all children and returns the latency
-// of the first one (the "real" hierarchy); the rest are observers.
-type TeeSink struct {
-	Primary   Sink
-	Observers []Sink
-}
-
-// Access implements Sink.
-func (t *TeeSink) Access(a Access) uint64 {
-	lat := t.Primary.Access(a)
-	for _, o := range t.Observers {
-		o.Access(a)
-	}
-	return lat
-}
-
 // Generator produces a deterministic stream of accesses. Generators model
 // archetypal multimedia access patterns and are used to unit-test cache
 // behaviour independently of the full applications.
@@ -104,19 +48,6 @@ type Generator interface {
 	// Next returns the next access and true, or a zero Access and
 	// false when the stream is exhausted.
 	Next() (Access, bool)
-}
-
-// Drain feeds the whole generator stream into the sink and returns the
-// number of accesses and the summed latency.
-func Drain(g Generator, s Sink) (n, cycles uint64) {
-	for {
-		a, ok := g.Next()
-		if !ok {
-			return n, cycles
-		}
-		cycles += s.Access(a)
-		n++
-	}
 }
 
 // StrideGen emits Count accesses starting at Base with the given stride,

@@ -14,42 +14,6 @@ func TestOpString(t *testing.T) {
 	}
 }
 
-func TestCountingSink(t *testing.T) {
-	c := &CountingSink{Latency: 3}
-	if lat := c.Access(Access{Op: Read}); lat != 3 {
-		t.Errorf("latency = %d, want 3", lat)
-	}
-	c.Access(Access{Op: Write})
-	c.Access(Access{Op: Write})
-	c.Access(Access{Op: Fetch})
-	if c.Reads != 1 || c.Writes != 2 || c.Fetches != 1 {
-		t.Errorf("counts = %d/%d/%d", c.Reads, c.Writes, c.Fetches)
-	}
-	if c.Total() != 4 {
-		t.Errorf("Total = %d, want 4", c.Total())
-	}
-}
-
-func TestSinkFunc(t *testing.T) {
-	var got Access
-	s := SinkFunc(func(a Access) uint64 { got = a; return 7 })
-	if lat := s.Access(Access{Addr: 0x100}); lat != 7 || got.Addr != 0x100 {
-		t.Error("SinkFunc did not forward")
-	}
-}
-
-func TestTeeSink(t *testing.T) {
-	p := &CountingSink{Latency: 5}
-	o1, o2 := &CountingSink{}, &CountingSink{}
-	tee := &TeeSink{Primary: p, Observers: []Sink{o1, o2}}
-	if lat := tee.Access(Access{Op: Read}); lat != 5 {
-		t.Errorf("tee latency = %d, want primary's 5", lat)
-	}
-	if p.Total() != 1 || o1.Total() != 1 || o2.Total() != 1 {
-		t.Error("tee did not forward to all sinks")
-	}
-}
-
 func TestStrideGen(t *testing.T) {
 	g := &StrideGen{Base: 0x1000, Stride: 64, Count: 4, Op: Write}
 	want := []uint64{0x1000, 0x1040, 0x1080, 0x10C0}
@@ -147,15 +111,6 @@ func TestInterleaveRoundRobin(t *testing.T) {
 		if addrs[i] != want[i] {
 			t.Fatalf("got %v, want %v", addrs, want)
 		}
-	}
-}
-
-func TestDrain(t *testing.T) {
-	g := &StrideGen{Base: 0, Stride: 8, Count: 10}
-	s := &CountingSink{Latency: 2}
-	n, cycles := Drain(g, s)
-	if n != 10 || cycles != 20 {
-		t.Errorf("Drain = %d accesses, %d cycles; want 10, 20", n, cycles)
 	}
 }
 
