@@ -248,24 +248,35 @@ func TestPartitionEqualsIsolatedCacheProperty(t *testing.T) {
 		big.SetPartitionTable(tab)
 		iso := New(Config{Name: "iso", Sets: numSets, Ways: 2, LineSize: 64})
 
-		gA := &trace.RandomGen{Base: 0, WorkingSet: 1 << 14, Count: 5000, Seed: uint64(seed) | 1, Region: 0}
-		gB := &trace.RandomGen{Base: 1 << 20, WorkingSet: 1 << 16, Count: 5000, Seed: uint64(seed)*7 | 1, Region: 1}
-		inter := &trace.Interleave{Gens: []trace.Generator{gA, gB}}
-		for {
-			a, ok := inter.Next()
-			if !ok {
-				break
-			}
-			big.Access(a)
-			if a.Region == 0 {
-				iso.Access(a)
-			}
+		// Entity A's stream and entity B's alternate in the shared cache.
+		a := randomStream(0, 1<<14, 5000, uint64(seed)|1, 0)
+		b := randomStream(1<<20, 1<<16, 5000, uint64(seed)*7|1, 1)
+		for i := range a {
+			big.Access(a[i])
+			iso.Access(a[i])
+			big.Access(b[i])
 		}
 		return big.RegionStats(0).Misses == iso.Stats().Misses
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
+}
+
+// randomStream returns count 4-byte reads of region spread uniformly
+// over the ws bytes from base by a seeded xorshift64* generator, the
+// pattern of irregular table lookups.
+func randomStream(base, ws, count, seed uint64, region mem.RegionID) []trace.Access {
+	out := make([]trace.Access, count)
+	state := seed | 1
+	for i := range out {
+		state ^= state >> 12
+		state ^= state << 25
+		state ^= state >> 27
+		off := state * 0x2545F4914F6CDD1D % (ws / 4) * 4
+		out[i] = trace.Access{Addr: base + off, Size: 4, Op: trace.Read, Region: region}
+	}
+	return out
 }
 
 // TestAccessTwoLineSplitUnderPartition verifies that an access straddling

@@ -105,6 +105,10 @@ type OptimizeResult struct {
 	Budget   int // optimizable units after rt and pinned FIFOs
 }
 
+// jitter scales the scheduling quantum of each profiling repetition,
+// cycling past its end; repetition 0 runs at the configured quantum.
+var jitter = []float64{1.0, 0.85, 1.2, 0.7, 1.4, 0.95, 1.1}
+
 // Profile runs the workload oc.Runs times under the shared-cache strategy
 // with the profiler tapping the L2, and returns the averaged miss curves.
 // Scheduling quanta are jittered across runs to perturb task
@@ -118,10 +122,36 @@ type OptimizeResult struct {
 // identical to the sequential path.
 func Profile(w Workload, oc OptimizeConfig) ([]profile.Curve, error) {
 	oc.fillDefaults()
-	app, err := w.Factory()
+	// Apps are built serially: a workload factory may publish handles to
+	// the app it builds (workloads.JPEGCanny / MPEG2 take an optional
+	// handle pointer), so only the simulations themselves fan out.
+	apps := make([]*App, oc.Runs)
+	for r := range apps {
+		var err error
+		if apps[r], err = w.Factory(); err != nil {
+			return nil, err
+		}
+	}
+	runs := make([][]profile.Curve, oc.Runs)
+	err := parallel.Do(parallel.Workers(oc.Workers), oc.Runs, func(r int) error {
+		var err error
+		_, runs[r], err = ProfileRep(apps[r], oc, r)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
+	return profile.Average(runs)
+}
+
+// ProfileRep runs profiling repetition rep of app (which must not have
+// run before): one shared-cache simulation at the repetition's jittered
+// scheduling quantum, with a profiler tapping the observed level. It
+// returns the run's result and the profiler's miss curves. Repetition 0
+// runs at the configured quantum, so its result is the shared baseline
+// RunApp measures under the same platform without the profiler.
+func ProfileRep(app *App, oc OptimizeConfig, rep int) (*Result, []profile.Curve, error) {
+	oc.fillDefaults()
 	entities := app.Entities()
 	names := make([]string, len(entities))
 	regionOf := make(map[mem.RegionID]int)
@@ -133,50 +163,31 @@ func Profile(w Workload, oc OptimizeConfig) ([]profile.Curve, error) {
 	}
 	geom, err := oc.profileGeom()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	pcfg := profile.Config{
+	prof, err := profile.New(profile.Config{
 		Sizes:    oc.Sizes,
 		UnitSets: rtos.AllocUnit,
 		Ways:     geom.Ways,
 		LineSize: geom.LineSize,
 		Engine:   oc.Engine,
-	}
-	// Apps are built serially: a workload factory may publish handles to
-	// the app it builds (workloads.JPEGCanny / MPEG2 take an optional
-	// handle pointer), so only the simulations themselves fan out.
-	apps := make([]*App, oc.Runs)
-	apps[0] = app
-	for r := 1; r < oc.Runs; r++ {
-		if apps[r], err = w.Factory(); err != nil {
-			return nil, err
-		}
-	}
-	runs := make([][]profile.Curve, oc.Runs)
-	jitter := []float64{1.0, 0.85, 1.2, 0.7, 1.4, 0.95, 1.1}
-	err = parallel.Do(parallel.Workers(oc.Workers), oc.Runs, func(r int) error {
-		prof, err := profile.New(pcfg, names, regionOf)
-		if err != nil {
-			return err
-		}
-		rc := RunConfig{
-			Platform:     oc.Platform,
-			Strategy:     Shared,
-			MaxCycles:    oc.MaxCycles,
-			L2Observer:   prof.Observe,
-			ObserveLevel: oc.ProfileLevel,
-		}
-		rc.Platform.Sched.Quantum = int64(float64(oc.Platform.Sched.Quantum) * jitter[r%len(jitter)])
-		if _, err := RunApp(apps[r], rc); err != nil {
-			return fmt.Errorf("core: profiling run %d: %w", r, err)
-		}
-		runs[r] = prof.Curves()
-		return nil
-	})
+	}, names, regionOf)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return profile.Average(runs)
+	rc := RunConfig{
+		Platform:     oc.Platform,
+		Strategy:     Shared,
+		MaxCycles:    oc.MaxCycles,
+		L2Observer:   prof.Observe,
+		ObserveLevel: oc.ProfileLevel,
+	}
+	rc.Platform.Sched.Quantum = int64(float64(oc.Platform.Sched.Quantum) * jitter[rep%len(jitter)])
+	res, err := RunApp(app, rc)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: profiling run %d: %w", rep, err)
+	}
+	return res, prof.Curves(), nil
 }
 
 // Optimize implements the proposed optimization method of section 3.2:

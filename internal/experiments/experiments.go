@@ -26,8 +26,8 @@ type Config struct {
 	Platform    platform.Config
 	ProfileRuns int
 	// Workers sizes the scenario runner the CLI builds
-	// (scenario.NewRunner), which bounds both its batch pool and
-	// core.Profile's concurrent profiling repetitions: 0 = GOMAXPROCS,
+	// (scenario.NewRunner), which bounds both its batch pool and each
+	// profile stage's concurrent profiling repetitions: 0 = GOMAXPROCS,
 	// 1 = fully sequential. Every simulation owns its platform instance,
 	// so the results are identical at any worker count.
 	Workers int

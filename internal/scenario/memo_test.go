@@ -461,7 +461,10 @@ func TestMemoHeapBytes(t *testing.T) {
 // checked against the JSON of its sections, which it counts in full
 // although it shares their maps with stage values. So is a memory-only
 // entry of prepared scenarios, whose normalized specs spend a pointer
-// and a scalar on each field their JSON spells out. A JSON stage value
+// and a scalar on each field their JSON spells out. A shared
+// repetition, the memory-only value a spec's shared run and profile
+// both read, is a run value and a profile's curves; its yardstick is
+// the two documents those encode to. A JSON stage value
 // decoded from its document, what a disk hit makes resident, must be
 // charged no more than the fresh value it was encoded from; a profile of
 // five candidate sizes checks that for curves whose slices
@@ -495,6 +498,7 @@ func TestMemoSizeTracksDocuments(t *testing.T) {
 	}
 	rn.memo.mu.Unlock()
 	kinds := map[string]int{}
+	reps := 0
 	for _, e := range resident {
 		kind, _, _ := strings.Cut(e.key, "|")
 		kinds[kind]++
@@ -502,9 +506,18 @@ func TestMemoSizeTracksDocuments(t *testing.T) {
 			doc []byte
 			err error
 		)
-		if kind == resultKind || kind == memoryKind {
+		switch rep, _ := e.val.(*sharedRep); {
+		case rep != nil:
+			reps++
+			doc, err = encodeStage(stageRun, rep.run)
+			if err == nil {
+				var curves []byte
+				curves, err = encodeStage(stageProfile, rep.curves)
+				doc = append(doc, curves...)
+			}
+		case kind == resultKind || kind == memoryKind:
 			doc, err = json.Marshal(e.val)
-		} else {
+		default:
 			doc, err = encodeStage(kind, e.val)
 		}
 		if err != nil {
@@ -532,6 +545,9 @@ func TestMemoSizeTracksDocuments(t *testing.T) {
 	}
 	if len(kinds) != 6 {
 		t.Errorf("want every stage kind, the result entries and a memory-only entry resident, got %v", kinds)
+	}
+	if reps != 3 {
+		t.Errorf("want the three specs' shared repetitions resident, got %d", reps)
 	}
 }
 

@@ -25,8 +25,10 @@ import (
 // the simulation too: RunCommand's commands reuse the two applications'
 // optimized scenarios, sweep points that differ only in axes a stage
 // ignores share its runs, and the solo-composition scenario borrows the
-// full application's optimization. Every simulation is deterministic at
-// any worker count, so memoized and fresh results are bit-identical.
+// full application's optimization. A spec's migration-off shared run is
+// its profile's first repetition, so the two stages read one simulation
+// (sharedRep). Every simulation is deterministic at any worker count, so
+// memoized and fresh results are bit-identical.
 //
 // On top of the stages, a successful scenario's assembled sections are
 // memoized under its content key, so a warm scenario costs its
@@ -82,6 +84,7 @@ type Runner struct {
 	profileRuns  uint64 // profile stages executed
 	optimizeRuns uint64 // optimize stages executed
 	runRuns      uint64 // measured-execution stages executed
+	simulations  uint64 // platform simulations started (trace captures excluded)
 	traceRuns    uint64 // trace captures executed (functional runs)
 	traceHits    uint64 // trace lookups served without capturing (any layer)
 	traceBytes   uint64 // encoded bytes of traces captured
@@ -99,7 +102,7 @@ type Runner struct {
 // "error" field — the process, and every other in-flight scenario,
 // keeps running.
 type StagePanicError struct {
-	Stage string      // stage kind ("profile", "optimize", "run", or "scenario" outside any stage)
+	Stage string      // stage kind ("trace", "profile", "optimize", "run", or "scenario" outside any stage)
 	Key   string      // the stage's memo key (content address), if any
 	Value interface{} // the recovered panic value
 	Stack string      // stack captured at recovery
@@ -171,7 +174,8 @@ type Stats struct {
 	StagePanics  uint64 `json:"stage_panics,omitempty"` // panics recovered into StagePanicError
 	ProfileRuns  uint64 `json:"profile_runs"`           // profile stages executed
 	OptimizeRuns uint64 `json:"optimize_runs"`          // optimize stages executed
-	RunRuns      uint64 `json:"run_runs"`               // measured executions performed
+	RunRuns      uint64 `json:"run_runs"`               // measured-execution stages executed
+	Simulations  uint64 `json:"simulations"`            // platform simulations started (trace captures are TraceRuns)
 	TraceRuns    uint64 `json:"trace_runs"`             // trace captures executed (functional runs)
 	TraceHits    uint64 `json:"trace_hits"`             // trace requests served without capturing
 	TraceBytes   uint64 `json:"trace_bytes,omitempty"`  // encoded bytes of traces captured
@@ -195,6 +199,7 @@ func (s Stats) Delta(before Stats) Stats {
 		ProfileRuns:  s.ProfileRuns - before.ProfileRuns,
 		OptimizeRuns: s.OptimizeRuns - before.OptimizeRuns,
 		RunRuns:      s.RunRuns - before.RunRuns,
+		Simulations:  s.Simulations - before.Simulations,
 		TraceRuns:    s.TraceRuns - before.TraceRuns,
 		TraceHits:    s.TraceHits - before.TraceHits,
 		TraceBytes:   s.TraceBytes - before.TraceBytes,
@@ -217,6 +222,7 @@ func (r *Runner) Stats() Stats {
 		ProfileRuns:  atomic.LoadUint64(&r.profileRuns),
 		OptimizeRuns: atomic.LoadUint64(&r.optimizeRuns),
 		RunRuns:      atomic.LoadUint64(&r.runRuns),
+		Simulations:  atomic.LoadUint64(&r.simulations),
 		TraceRuns:    atomic.LoadUint64(&r.traceRuns),
 		TraceHits:    atomic.LoadUint64(&r.traceHits),
 		TraceBytes:   atomic.LoadUint64(&r.traceBytes),
@@ -257,7 +263,8 @@ const memoryKind = "memory"
 // and its lookups count nothing in Stats. A build that fails or panics
 // releases every waiter with an error and caches nothing (a panic then
 // continues on the building goroutine), so the next call builds afresh.
-// A sweep memoizes its prepared points this way (see sweep.Prepare).
+// A sweep memoizes its prepared points this way (see sweep.Prepare), and
+// the runner each spec's shared repetition (sharedRep).
 //
 // The value must hold no cycles: the walk that sizes it would overflow
 // the goroutine's stack, a fatal error that ends the process. Heap the
@@ -502,20 +509,96 @@ func profileStageKey(s Scenario) string {
 	})
 }
 
+// profileStage averages the spec's profiling repetitions: the first is
+// its shared repetition (sharedRep), and the others are simulated here,
+// concurrently with reading it.
 func (r *Runner) profileStage(ctx context.Context, s Scenario) ([]profile.Curve, error) {
 	return stage(ctx, r, stageProfile, profileStageKey(s), func() ([]profile.Curve, error) {
-		// Nested stage lookups are detached from ctx: the closure may be
+		oc, err := s.optimizeConfig()
+		if err != nil {
+			return nil, err
+		}
+		// Nested lookups are detached from ctx: the closure may be
 		// computing on behalf of many single-flight waiters.
+		var w core.Workload
+		if s.Runs > 1 {
+			if w, err = r.workload(context.Background(), s); err != nil {
+				return nil, err
+			}
+		}
+		runs := make([][]profile.Curve, s.Runs)
+		err = parallel.Do(parallel.Workers(r.workers), s.Runs, func(i int) error {
+			if i == 0 {
+				rep, err := r.sharedRep(s)
+				if err != nil {
+					return err
+				}
+				runs[0] = rep.curves
+				return nil
+			}
+			app, err := w.Factory()
+			if err != nil {
+				return err
+			}
+			atomic.AddUint64(&r.simulations, 1)
+			_, runs[i], err = core.ProfileRep(app, oc, i)
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		return profile.Average(runs)
+	})
+}
+
+// sharedRep is a spec's shared repetition: its profiling repetition 0,
+// the shared-cache simulation at the unjittered quantum with migration
+// off and the profiler attached. It is at once the spec's migration-off
+// shared baseline (run) and its profile's first repetition (curves).
+type sharedRep struct {
+	run    *core.Result
+	curves []profile.Curve
+}
+
+// sharedRepKey keys a spec's shared repetition: its profile key with
+// runs cleared, since the repetition is the same at any number of runs.
+func sharedRepKey(s Scenario) string {
+	s.Runs = 0
+	return "shared-rep|" + profileStageKey(s)
+}
+
+// sharedRep serves the spec's shared repetition to the migration-off
+// run.shared stage and the profile stage, which both read it and so
+// simulate it once. It is a memory-only value (Memoize): concurrent
+// readers share its one build, it never reaches the durable store, and
+// its lookups count nothing in Stats, so each stage still fills, counts
+// and persists its own entry. Its build looks up the trace alone, never
+// either stage that reads it, so no wait cycle can form.
+func (r *Runner) sharedRep(s Scenario) (*sharedRep, error) {
+	v, err := r.Memoize(sharedRepKey(s), func() (any, error) {
 		w, err := r.workload(context.Background(), s)
 		if err != nil {
 			return nil, err
 		}
-		oc, err := s.optimizeConfig(r.workers)
+		app, err := w.Factory()
 		if err != nil {
 			return nil, err
 		}
-		return core.Profile(w, oc)
+		oc, err := s.optimizeConfig()
+		if err != nil {
+			return nil, err
+		}
+		atomic.AddUint64(&r.simulations, 1)
+		run, curves, err := core.ProfileRep(app, oc, 0)
+		if err != nil {
+			return nil, err
+		}
+		return &sharedRep{run: run, curves: curves}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*sharedRep), nil
 }
 
 // optimizeKey extends profileKey with the solver. Normalize pins it to
@@ -557,7 +640,7 @@ func (r *Runner) optimizeStage(ctx context.Context, s Scenario) (*core.OptimizeR
 		if err != nil {
 			return nil, err
 		}
-		oc, err := s.optimizeConfig(r.workers)
+		oc, err := s.optimizeConfig()
 		if err != nil {
 			return nil, err
 		}
@@ -588,8 +671,17 @@ func runStageKey(s Scenario, strat core.Strategy, allocKey string) string {
 	})
 }
 
+// runStage measures one execution. A migration-off shared run is the
+// spec's shared repetition, so it reads that instead of simulating.
 func (r *Runner) runStage(ctx context.Context, s Scenario, strat core.Strategy, alloc core.Allocation, allocKey string) (*core.Result, error) {
 	return stage(ctx, r, stageRun, runStageKey(s, strat, allocKey), func() (*core.Result, error) {
+		if strat == core.Shared && !s.Migration {
+			rep, err := r.sharedRep(s)
+			if err != nil {
+				return nil, err
+			}
+			return rep.run, nil
+		}
 		w, err := r.workload(context.Background(), s)
 		if err != nil {
 			return nil, err
@@ -600,6 +692,7 @@ func (r *Runner) runStage(ctx context.Context, s Scenario, strat core.Strategy, 
 		}
 		pc.Sched.AllowMigration = s.Migration
 		rc := core.RunConfig{Platform: pc, Strategy: strat, Alloc: alloc}
+		atomic.AddUint64(&r.simulations, 1)
 		return core.Run(w, rc)
 	})
 }
@@ -793,10 +886,12 @@ func (r *Runner) execute(ctx context.Context, n Scenario, res *Result) error {
 		return nil
 
 	case PartitionOptimized:
-		// The shared baseline and the profile+optimize leg are
-		// independent simulations, so a cold scenario runs them
-		// concurrently and its wall time is the longer leg, not their
-		// sum; the partitioned run needs the optimized allocation and
+		// The shared baseline and the profile+optimize leg run
+		// concurrently, so a cold scenario's wall time is the longer
+		// leg, not their sum: with migration on they are independent
+		// simulations, and with it off both read the shared
+		// repetition, which the profile's other repetitions overlap.
+		// The partitioned run needs the optimized allocation and
 		// follows.
 		var (
 			shared *core.Result

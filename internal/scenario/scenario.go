@@ -720,8 +720,8 @@ func (s Scenario) buildConfig() workloads.BuildConfig {
 
 // optimizeConfig translates a normalized spec into the profiling and
 // optimization options, on the production engines and solver (the zero
-// values). workers bounds the profiling fan-out.
-func (s Scenario) optimizeConfig(workers int) (core.OptimizeConfig, error) {
+// values).
+func (s Scenario) optimizeConfig() (core.OptimizeConfig, error) {
 	pc, err := s.Platform.Config()
 	if err != nil {
 		return core.OptimizeConfig{}, err
@@ -730,7 +730,6 @@ func (s Scenario) optimizeConfig(workers int) (core.OptimizeConfig, error) {
 		Platform:     pc,
 		Sizes:        s.Sizes,
 		Runs:         s.Runs,
-		Workers:      workers,
 		ProfileLevel: s.ProfileLevel,
 	}, nil
 }

@@ -111,9 +111,9 @@ func TestHealthReportsMemoOccupancy(t *testing.T) {
 		t.Fatalf("batch: %d\n%s", status, body)
 	}
 	_, h := getHealth(t, srv.URL)
-	// Two stages, the trace capture and the profile it feeds, plus the
-	// scenario's result entry.
-	if h.Memo.Entries != 3 || h.Memo.Bytes <= 0 || h.Memo.Bytes > h.Memo.Budget {
+	// Two stages, the trace capture and the profile it feeds, the
+	// profile's shared repetition, and the scenario's result entry.
+	if h.Memo.Entries != 4 || h.Memo.Bytes <= 0 || h.Memo.Bytes > h.Memo.Budget {
 		t.Errorf("memo after one batch: %+v", h.Memo)
 	}
 	if h.Runner.StageRuns != 2 || h.Runner.MemoEvictions != 0 {
