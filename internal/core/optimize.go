@@ -46,12 +46,10 @@ func ParseSolver(s string) (Solver, error) {
 
 // OptimizeConfig parameterizes profiling and optimization.
 type OptimizeConfig struct {
-	Platform  platform.Config
-	Sizes     []int // candidate unit sizes; nil = {1,2,...,128}
-	Runs      int   // profiling repetitions for m̄ averaging; 0 = 3
-	RTUnits   int   // run-time system partition; 0 = 4
-	Solver    Solver
-	MaxCycles uint64
+	Platform platform.Config
+	Sizes    []int // candidate unit sizes; nil = {1,2,...,128}
+	Runs     int   // profiling repetitions for m̄ averaging; 0 = 3
+	Solver   Solver
 	// Engine selects the miss-curve measurement engine; the zero value
 	// is the single-pass stack-distance simulator, profile.EngineBank
 	// the bank-of-caches reference oracle.
@@ -89,9 +87,6 @@ func (oc *OptimizeConfig) fillDefaults() {
 	}
 	if oc.Runs == 0 {
 		oc.Runs = 3
-	}
-	if oc.RTUnits == 0 {
-		oc.RTUnits = 4
 	}
 }
 
@@ -178,7 +173,6 @@ func ProfileRep(app *App, oc OptimizeConfig, rep int) (*Result, []profile.Curve,
 	rc := RunConfig{
 		Platform:     oc.Platform,
 		Strategy:     Shared,
-		MaxCycles:    oc.MaxCycles,
 		L2Observer:   prof.Observe,
 		ObserveLevel: oc.ProfileLevel,
 	}
@@ -213,7 +207,7 @@ func OptimizeFromCurves(app *App, curves []profile.Curve, oc OptimizeConfig) (*O
 	oc.fillDefaults()
 	entities := app.Entities()
 	totalUnits := oc.Platform.PartitionGeom().Sets / rtos.AllocUnit
-	budget := totalUnits - oc.RTUnits
+	budget := totalUnits - rtUnits
 
 	alloc := make(Allocation)
 	expected := make(map[string]float64)

@@ -12,7 +12,6 @@ func optCfg() OptimizeConfig {
 		Platform: smallPlatform(), // 512-set L2 = 64 units
 		Sizes:    []int{1, 2, 4, 8, 16, 32},
 		Runs:     2,
-		RTUnits:  2,
 	}
 }
 
@@ -44,7 +43,7 @@ func TestOptimizeEndToEnd(t *testing.T) {
 	}
 	// Feasibility.
 	total := opt.Allocation.TotalUnits()
-	if total > 64-oc.RTUnits {
+	if total > 64-rtUnits {
 		t.Fatalf("allocation %d units exceeds budget", total)
 	}
 	// FIFO pinned to its size.
@@ -74,7 +73,7 @@ func TestOptimizeEndToEnd(t *testing.T) {
 	}
 	part, err := Run(w, RunConfig{
 		Platform: oc.Platform, Strategy: Partitioned,
-		Alloc: opt.Allocation, RTUnits: oc.RTUnits,
+		Alloc: opt.Allocation,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +136,7 @@ func TestOptimizeFromCurvesMissingEntity(t *testing.T) {
 func TestOptimizeDefaultsFilled(t *testing.T) {
 	oc := OptimizeConfig{Platform: smallPlatform()}
 	oc.fillDefaults()
-	if len(oc.Sizes) == 0 || oc.Runs == 0 || oc.RTUnits == 0 {
+	if len(oc.Sizes) == 0 || oc.Runs == 0 {
 		t.Error("defaults not filled")
 	}
 }

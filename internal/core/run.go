@@ -25,14 +25,18 @@ func (s Strategy) String() string {
 	return "partitioned"
 }
 
+// The run-time system's fixed partition, in allocation units: a
+// partitioned run installs it and the solver's budget excludes it.
+const rtUnits = 4
+
+// maxCycles is the runaway guard of every simulation.
+const maxCycles = 20_000_000_000
+
 // RunConfig parameterizes one application execution.
 type RunConfig struct {
-	Platform  platform.Config
-	Strategy  Strategy
-	Alloc     Allocation // required for Partitioned
-	RTUnits   int        // run-time system partition size; 0 = 4 units
-	MaxCycles uint64     // runaway guard; 0 = 20 G cycles
-	Power     PowerModel // zero value = DefaultPowerModel
+	Platform platform.Config
+	Strategy Strategy
+	Alloc    Allocation // required for Partitioned
 
 	// L2Observer, when non-nil, taps the access stream bound for the
 	// observed shared level (the profiler attaches here).
@@ -97,8 +101,6 @@ func DefaultPowerModel() PowerModel {
 	return PowerModel{CycleCost: 1, L2Cost: 6, MemCost: 60}
 }
 
-func (m PowerModel) zero() bool { return m.CycleCost == 0 && m.L2Cost == 0 && m.MemCost == 0 }
-
 // Run builds a fresh App from the workload and executes it under the
 // given configuration.
 func Run(w Workload, rc RunConfig) (*Result, error) {
@@ -111,15 +113,6 @@ func Run(w Workload, rc RunConfig) (*Result, error) {
 
 // RunApp executes an already-built App (which must not have run before).
 func RunApp(app *App, rc RunConfig) (*Result, error) {
-	if rc.MaxCycles == 0 {
-		rc.MaxCycles = 20_000_000_000
-	}
-	if rc.RTUnits == 0 {
-		rc.RTUnits = 4
-	}
-	if rc.Power.zero() {
-		rc.Power = DefaultPowerModel()
-	}
 	pl, err := platform.New(rc.Platform, app.AS, app.RTData, app.RTBSS)
 	if err != nil {
 		return nil, err
@@ -139,7 +132,7 @@ func RunApp(app *App, rc RunConfig) (*Result, error) {
 			return nil, fmt.Errorf("core: partitioned run of %q without allocation", app.Name)
 		}
 		al = rc.Alloc
-		ca, err := app.BuildCacheAllocation(rc.Platform.PartitionGeom().Sets, rc.RTUnits, al)
+		ca, err := app.BuildCacheAllocation(rc.Platform.PartitionGeom().Sets, rtUnits, al)
 		if err != nil {
 			return nil, err
 		}
@@ -152,7 +145,7 @@ func RunApp(app *App, rc RunConfig) (*Result, error) {
 		}
 		obs.Observer = rc.L2Observer
 	}
-	pres, err := pl.Run(rc.MaxCycles)
+	pres, err := pl.Run(maxCycles)
 	if err != nil {
 		return nil, fmt.Errorf("core: running %q (%v): %w", app.Name, rc.Strategy, err)
 	}
@@ -175,9 +168,10 @@ func RunApp(app *App, rc RunConfig) (*Result, error) {
 	for _, c := range pl.Cores() {
 		busy += c.BusyCycles()
 	}
-	res.Energy = rc.Power.CycleCost*float64(busy) +
-		rc.Power.L2Cost*float64(pres.L2.Accesses) +
-		rc.Power.MemCost*float64(pl.Bus().Traffic())
+	power := DefaultPowerModel()
+	res.Energy = power.CycleCost*float64(busy) +
+		power.L2Cost*float64(pres.L2.Accesses) +
+		power.MemCost*float64(pl.Bus().Traffic())
 	// Every result is now copied out of the platform (entities, task
 	// cycles, stats, energy inputs), so its arena can be recycled for
 	// the next simulation. Error paths above deliberately skip this:

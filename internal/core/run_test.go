@@ -77,7 +77,7 @@ func TestRunSharedVsPartitioned(t *testing.T) {
 		"appl data": 1, "appl bss": 1, "rt data": 1, "rt bss": 1,
 	}
 	part, err := Run(w, RunConfig{
-		Platform: smallPlatform(), Strategy: Partitioned, Alloc: alloc, RTUnits: 2,
+		Platform: smallPlatform(), Strategy: Partitioned, Alloc: alloc,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -165,12 +165,8 @@ func TestResultHelpers(t *testing.T) {
 }
 
 func TestPowerModelDefaults(t *testing.T) {
-	m := DefaultPowerModel()
-	if m.zero() {
+	if DefaultPowerModel() == (PowerModel{}) {
 		t.Error("default model is zero")
-	}
-	if (PowerModel{}).zero() != true {
-		t.Error("zero detection wrong")
 	}
 }
 

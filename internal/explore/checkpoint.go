@@ -9,13 +9,15 @@ import (
 	"path/filepath"
 
 	"repro/internal/scenario"
+	"repro/internal/store"
 )
 
 // Checkpoint-directory layout: the self-contained spec next to the
 // atomically updated progress log. The spec file makes the directory
 // freestanding — `compmem explore -checkpoint dir -resume` needs no
-// other input — and the log is rewritten whole after every round via
-// the write-temp-then-rename discipline, so a crash at any instant
+// other input — and the log is rewritten whole after every round
+// through store.WriteFileAtomic (a temp file in the directory, fsync,
+// rename, directory fsync), so a crash or power loss at any instant
 // leaves either the previous round's log or the new one, never a torn
 // file.
 const (
@@ -42,10 +44,7 @@ func saveSpec(dir string, ex Explore) error {
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("explore: creating checkpoint dir: %w", err)
-	}
-	return atomicWrite(filepath.Join(dir, specFile), raw)
+	return store.WriteFileAtomic(dir, filepath.Join(dir, specFile), raw)
 }
 
 // LoadSpec parses the spec a checkpoint directory carries.
@@ -63,10 +62,7 @@ func saveCheckpoint(dir string, cp *checkpoint) error {
 	if err != nil {
 		return fmt.Errorf("explore: encoding checkpoint: %w", err)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("explore: creating checkpoint dir: %w", err)
-	}
-	return atomicWrite(filepath.Join(dir, checkpointFile), raw)
+	return store.WriteFileAtomic(dir, filepath.Join(dir, checkpointFile), raw)
 }
 
 // loadCheckpoint reads the progress log, verifying it belongs to the
@@ -112,30 +108,4 @@ func decodeCheckpoint(raw []byte, fp string, total int) (*checkpoint, error) {
 		seen[rec.Index] = true
 	}
 	return &cp, nil
-}
-
-// atomicWrite lands data at path via a temp file and rename, fsyncing
-// the file so the rename never publishes unwritten bytes.
-func atomicWrite(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("explore: checkpoint write: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("explore: checkpoint write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("explore: checkpoint sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("explore: checkpoint close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("explore: checkpoint publish: %w", err)
-	}
-	return nil
 }

@@ -31,7 +31,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"repro/internal/scenario"
 	"repro/internal/sweep"
@@ -219,42 +218,3 @@ func (ex Explore) pairs() []sweep.ParetoPair {
 	}
 	return sweep.DefaultPareto()
 }
-
-// frontSignature canonicalizes the objective-space positions of a front
-// set: per pair, the sorted distinct (x, y) values of the front's
-// members. The search detects improvement by comparing signatures
-// across rounds — a newly visited point that merely ties an existing
-// front member (a solver twin landing on the identical allocation)
-// changes the front's index set but not its signature, and must not
-// reset convergence.
-func frontSignature(fronts []sweep.ParetoFront, byIndex map[int]*sweep.PointSummary) string {
-	var b []byte
-	for _, f := range fronts {
-		b = append(b, f.X...)
-		b = append(b, '/')
-		b = append(b, f.Y...)
-		b = append(b, ':')
-		seen := map[string]bool{}
-		var vals []string
-		for _, idx := range f.Indices {
-			p := byIndex[idx]
-			if p == nil || p.Metrics == nil {
-				continue
-			}
-			v := fmt.Sprintf("%g,%g", metricValue(p.Metrics, f.X), metricValue(p.Metrics, f.Y))
-			if !seen[v] {
-				seen[v] = true
-				vals = append(vals, v)
-			}
-		}
-		sort.Strings(vals)
-		for _, v := range vals {
-			b = append(b, v...)
-			b = append(b, ';')
-		}
-		b = append(b, '\n')
-	}
-	return string(b)
-}
-
-func metricValue(m *sweep.Metrics, name string) float64 { return m.Get(name) }

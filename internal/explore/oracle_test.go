@@ -107,7 +107,7 @@ func assertOracle(t *testing.T, exact *sweep.Result, got *Result) {
 func visitLog(res *Result) string {
 	var s string
 	for _, p := range res.Points {
-		s += fmt.Sprintf("\n    r%d #%d %s", p.Round, p.Index, coordLabel(p.Coords))
+		s += fmt.Sprintf("\n    r%d #%d %s", p.Round, p.Index, sweep.CoordLabel(p.Coords))
 	}
 	return s
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/report"
+	"repro/internal/sweep"
 )
 
 // Render produces the terminal form of an exploration aggregate — the
@@ -34,18 +35,18 @@ func Render(r *Result) string {
 		b.WriteString(" — budget exhausted")
 	}
 	b.WriteByte('\n')
-	fmt.Fprintf(&b, "runner: %d stage runs (%d profile, %d optimize, %d measured), %d memo hits\n\n",
-		r.Stats.StageRuns, r.Stats.ProfileRuns, r.Stats.OptimizeRuns, r.Stats.RunRuns, r.Stats.MemoHits)
+	b.WriteString(sweep.StatsLine(r.Stats))
+	b.WriteString("\n\n")
 
-	byIndex := map[int]*PointRecord{}
+	byIndex := map[int]*sweep.PointSummary{}
 	pt := &report.Table{
 		Title:   "Visited points (in visit order)",
 		Headers: []string{"#", "round", "point", "makespan", "misses", "energy"},
 	}
 	for i := range r.Points {
 		p := &r.Points[i]
-		byIndex[p.Index] = p
-		label := coordLabel(p.Coords)
+		byIndex[p.Index] = &p.PointSummary
+		label := sweep.CoordLabel(p.Coords)
 		if p.Rung != 0 {
 			label += fmt.Sprintf(" (culled at rung %d)", p.Rung)
 		}
@@ -60,22 +61,6 @@ func Render(r *Result) string {
 	}
 	b.WriteString(pt.String())
 
-	for _, f := range r.Pareto {
-		if len(f.Indices) == 0 {
-			continue
-		}
-		t := &report.Table{
-			Title:   fmt.Sprintf("\nPareto front: %s vs %s (non-dominated, both minimized)", f.X, f.Y),
-			Headers: []string{"#", "point", f.X, f.Y},
-		}
-		for _, idx := range f.Indices {
-			p := byIndex[idx]
-			if p == nil || p.Metrics == nil {
-				continue
-			}
-			t.AddRow(idx, coordLabel(p.Coords), p.Metrics.Get(f.X), p.Metrics.Get(f.Y))
-		}
-		b.WriteString(t.String())
-	}
+	b.WriteString(sweep.FrontTables(r.Pareto, func(idx int) *sweep.PointSummary { return byIndex[idx] }))
 	return b.String()
 }

@@ -3,6 +3,7 @@ package explore
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/faults"
@@ -308,54 +309,64 @@ func (s *searcher) fullSummaries() []sweep.PointSummary {
 	return out
 }
 
-// signature canonicalizes the current fronts' objective-space values.
-func (s *searcher) signature() string {
+// position is one distinct objective-space place on a front: its
+// (x, y) values and the lowest index of the front members there.
+type position struct {
+	x, y  float64
+	index int
+}
+
+// fronts computes the full-fidelity front of every Pareto pair as its
+// distinct positions, in the front's ascending (x, y) order.
+// Metric-identical twins tying on a front (a solver twin landing on the
+// identical allocation) are one place in objective space, so they make
+// one position.
+func (s *searcher) fronts() [][]position {
 	full := s.fullSummaries()
-	byIndex := map[int]*sweep.PointSummary{}
-	for i := range full {
-		byIndex[full[i].Index] = &full[i]
+	out := make([][]position, len(s.pairs))
+	for i, pr := range s.pairs {
+		for _, idx := range sweep.ComputeParetoFront(full, pr).Indices {
+			m := s.records[s.visited[idx]].Metrics
+			x, y := m.Get(pr.X), m.Get(pr.Y)
+			// A front lists its ties consecutively, lowest index first.
+			if n := len(out[i]); n > 0 && out[i][n-1].x == x && out[i][n-1].y == y {
+				continue
+			}
+			out[i] = append(out[i], position{x: x, y: y, index: idx})
+		}
 	}
-	var fronts []sweep.ParetoFront
-	for _, pr := range s.pairs {
-		fronts = append(fronts, sweep.ComputeParetoFront(full, pr))
+	return out
+}
+
+// signature canonicalizes the current fronts' positions. The search
+// detects improvement by comparing signatures across rounds — a newly
+// visited point that merely ties an existing front member changes the
+// front's index set but not its positions, and must not reset
+// convergence.
+func (s *searcher) signature() string {
+	var b []byte
+	for _, front := range s.fronts() {
+		for _, p := range front {
+			b = fmt.Appendf(b, "%g,%g;", p.x, p.y)
+		}
+		b = append(b, '\n')
 	}
-	return frontSignature(fronts, byIndex)
+	return string(b)
 }
 
 // frontIndices returns the union, across pairs, of the current fronts'
-// point indices — the centers the descent proposes neighbors of. Each
-// distinct objective-space position contributes one representative (its
-// lowest index): metric-identical twins tying on a front are one place
-// in objective space, and letting every twin seed its own neighborhood
-// would drag the certificate across the whole tie class.
+// positions — the centers the descent proposes neighbors of, one per
+// position: letting every twin of a tie seed its own neighborhood would
+// drag the certificate across the whole tie class.
 func (s *searcher) frontIndices() []int {
-	full := s.fullSummaries()
-	byIndex := map[int]*sweep.Metrics{}
-	for i := range full {
-		byIndex[full[i].Index] = full[i].Metrics
-	}
-	seen := map[int]bool{}
 	var out []int
-	for _, pr := range s.pairs {
-		pos := map[string]bool{}
-		for _, idx := range sweep.ComputeParetoFront(full, pr).Indices {
-			m := byIndex[idx]
-			if m == nil {
-				continue
-			}
-			key := fmt.Sprintf("%g,%g", m.Get(pr.X), m.Get(pr.Y))
-			if pos[key] {
-				continue
-			}
-			pos[key] = true
-			if !seen[idx] {
-				seen[idx] = true
-				out = append(out, idx)
-			}
+	for _, front := range s.fronts() {
+		for _, p := range front {
+			out = append(out, p.index)
 		}
 	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // candidate is one proposed point with its ranking keys.
@@ -615,30 +626,18 @@ func (s *searcher) evalRound(ctx context.Context, cands []candidate) error {
 // dominated reports whether the full-fidelity fronts dominate the
 // probe summary under every Pareto pair — the cull rule of the ladder.
 func (s *searcher) dominated(sum sweep.PointSummary) bool {
-	if sum.Metrics == nil {
+	if sum.Metrics == nil || len(s.pairs) == 0 {
 		return false
 	}
-	full := s.fullSummaries()
-	for _, pr := range s.pairs {
-		front := sweep.ComputeParetoFront(full, pr)
-		x, y := sum.Metrics.Get(pr.X), sum.Metrics.Get(pr.Y)
-		dominatedHere := false
-		for _, idx := range front.Indices {
-			for i := range full {
-				if full[i].Index != idx || full[i].Metrics == nil {
-					continue
-				}
-				fx, fy := full[i].Metrics.Get(pr.X), full[i].Metrics.Get(pr.Y)
-				if fx <= x && fy <= y && (fx < x || fy < y) {
-					dominatedHere = true
-				}
-			}
-		}
-		if !dominatedHere {
+	for i, front := range s.fronts() {
+		x, y := sum.Metrics.Get(s.pairs[i].X), sum.Metrics.Get(s.pairs[i].Y)
+		if !slices.ContainsFunc(front, func(p position) bool {
+			return p.x <= x && p.y <= y && (p.x < x || p.y < y)
+		}) {
 			return false
 		}
 	}
-	return len(s.pairs) > 0
+	return true
 }
 
 // simulate runs the given points through the runner at the given rung
@@ -721,19 +720,4 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// coordLabel renders a point's coordinates as the familiar
-// axis=value,... label.
-func coordLabel(coords []sweep.Coord) string {
-	b := make([]byte, 0, 32)
-	for i, c := range coords {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, c.Axis...)
-		b = append(b, '=')
-		b = append(b, c.Value...)
-	}
-	return string(b)
 }

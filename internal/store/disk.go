@@ -212,19 +212,26 @@ func (d *Disk) Put(key string, val []byte) error {
 		// leaves on non-atomic filesystems, which Get must quarantine.
 		rec = rec[:recHeaderLen+(len(rec)-recHeaderLen)/2]
 	}
-	dir, path := d.recordPath(key)
-	if err := d.writeAtomic(dir, path, rec); err != nil {
+	_, path := d.recordPath(key)
+	if err := WriteFileAtomic(d.tmpDir(), path, rec); err != nil {
 		atomic.AddUint64(&d.putErrors, 1)
 		return err
 	}
 	return nil
 }
 
-func (d *Disk) writeAtomic(dir, path string, rec []byte) error {
+// WriteFileAtomic durably replaces the file at path with data: it
+// stages the bytes in a temp file under tmpDir (which must be on path's
+// volume), fsyncs it, renames it over path (creating path's directory
+// if needed) and fsyncs that directory, so a crash at any point leaves
+// either the old file or the new one, and a write that returned
+// survives a power loss.
+func WriteFileAtomic(tmpDir, path string, data []byte) error {
+	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	f, err := os.CreateTemp(d.tmpDir(), "put-*")
+	f, err := os.CreateTemp(tmpDir, ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("store: staging: %w", err)
 	}
@@ -234,7 +241,7 @@ func (d *Disk) writeAtomic(dir, path string, rec []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	if _, err := f.Write(rec); err != nil {
+	if _, err := f.Write(data); err != nil {
 		return cleanup(fmt.Errorf("store: writing %s: %w", tmp, err))
 	}
 	if err := f.Sync(); err != nil {

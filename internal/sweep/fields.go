@@ -3,7 +3,8 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/scenario"
@@ -13,19 +14,74 @@ import (
 // axis value and set it on a spec. rangeable marks integer fields that
 // accept an Axis.Range. target names the scenario path the field
 // writes (defaults to the field name itself); two axes sharing a
-// target would overwrite each other and are rejected by Validate —
-// the legacy platform.l2.* spellings target the same hierarchy paths
-// as platform.hierarchy.l2.*, and a kb axis targets its level's sets,
-// so sweeping any aliased pair at once cannot silently mislabel the
-// geometry.
+// target would overwrite each other and are rejected by Validate — a
+// legacy spelling targets the level path it names, and a kb axis its
+// level's sets, so sweeping any aliased pair at once cannot silently
+// mislabel the geometry.
 type fieldDef struct {
 	rangeable bool
 	target    string
 	apply     func(*scenario.Scenario, json.RawMessage) error
 }
 
+// field builds the fieldDef of a field whose axis values decode as T;
+// set writes one decoded value. Integer fields (int, uint64) accept a
+// Range. Every T is a scalar or a slice of scalars, so there are no
+// fields to reject, and raw is one element of an already-parsed array,
+// so it carries no trailing data: plain json.Unmarshal is as strict as
+// scenario.DecodeStrict here without building a decoder per point.
+func field[T any](set func(*scenario.Scenario, T) error) fieldDef {
+	fd := fieldDef{apply: func(s *scenario.Scenario, raw json.RawMessage) error {
+		var v T
+		if err := json.Unmarshal(raw, &v); err != nil {
+			return fmt.Errorf("decoding value %s: %w", raw, err)
+		}
+		return set(s, v)
+	}}
+	switch any(*new(T)).(type) {
+	case int, uint64:
+		fd.rangeable = true
+	}
+	return fd
+}
+
+// fields is the static sweepable-field registry. Keys are the axis
+// "field" spellings; dotted paths mirror the scenario spec's JSON
+// nesting. Geometry axes are not listed: hierarchyField builds them
+// from their level path.
+var fields = map[string]fieldDef{
+	"workload":          field(func(s *scenario.Scenario, v string) error { s.Workload = v; return nil }),
+	"scale":             field(func(s *scenario.Scenario, v string) error { s.Scale = v; return nil }),
+	"solver":            field(func(s *scenario.Scenario, v string) error { s.Solver = v; return nil }),
+	"partition":         field(func(s *scenario.Scenario, v string) error { s.Partition = v; return nil }),
+	"profile_engine":    field(func(s *scenario.Scenario, v string) error { s.ProfileEngine = v; return nil }),
+	"profile_level":     field(func(s *scenario.Scenario, v string) error { s.ProfileLevel = v; return nil }),
+	"exec_engine":       field(func(s *scenario.Scenario, v string) error { s.ExecEngine = v; return nil }),
+	"alloc_workload":    field(func(s *scenario.Scenario, v string) error { s.AllocWorkload = v; return nil }),
+	"migration":         field(func(s *scenario.Scenario, v bool) error { s.Migration = v; return nil }),
+	"seed":              field(func(s *scenario.Scenario, v uint64) error { s.Seed = v; return nil }),
+	"runs":              field(func(s *scenario.Scenario, v int) error { s.Runs = v; return nil }),
+	"sizes":             field(func(s *scenario.Scenario, v []int) error { s.Sizes = v; return nil }),
+	"platform.num_cpus": field(func(s *scenario.Scenario, v int) error { platformOf(s).NumCPUs = &v; return nil }),
+	"platform.base_cpi": field(func(s *scenario.Scenario, v float64) error { platformOf(s).BaseCPI = &v; return nil }),
+}
+
+// legacy maps the two-level platform.l1/l2 spellings to the level
+// paths they name: a legacy axis writes that level, exactly as its
+// platform.hierarchy twin does. No other platform.l* spelling exists.
+var legacy = map[string]string{
+	"platform.l1.sets":        "platform.hierarchy.l1.sets",
+	"platform.l1.ways":        "platform.hierarchy.l1.ways",
+	"platform.l1.line_size":   "platform.hierarchy.l1.line_size",
+	"platform.l2.sets":        "platform.hierarchy.l2.sets",
+	"platform.l2.ways":        "platform.hierarchy.l2.ways",
+	"platform.l2.line_size":   "platform.hierarchy.l2.line_size",
+	"platform.l2.kb":          "platform.hierarchy.l2.kb",
+	"platform.l2_hit_latency": "platform.hierarchy.l2.hit_latency",
+}
+
 // lookupField resolves an axis field name: the static registry first,
-// then the dynamic platform.hierarchy.<level>.<prop> paths.
+// then the geometry axes.
 func lookupField(name string) (fieldDef, bool) {
 	if fd, ok := fields[name]; ok {
 		return fd, true
@@ -33,100 +89,22 @@ func lookupField(name string) (fieldDef, bool) {
 	return hierarchyField(name)
 }
 
-// targetOf resolves the scenario path an axis field writes.
-func targetOf(field string) string {
-	if fd, ok := lookupField(field); ok && fd.target != "" {
-		return fd.target
-	}
-	return field
-}
-
-// levelProp splits a geometry axis into its hierarchy level and
-// property, accepting both the legacy platform.l{1,2}.<prop> spelling
-// and the generic platform.hierarchy.<level>.<prop> one. ok is false
-// for non-geometry axes.
+// levelProp splits a geometry axis, platform.hierarchy.<level>.<prop>
+// or a legacy spelling of one, into its hierarchy level and property.
+// ok is false for non-geometry axes.
 func levelProp(field string) (level, prop string, ok bool) {
-	var rest string
-	switch {
-	case strings.HasPrefix(field, "platform.hierarchy."):
-		rest = field[len("platform.hierarchy."):]
-	case strings.HasPrefix(field, "platform.l"):
-		rest = field[len("platform."):]
-	default:
+	if path, isLegacy := legacy[field]; isLegacy {
+		field = path
+	}
+	rest, ok := strings.CutPrefix(field, "platform.hierarchy.")
+	if !ok {
 		return "", "", false
 	}
-	i := strings.IndexByte(rest, '.')
-	if i <= 0 || i == len(rest)-1 {
+	level, prop, ok = strings.Cut(rest, ".")
+	if !ok || level == "" || prop == "" {
 		return "", "", false
 	}
-	return rest[:i], rest[i+1:], true
-}
-
-// decodeTo decodes one axis value into the field's Go type. Every
-// target is a scalar or a slice of scalars, so there are no fields to
-// reject, and raw is one element of an already-parsed array, so it
-// carries no trailing data: plain json.Unmarshal is as strict as
-// scenario.DecodeStrict here without building a decoder per point.
-func decodeTo(raw json.RawMessage, v interface{}) error {
-	if err := json.Unmarshal(raw, v); err != nil {
-		return fmt.Errorf("decoding value %s: %w", raw, err)
-	}
-	return nil
-}
-
-func stringField(set func(*scenario.Scenario, string)) fieldDef {
-	return fieldDef{apply: func(s *scenario.Scenario, raw json.RawMessage) error {
-		var v string
-		if err := decodeTo(raw, &v); err != nil {
-			return err
-		}
-		set(s, v)
-		return nil
-	}}
-}
-
-func boolField(set func(*scenario.Scenario, bool)) fieldDef {
-	return fieldDef{apply: func(s *scenario.Scenario, raw json.RawMessage) error {
-		var v bool
-		if err := decodeTo(raw, &v); err != nil {
-			return err
-		}
-		set(s, v)
-		return nil
-	}}
-}
-
-func intField(set func(*scenario.Scenario, int)) fieldDef {
-	return fieldDef{rangeable: true, apply: func(s *scenario.Scenario, raw json.RawMessage) error {
-		var v int
-		if err := decodeTo(raw, &v); err != nil {
-			return err
-		}
-		set(s, v)
-		return nil
-	}}
-}
-
-func uintField(set func(*scenario.Scenario, uint64)) fieldDef {
-	return fieldDef{rangeable: true, apply: func(s *scenario.Scenario, raw json.RawMessage) error {
-		var v uint64
-		if err := decodeTo(raw, &v); err != nil {
-			return err
-		}
-		set(s, v)
-		return nil
-	}}
-}
-
-func floatField(set func(*scenario.Scenario, float64)) fieldDef {
-	return fieldDef{apply: func(s *scenario.Scenario, raw json.RawMessage) error {
-		var v float64
-		if err := decodeTo(raw, &v); err != nil {
-			return err
-		}
-		set(s, v)
-		return nil
-	}}
+	return level, prop, true
 }
 
 // platformOf gives an axis its own writable platform spec: points share
@@ -141,100 +119,68 @@ func platformOf(s *scenario.Scenario) *scenario.PlatformSpec {
 	return s.Platform
 }
 
-// hierarchyOf gives an axis a writable hierarchy block, materialized
-// fully explicit from the spec's implied topology (defaults, the block
-// if any, and the l1/l2 alias overlays — which are then cleared, having
-// been baked in: the aliases are the outermost overlay at
-// materialization time, so leaving them set would silently override the
-// axis's writes). The block's level slice is fresh — points never share
-// it.
-func hierarchyOf(p *scenario.PlatformSpec) (*scenario.HierarchySpec, error) {
+// levelOf finds a named level of the spec's hierarchy block, first
+// materializing the block fully explicit from the spec's implied
+// topology (defaults, the block if any, and the l1/l2 alias overlays —
+// which are then cleared, having been baked in: the aliases are the
+// outermost overlay at materialization time, so leaving them set would
+// silently override the axis's writes). The block's level slice is
+// fresh — points never share it.
+func levelOf(p *scenario.PlatformSpec, name string) (*scenario.LevelSpec, error) {
 	pc, err := p.Config()
 	if err != nil {
 		return nil, err
 	}
-	full := scenario.PlatformSpecOf(pc)
-	p.Hierarchy = full.Hierarchy
+	p.Hierarchy = scenario.PlatformSpecOf(pc).Hierarchy
 	p.L1, p.L2 = scenario.CacheSpec{}, scenario.CacheSpec{}
 	p.L1HitLatency, p.L2HitLatency = nil, nil
-	return p.Hierarchy, nil
-}
-
-// levelOf finds a named level in the (materialized) hierarchy block.
-func levelOf(p *scenario.PlatformSpec, name string) (*scenario.LevelSpec, error) {
-	hs, err := hierarchyOf(p)
-	if err != nil {
-		return nil, err
-	}
-	for i := range hs.Levels {
-		if hs.Levels[i].Name == name {
-			return &hs.Levels[i], nil
+	for i := range p.Hierarchy.Levels {
+		if p.Hierarchy.Levels[i].Name == name {
+			return &p.Hierarchy.Levels[i], nil
 		}
 	}
-	names := make([]string, len(hs.Levels))
-	for i := range hs.Levels {
-		names[i] = hs.Levels[i].Name
-	}
-	return nil, fmt.Errorf("hierarchy has no level %q (levels: %v)", name, names)
+	return nil, fmt.Errorf("hierarchy has no level %q (levels: %v)", name, pc.Topology.LevelNames())
 }
 
-// hierarchyField builds the dynamic fieldDef for a level-path axis:
-// platform.hierarchy.<level>.{sets,ways,line_size,hit_latency,kb}.
-// Legacy platform.l1/l2 axes resolve to the same targets through the
-// static registry.
+// levelField builds the fieldDef that sets one property of a level.
+func levelField[T any](level string, set func(*scenario.LevelSpec, T)) fieldDef {
+	return field(func(s *scenario.Scenario, v T) error {
+		l, err := levelOf(platformOf(s), level)
+		if err != nil {
+			return err
+		}
+		set(l, v)
+		return nil
+	})
+}
+
+// hierarchyField builds the fieldDef of a geometry axis:
+// platform.hierarchy.<level>.{sets,ways,line_size,hit_latency,kb}, or a
+// legacy spelling of one. Its target is the level path it writes (a kb
+// axis writes its level's sets).
 func hierarchyField(name string) (fieldDef, bool) {
-	if !strings.HasPrefix(name, "platform.hierarchy.") {
-		return fieldDef{}, false
-	}
 	level, prop, ok := levelProp(name)
 	if !ok {
 		return fieldDef{}, false
 	}
-	target := "platform.hierarchy." + level + "." + prop
-	setInt := func(assign func(*scenario.LevelSpec, int)) fieldDef {
-		return fieldDef{rangeable: true, target: target, apply: func(s *scenario.Scenario, raw json.RawMessage) error {
-			var v int
-			if err := decodeTo(raw, &v); err != nil {
-				return err
-			}
-			l, err := levelOf(platformOf(s), level)
-			if err != nil {
-				return err
-			}
-			assign(l, v)
-			return nil
-		}}
-	}
+	var fd fieldDef
 	switch prop {
 	case "sets":
-		return setInt(func(l *scenario.LevelSpec, v int) { l.Sets = &v }), true
+		fd = levelField(level, func(l *scenario.LevelSpec, v int) { l.Sets = &v })
 	case "ways":
-		return setInt(func(l *scenario.LevelSpec, v int) { l.Ways = &v }), true
+		fd = levelField(level, func(l *scenario.LevelSpec, v int) { l.Ways = &v })
 	case "line_size":
-		return setInt(func(l *scenario.LevelSpec, v int) { l.LineSize = &v }), true
+		fd = levelField(level, func(l *scenario.LevelSpec, v int) { l.LineSize = &v })
 	case "hit_latency":
-		return fieldDef{rangeable: true, target: target, apply: func(s *scenario.Scenario, raw json.RawMessage) error {
-			var v uint64
-			if err := decodeTo(raw, &v); err != nil {
-				return err
-			}
-			l, err := levelOf(platformOf(s), level)
-			if err != nil {
-				return err
-			}
-			l.HitLatency = &v
-			return nil
-		}}, true
+		fd = levelField(level, func(l *scenario.LevelSpec, v uint64) { l.HitLatency = &v })
 	case "kb":
-		return fieldDef{rangeable: true, target: "platform.hierarchy." + level + ".sets", apply: func(s *scenario.Scenario, raw json.RawMessage) error {
-			var kb int
-			if err := decodeTo(raw, &kb); err != nil {
-				return err
-			}
-			return applyKB(s, level, kb)
-		}}, true
+		fd = field(func(s *scenario.Scenario, kb int) error { return applyKB(s, level, kb) })
+		prop = "sets"
+	default:
+		return fieldDef{}, false
 	}
-	return fieldDef{}, false
+	fd.target = "platform.hierarchy." + level + "." + prop
+	return fd, true
 }
 
 // applyKB sets a level's total capacity in KiB, deriving the set count
@@ -248,15 +194,13 @@ func applyKB(s *scenario.Scenario, level string, kb int) error {
 	if kb <= 0 {
 		return fmt.Errorf("%s capacity %d KiB not positive", level, kb)
 	}
-	p := platformOf(s)
-	l, err := levelOf(p, level)
+	l, err := levelOf(platformOf(s), level)
 	if err != nil {
 		return err
 	}
-	// levelOf materializes the block fully explicit (hierarchyOf), so
-	// the effective geometry is right on the level spec.
-	ways, line := *l.Ways, *l.LineSize
-	lineBytes := ways * line
+	// levelOf materializes the block fully explicit, so the effective
+	// geometry is right on the level spec.
+	lineBytes := *l.Ways * *l.LineSize
 	bytes := kb << 10
 	if lineBytes <= 0 || bytes%lineBytes != 0 {
 		return fmt.Errorf("%s capacity %d KiB not divisible by ways×line_size = %d bytes", level, kb, lineBytes)
@@ -266,94 +210,10 @@ func applyKB(s *scenario.Scenario, level string, kb int) error {
 	return nil
 }
 
-// fields is the static sweepable-field registry. Keys are the axis
-// "field" spellings; dotted paths mirror the scenario spec's JSON
-// nesting. The platform.l1/l2 entries are the legacy aliases of the
-// platform.hierarchy.* paths and share their targets.
-var fields = map[string]fieldDef{
-	"workload":       stringField(func(s *scenario.Scenario, v string) { s.Workload = v }),
-	"scale":          stringField(func(s *scenario.Scenario, v string) { s.Scale = v }),
-	"solver":         stringField(func(s *scenario.Scenario, v string) { s.Solver = v }),
-	"partition":      stringField(func(s *scenario.Scenario, v string) { s.Partition = v }),
-	"profile_engine": stringField(func(s *scenario.Scenario, v string) { s.ProfileEngine = v }),
-	"profile_level":  stringField(func(s *scenario.Scenario, v string) { s.ProfileLevel = v }),
-	"exec_engine":    stringField(func(s *scenario.Scenario, v string) { s.ExecEngine = v }),
-	"alloc_workload": stringField(func(s *scenario.Scenario, v string) { s.AllocWorkload = v }),
-	"migration":      boolField(func(s *scenario.Scenario, v bool) { s.Migration = v }),
-	"seed":           uintField(func(s *scenario.Scenario, v uint64) { s.Seed = v }),
-	"runs":           intField(func(s *scenario.Scenario, v int) { s.Runs = v }),
-	"sizes": {apply: func(s *scenario.Scenario, raw json.RawMessage) error {
-		var v []int
-		if err := decodeTo(raw, &v); err != nil {
-			return err
-		}
-		s.Sizes = v
-		return nil
-	}},
-
-	"platform.num_cpus": {rangeable: true, apply: func(s *scenario.Scenario, raw json.RawMessage) error {
-		var v int
-		if err := decodeTo(raw, &v); err != nil {
-			return err
-		}
-		platformOf(s).NumCPUs = &v
-		return nil
-	}},
-	"platform.base_cpi": floatField(func(s *scenario.Scenario, v float64) { platformOf(s).BaseCPI = &v }),
-
-	"platform.l1.sets":      aliasLevelInt("l1", "sets", func(c *scenario.CacheSpec, v *int) { c.Sets = v }),
-	"platform.l1.ways":      aliasLevelInt("l1", "ways", func(c *scenario.CacheSpec, v *int) { c.Ways = v }),
-	"platform.l1.line_size": aliasLevelInt("l1", "line_size", func(c *scenario.CacheSpec, v *int) { c.LineSize = v }),
-	"platform.l2.sets":      aliasLevelInt("l2", "sets", func(c *scenario.CacheSpec, v *int) { c.Sets = v }),
-	"platform.l2.ways":      aliasLevelInt("l2", "ways", func(c *scenario.CacheSpec, v *int) { c.Ways = v }),
-	"platform.l2.line_size": aliasLevelInt("l2", "line_size", func(c *scenario.CacheSpec, v *int) { c.LineSize = v }),
-	"platform.l2_hit_latency": {rangeable: true, target: "platform.hierarchy.l2.hit_latency", apply: func(s *scenario.Scenario, raw json.RawMessage) error {
-		var v uint64
-		if err := decodeTo(raw, &v); err != nil {
-			return err
-		}
-		platformOf(s).L2HitLatency = &v
-		return nil
-	}},
-
-	// platform.l2.kb is the legacy spelling of the shared level's
-	// capacity; platform.hierarchy.<level>.kb generalizes it to any
-	// level of any topology.
-	"platform.l2.kb": {rangeable: true, target: "platform.hierarchy.l2.sets", apply: func(s *scenario.Scenario, raw json.RawMessage) error {
-		var kb int
-		if err := decodeTo(raw, &kb); err != nil {
-			return err
-		}
-		return applyKB(s, "l2", kb)
-	}},
-}
-
-// aliasLevelInt builds the legacy l1/l2 alias setter: it writes the
-// legacy CacheSpec field (which overlays the equally-named hierarchy
-// level) and shares the hierarchy path's conflict target.
-func aliasLevelInt(level, prop string, set func(*scenario.CacheSpec, *int)) fieldDef {
-	return fieldDef{rangeable: true, target: "platform.hierarchy." + level + "." + prop, apply: func(s *scenario.Scenario, raw json.RawMessage) error {
-		var v int
-		if err := decodeTo(raw, &v); err != nil {
-			return err
-		}
-		p := platformOf(s)
-		cs := &p.L1
-		if level == "l2" {
-			cs = &p.L2
-		}
-		set(cs, &v)
-		return nil
-	}}
-}
-
 // Fields lists the sweepable field names, sorted, with the dynamic
 // level-path pattern appended.
 func Fields() []string {
-	names := make([]string, 0, len(fields)+1)
-	for n := range fields {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := slices.AppendSeq(slices.Collect(maps.Keys(fields)), maps.Keys(legacy))
+	slices.Sort(names)
 	return append(names, "platform.hierarchy.<level>.{sets,ways,line_size,hit_latency,kb}")
 }

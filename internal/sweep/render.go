@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/report"
+	"repro/internal/scenario"
 )
 
 // Render produces the terminal form of a sweep aggregate — the
@@ -29,7 +30,7 @@ func Render(r *Result) string {
 		fmt.Fprintf(&b, ", %d canceled", r.Canceled)
 	}
 	b.WriteByte('\n')
-	b.WriteString(r.RunnerStatsLine())
+	b.WriteString(StatsLine(r.Stats))
 	b.WriteString("\n\n")
 
 	pt := &report.Table{
@@ -37,7 +38,7 @@ func Render(r *Result) string {
 		Headers: []string{"#", "point", "makespan", "misses", "energy", "CPI"},
 	}
 	for _, p := range r.Points {
-		label := coordString(p.Coords)
+		label := CoordLabel(p.Coords)
 		switch {
 		case p.Canceled:
 			pt.AddRow(p.Index, label, "canceled", "", "", "")
@@ -76,7 +77,24 @@ func Render(r *Result) string {
 		b.WriteString(t.String())
 	}
 
-	for _, f := range r.Pareto {
+	b.WriteString(FrontTables(r.Pareto, func(idx int) *PointSummary { return &r.Points[idx] }))
+	return b.String()
+}
+
+// StatsLine renders the memo-amplification line of a sweep or an
+// exploration from its runner-counter delta.
+func StatsLine(st scenario.Stats) string {
+	return fmt.Sprintf("runner: %d stage runs (%d profile, %d optimize, %d measured), %d memo hits",
+		st.StageRuns, st.ProfileRuns, st.OptimizeRuns, st.RunRuns, st.MemoHits)
+}
+
+// FrontTables renders one table per non-empty Pareto front, its rows
+// the front's points in front order; point resolves a front index to
+// its summary, and a member it resolves to nil or to a summary without
+// metrics is left out.
+func FrontTables(fronts []ParetoFront, point func(idx int) *PointSummary) string {
+	var b strings.Builder
+	for _, f := range fronts {
 		if len(f.Indices) == 0 {
 			continue
 		}
@@ -85,8 +103,11 @@ func Render(r *Result) string {
 			Headers: []string{"#", "point", f.X, f.Y},
 		}
 		for _, idx := range f.Indices {
-			p := r.Points[idx]
-			t.AddRow(idx, coordString(p.Coords), p.Metrics.get(f.X), p.Metrics.get(f.Y))
+			p := point(idx)
+			if p == nil || p.Metrics == nil {
+				continue
+			}
+			t.AddRow(idx, CoordLabel(p.Coords), p.Metrics.get(f.X), p.Metrics.get(f.Y))
 		}
 		b.WriteString(t.String())
 	}
@@ -106,5 +127,5 @@ func pointLabel(r *Result, idx int) string {
 	if idx < 0 || idx >= len(r.Points) {
 		return "-"
 	}
-	return fmt.Sprintf("[%d] %s", idx, coordString(r.Points[idx].Coords))
+	return fmt.Sprintf("[%d] %s", idx, CoordLabel(r.Points[idx].Coords))
 }

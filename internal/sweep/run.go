@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"errors"
-	"fmt"
 	"slices"
 
 	"repro/internal/report"
@@ -433,10 +432,4 @@ func paretoFront(points []PointSummary, pair ParetoPair) ParetoFront {
 		}
 	}
 	return front
-}
-
-// RunnerStatsLine renders the memo-amplification line of a sweep.
-func (r *Result) RunnerStatsLine() string {
-	return fmt.Sprintf("runner: %d stage runs (%d profile, %d optimize, %d measured), %d memo hits",
-		r.Stats.StageRuns, r.Stats.ProfileRuns, r.Stats.OptimizeRuns, r.Stats.RunRuns, r.Stats.MemoHits)
 }

@@ -158,10 +158,14 @@ func (sw Sweep) Validate() error {
 		// coordinate labels lying about the simulated spec — this also
 		// catches a level's kb vs sets axes (both set the set count) and
 		// the legacy platform.l2.* spellings vs platform.hierarchy.l2.*.
-		if prev, clash := targetAxis[targetOf(ax.Field)]; clash {
-			return fmt.Errorf("sweep: axes %q and %q both set %s", prev, ax.label(), targetOf(ax.Field))
+		target := fd.target
+		if target == "" {
+			target = ax.Field
 		}
-		targetAxis[targetOf(ax.Field)] = ax.label()
+		if prev, clash := targetAxis[target]; clash {
+			return fmt.Errorf("sweep: axes %q and %q both set %s", prev, ax.label(), target)
+		}
+		targetAxis[target] = ax.label()
 		// A kb axis derives its level's set count from the associativity
 		// and line size in effect when it applies (declaration order), so
 		// a later ways/line_size axis on the same level would silently
@@ -296,8 +300,10 @@ type Point struct {
 	Scenario scenario.Scenario
 }
 
-// coordString renders "axis=value,axis=value" for point names.
-func coordString(coords []Coord) string {
+// CoordLabel renders a point's coordinates as "axis=value,axis=value":
+// its name within the sweep, and its label in every table that lists
+// it.
+func CoordLabel(coords []Coord) string {
 	parts := make([]string, len(coords))
 	for i, c := range coords {
 		parts[i] = c.Axis + "=" + c.Value
@@ -487,6 +493,6 @@ func (sp *Space) PointAt(p int) (Point, error) {
 		}
 		coords = append(coords, Coord{Axis: ax.label(), Value: ax.valueLabel(k)})
 	}
-	s.Name = fmt.Sprintf("%s[%s]", sp.name, coordString(coords))
+	s.Name = fmt.Sprintf("%s[%s]", sp.name, CoordLabel(coords))
 	return Point{Index: p, Coords: coords, Scenario: s}, nil
 }

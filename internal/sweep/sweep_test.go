@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,10 +66,10 @@ func TestExpandGolden(t *testing.T) {
 	}
 	// The axis values actually landed on the scenarios.
 	p3 := points[3].Scenario
-	if p3.Platform == nil || deref(p3.Platform.L2.Sets) != 2048 || p3.Seed != 1 || !p3.Migration {
+	if p3.Platform == nil || partitionSets(t, p3) != 2048 || p3.Seed != 1 || !p3.Migration {
 		t.Errorf("point 3 scenario wrong: %+v", p3)
 	}
-	if deref(points[0].Scenario.Platform.L2.Sets) != 1024 {
+	if partitionSets(t, points[0].Scenario) != 1024 {
 		t.Errorf("point 0 scenario wrong: %+v", points[0].Scenario)
 	}
 	if p3.Workload != "mpeg2" || p3.Scale != "small" {
@@ -98,11 +99,11 @@ func TestExpandDoesNotAliasPlatform(t *testing.T) {
 	if points[0].Scenario.Platform == points[1].Scenario.Platform {
 		t.Fatal("points share one PlatformSpec")
 	}
-	if deref(points[0].Scenario.Platform.L2.Sets) != 1024 || deref(points[1].Scenario.Platform.L2.Sets) != 2048 {
+	if partitionSets(t, points[0].Scenario) != 1024 || partitionSets(t, points[1].Scenario) != 2048 {
 		t.Errorf("geometry values clobbered each other: %+v vs %+v",
 			points[0].Scenario.Platform, points[1].Scenario.Platform)
 	}
-	if base.Platform.L2.Sets != nil {
+	if base.Platform.Hierarchy != nil || base.Platform.L2.Sets != nil {
 		t.Errorf("expansion mutated the base platform: %+v", base.Platform)
 	}
 	if deref(points[0].Scenario.Platform.NumCPUs) != 8 {
@@ -123,9 +124,9 @@ func rawVals(t *testing.T, vs ...interface{}) []json.RawMessage {
 	return out
 }
 
-// kbSets reads the effective partition-level set count of a point's
-// scenario (the kb axis writes the hierarchy block).
-func kbSets(t *testing.T, s scenario.Scenario) int {
+// partitionSets reads the effective partition-level set count of a
+// point's scenario (geometry axes write the hierarchy block).
+func partitionSets(t *testing.T, s scenario.Scenario) int {
 	t.Helper()
 	pc, err := s.Platform.Config()
 	if err != nil {
@@ -146,9 +147,9 @@ func TestL2KBAxis(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Section 5 defaults: 4 ways × 64 B lines → 256 B per set of ways.
-	if kbSets(t, points[0].Scenario) != 1024 || kbSets(t, points[1].Scenario) != 4096 {
+	if partitionSets(t, points[0].Scenario) != 1024 || partitionSets(t, points[1].Scenario) != 4096 {
 		t.Errorf("kb→sets derivation wrong: %d, %d",
-			kbSets(t, points[0].Scenario), kbSets(t, points[1].Scenario))
+			partitionSets(t, points[0].Scenario), partitionSets(t, points[1].Scenario))
 	}
 
 	// A ways axis declared BEFORE kb participates in the derivation: the
@@ -162,9 +163,9 @@ func TestL2KBAxis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kbSets(t, points[0].Scenario) != 2048 || kbSets(t, points[1].Scenario) != 1024 {
+	if partitionSets(t, points[0].Scenario) != 2048 || partitionSets(t, points[1].Scenario) != 1024 {
 		t.Errorf("kb must derive from the swept ways: %d, %d",
-			kbSets(t, points[0].Scenario), kbSets(t, points[1].Scenario))
+			partitionSets(t, points[0].Scenario), partitionSets(t, points[1].Scenario))
 	}
 
 	// Declared AFTER kb, a geometry axis would silently change the
@@ -175,6 +176,56 @@ func TestL2KBAxis(t *testing.T) {
 		         {"field": "platform.l2.ways", "values": [2, 4]}]
 	}`), nil); err == nil || !strings.Contains(err.Error(), "before the l2.kb axis") {
 		t.Errorf("ways-after-kb must be rejected, got %v", err)
+	}
+}
+
+// TestLegacySpellingsWriteTheirLevel checks each legacy platform.l1/l2
+// spelling is its level path's twin: a one-axis sweep prepares to
+// exactly the content keys of the same axis spelled as the level path
+// it names, on the default tile and on a base overriding l2 through
+// the alias fields.
+func TestLegacySpellingsWriteTheirLevel(t *testing.T) {
+	cases := []struct{ legacy, twin, values string }{
+		{"platform.l1.sets", "platform.hierarchy.l1.sets", "[128, 1024]"},
+		{"platform.l1.ways", "platform.hierarchy.l1.ways", "[2, 8]"},
+		{"platform.l1.line_size", "platform.hierarchy.l1.line_size", "[32, 128]"},
+		{"platform.l2.sets", "platform.hierarchy.l2.sets", "[128, 1024]"},
+		{"platform.l2.ways", "platform.hierarchy.l2.ways", "[2, 8]"},
+		{"platform.l2.line_size", "platform.hierarchy.l2.line_size", "[32, 128]"},
+		{"platform.l2.kb", "platform.hierarchy.l2.kb", "[128, 512]"},
+		{"platform.l2_hit_latency", "platform.hierarchy.l2.hit_latency", "[5, 20]"},
+	}
+	bases := map[string]string{
+		"default tile":      `{"workload": "mpeg2", "scale": "small"}`,
+		"l2 alias override": `{"workload": "mpeg2", "scale": "small", "platform": {"l2": {"ways": 8}, "l2_hit_latency": 9}}`,
+	}
+	rn := scenario.NewRunner(1)
+	for _, c := range cases {
+		for baseName, base := range bases {
+			keys := func(field string) []string {
+				t.Helper()
+				sw := mustParse(t, fmt.Sprintf(`{"base": %s, "axes": [{"name": "ax", "field": %q, "values": %s}]}`, base, field, c.values))
+				p, err := Prepare(rn, sw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var out []string
+				for i, r := range p.prepared {
+					if p.errs != nil && p.errs[i] != nil {
+						t.Fatalf("%s on the %s: point %d: %v", field, baseName, i, p.errs[i])
+					}
+					out = append(out, r.Key)
+				}
+				return out
+			}
+			got, want := keys(c.legacy), keys(c.twin)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s on the %s keys %v, its twin %s keys %v", c.legacy, baseName, got, c.twin, want)
+			}
+			if got[0] == got[1] {
+				t.Errorf("%s on the %s: both values key %s", c.legacy, baseName, got[0])
+			}
+		}
 	}
 }
 
@@ -238,6 +289,8 @@ func TestParseRejections(t *testing.T) {
 		{"same field twice under different names", `{"base":{"workload":"mpeg2"},"axes":[{"name":"a","field":"seed","values":[1]},{"name":"b","field":"seed","values":[2]}]}`, `both set seed`},
 		{"kb then sets", `{"base":{"workload":"mpeg2"},"axes":[{"field":"platform.l2.kb","values":[512]},{"name":"sets","field":"platform.l2.sets","values":[256,2048]}]}`, "both set platform.hierarchy.l2.sets"},
 		{"sets then kb", `{"base":{"workload":"mpeg2"},"axes":[{"name":"sets","field":"platform.l2.sets","values":[256]},{"field":"platform.l2.kb","values":[512]}]}`, "both set platform.hierarchy.l2.sets"},
+		{"legacy spelling of a missing level", `{"base":{"workload":"mpeg2","platform":{"hierarchy":{"levels":[{"name":"l1"},{"name":"llc"}]}}},"axes":[{"field":"platform.l2.sets","values":[1024]}]}`, `hierarchy has no level "l2"`},
+		{"no legacy spelling beyond l1/l2", `{"base":{"workload":"mpeg2","platform":{"hierarchy":{"levels":[{"name":"l1"},{"name":"l2"},{"name":"l3"}]}}},"axes":[{"field":"platform.l3.kb","values":[1024]}]}`, `unknown field "platform.l3.kb"`},
 		{"no workload anywhere", `{"axes":[{"field":"seed","values":[1]}]}`, "names no workload"},
 		{"bad pareto metric", `{"base":{"workload":"mpeg2"},"axes":[{"field":"seed","values":[1]}],"pareto":[{"x":"latency","y":"makespan"}]}`, `unknown pareto metric "latency"`},
 		{"future version", `{"spec_version":9,"base":{"workload":"mpeg2"},"axes":[{"field":"seed","values":[1]}]}`, "unsupported spec_version"},
