@@ -108,3 +108,46 @@ func TestMergedHotPathZeroAllocs(t *testing.T) {
 		t.Fatalf("merged-engine hot path allocates %.1f objects per slice, want 0", allocs)
 	}
 }
+
+// TestFIFOUnblockedOpsZeroAllocs pins a FIFO operation that does not
+// block at zero allocations: Write and Read test their condition before
+// they build the closure WaitFor would poll, so a task that writes a
+// token and reads it straight back, never finding the FIFO full or
+// empty, allocates nothing; a closure built on every call would cost
+// one allocation per operation.
+func TestFIFOUnblockedOpsZeroAllocs(t *testing.T) {
+	as := mem.NewAddressSpace()
+	core := cpu.New(cpu.Config{Name: "p0", BaseCPI: 1.0})
+	h := newLeafHierarchy(64)
+	f := MustNewFIFO(as, "loop", 16, 4)
+	pairs := 0
+	p := &Process{
+		Name: "loop",
+		Code: as.MustAlloc("loop.code", mem.KindCode, "loop", 4096),
+		Heap: as.MustAlloc("loop.heap", mem.KindHeap, "loop", 4096),
+	}
+	p.Body = func(c *Ctx) {
+		tok := make([]byte, f.TokenBytes)
+		for {
+			f.Write(c, tok)
+			f.Read(c, tok)
+			pairs++
+		}
+	}
+	p.Start()
+	defer p.Kill()
+
+	p.RunSlice(core, h, 5000) // warmup: size the register file, grow stats
+
+	before := pairs
+	allocs := testing.AllocsPerRun(50, func() {
+		p.RunSlice(core, h, 5000)
+	})
+	perSlice := (pairs - before) / 51 // AllocsPerRun adds one warmup run
+	if perSlice == 0 {
+		t.Fatal("no Write/Read pair completed in a slice")
+	}
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per slice of %d unblocked Write/Read pairs, want 0", allocs, perSlice)
+	}
+}

@@ -96,7 +96,9 @@ func (f *FIFO) Write(c *Ctx, tok []byte) {
 		panic(fmt.Sprintf("kpn: fifo %q: write after close", f.Name))
 	}
 	c.muteRecord()
-	c.WaitFor(func() bool { return !f.Full() }, f)
+	if f.Full() {
+		c.WaitFor(func() bool { return !f.Full() }, f)
+	}
 	slot := (f.tail % uint64(f.Cap)) * uint64(f.TokenBytes)
 	c.StoreBytes(f.Region, slot, tok)
 	c.unmuteRecord()
@@ -119,7 +121,9 @@ func (f *FIFO) Read(c *Ctx, tok []byte) bool {
 		panic(fmt.Sprintf("kpn: fifo %q: read of %d bytes, token is %d", f.Name, len(tok), f.TokenBytes))
 	}
 	c.muteRecord()
-	c.WaitFor(func() bool { return !f.Empty() || f.closed }, f)
+	if f.Empty() && !f.closed {
+		c.WaitFor(func() bool { return !f.Empty() || f.closed }, f)
+	}
 	ok := !f.Empty()
 	if ok {
 		slot := (f.head % uint64(f.Cap)) * uint64(f.TokenBytes)

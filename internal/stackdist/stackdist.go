@@ -38,7 +38,12 @@
 //  3. Compact stacks. Each stack is a flat array with the MRU end last;
 //     a re-referenced line tombstones its old slot and is appended
 //     afresh, so the walk is a sequential backward scan (no pointer
-//     chasing) and the LRU update is O(1).
+//     chasing) and the LRU update is O(1). A group's block is allocated
+//     on the group's first reference, with room for 8 stack slots, and
+//     doubles only when an append would overflow it, so a profiler
+//     holds the stacks its stream fills rather than every group's
+//     bound: many entities touch a fraction of the groups, and most
+//     stacks never approach the truncation bound.
 //  4. Packed conflict counters. The candidates a walked line still
 //     conflicts in follow from the trailing zeros of the XOR of the two
 //     (tagged) slot values, and the per-candidate conflict counters
@@ -107,8 +112,8 @@ type tier struct {
 	lanes     [65]uint8  // tz of tagged XOR -> lane (fallback walk)
 	counts    []uint32   // fallback scratch, n+1 lanes
 
-	// Group stacks live in one flat backing array at fixed strides.
-	// Group g occupies slots[g*stride : (g+1)*stride], laid out as
+	// Each group's stack lives in a block of its own, nil until the
+	// group's first reference, laid out as
 	//
 	//	[ header | MRU copy | presence signatures | recency stack, MRU last ]
 	//
@@ -123,12 +128,17 @@ type tier struct {
 	// immediate re-reference — is decided entirely within the header's
 	// cache line. Keeping header, MRU copy, signatures and stack
 	// adjacent means one access touches one or two cache lines of
-	// metadata instead of three scattered arrays.
-	slots      []uint64
-	stride     int
-	topSets    int      // sets of the tier's largest candidate per group
-	topScratch []uint32 // per truncation-set counters for compaction
+	// metadata instead of three scattered arrays. The stack's room
+	// starts at minStack slots and doubles, up to the capLimit+1 slots
+	// a stack can reach before compaction, when an append would
+	// overflow it; growth copies the block, compaction never shrinks it.
+	blocks     [][]uint64 // [group]
+	topSets    int        // sets of the tier's largest candidate per group
+	topScratch []uint32   // per truncation-set counters for compaction
 }
+
+// minStack is the stack room of a group's first block.
+const minStack = 8
 
 // Sim simulates every candidate cache for one entity's line stream.
 // It is not safe for concurrent use; the parallel harness gives each
@@ -195,8 +205,10 @@ func New(cfg Config) (*Sim, error) {
 		if t.capLimit < 48 {
 			t.capLimit = 48
 		}
-		t.stride = 2 + topSetsPerGroup + t.capLimit + 4
-		t.packed = uint64(t.stride+8) < 1<<t.fieldBits
+		// The packed walk needs every lane count to fit its field. A
+		// count never exceeds the stack's length, at most capLimit+1;
+		// the test bounds it by a full block's words plus a margin.
+		t.packed = uint64(2+topSetsPerGroup+t.capLimit+12) < 1<<t.fieldBits
 		// tz 0 stays zero: tombstones land in the trash lane.
 		for tz := 1; tz <= 64; tz++ {
 			lane := 0
@@ -208,7 +220,7 @@ func New(cfg Config) (*Sim, error) {
 			t.lanes[tz] = uint8(lane)
 			t.laneInc[tz] = 1 << (uint(lane) * t.fieldBits)
 		}
-		t.slots = make([]uint64, (int(t.mask)+1)*t.stride)
+		t.blocks = make([][]uint64, int(t.mask)+1)
 		t.topScratch = make([]uint32, topSetsPerGroup)
 		s.tiers = append(s.tiers, t)
 	}
@@ -238,21 +250,24 @@ func (s *Sim) Access(line uint64) {
 // access runs one tier's walk, verdicts and LRU update.
 func (t *tier) access(s *Sim, line uint64) {
 	g := line & t.mask
-	base := int(g) * t.stride
+	blk := t.blocks[g]
 	tagged := line<<1 | 1
-	if t.slots[base+1] == tagged {
+	if blk == nil {
+		blk = make([]uint64, 2+t.topSets+minStack)
+		t.blocks[g] = blk
+	} else if blk[1] == tagged {
 		// MRU of this tier's group: zero stack distance, every tier
 		// candidate hits, recency order already right — decided from
 		// the header's cache line alone.
 		return
 	}
-	hdr := t.slots[base]
+	hdr := blk[0]
 	n := int(uint32(hdr))
 	dead := int(hdr >> 32)
 	bit := sigBit(line)
-	sigAt := base + 2 + int((line&t.tierTop)>>t.bits)
-	stackBase := base + 2 + t.topSets
-	if t.slots[sigAt]&bit == 0 {
+	sigAt := 2 + int((line&t.tierTop)>>t.bits)
+	stackBase := 2 + t.topSets
+	if blk[sigAt]&bit == 0 {
 		// Provably absent from the tier: cold, or truncated away (and
 		// so resident in none of its candidates). Miss everywhere,
 		// nothing to tombstone, no walk.
@@ -260,7 +275,7 @@ func (t *tier) access(s *Sim, line uint64) {
 			s.misses[k]++
 		}
 	} else {
-		st := t.slots[stackBase : stackBase+n]
+		st := blk[stackBase : stackBase+n]
 		var tombstoned bool
 		if t.packed {
 			tombstoned = t.walkPacked(s, tagged, st)
@@ -271,14 +286,28 @@ func (t *tier) access(s *Sim, line uint64) {
 			dead++
 		}
 	}
-	t.slots[sigAt] |= bit
-	t.slots[stackBase+n] = tagged
-	t.slots[base+1] = tagged
-	n++
-	t.slots[base] = uint64(n) | uint64(dead)<<32
-	if dead*2 > n || n > t.capLimit {
-		s.compact(t, g)
+	if stackBase+n == len(blk) {
+		blk = t.grow(g)
 	}
+	blk[sigAt] |= bit
+	blk[stackBase+n] = tagged
+	blk[1] = tagged
+	n++
+	blk[0] = uint64(n) | uint64(dead)<<32
+	if dead*2 > n || n > t.capLimit {
+		s.compact(t, blk)
+	}
+}
+
+// grow doubles the stack room of group g's full block, up to the
+// capLimit+1 slots a stack can reach before compaction.
+func (t *tier) grow(g uint64) []uint64 {
+	old := t.blocks[g]
+	room := min(2*(len(old)-2-t.topSets), t.capLimit+1)
+	blk := make([]uint64, 2+t.topSets+room)
+	copy(blk, old)
+	t.blocks[g] = blk
+	return blk
 }
 
 // sigBit hashes a line to its presence-signature bit.
@@ -405,11 +434,10 @@ scan:
 // future verdict — its next reference walks the whole (bounded) stack,
 // concludes absent, and misses everywhere in the tier, exactly like a
 // cold line.
-func (s *Sim) compact(t *tier, g uint64) {
-	base := int(g) * t.stride
-	stackBase := base + 2 + t.topSets
-	n := int(uint32(t.slots[base]))
-	st := t.slots[stackBase : stackBase+n]
+func (s *Sim) compact(t *tier, blk []uint64) {
+	stackBase := 2 + t.topSets
+	n := int(uint32(blk[0]))
+	st := blk[stackBase : stackBase+n]
 	tsc := t.topScratch
 	for i := range tsc {
 		tsc[i] = 0
@@ -431,18 +459,18 @@ func (s *Sim) compact(t *tier, g uint64) {
 	// presence signatures from the survivors, clearing the bits of
 	// everything dropped.
 	for i := 0; i < t.topSets; i++ {
-		t.slots[base+2+i] = 0
+		blk[2+i] = 0
 	}
 	for i, v := range kept {
 		st[len(kept)-1-i] = v
 		line := v >> 1
-		t.slots[base+2+int((line&t.tierTop)>>t.bits)] |= sigBit(line)
+		blk[2+int((line&t.tierTop)>>t.bits)] |= sigBit(line)
 	}
-	t.slots[base] = uint64(len(kept))
+	blk[0] = uint64(len(kept))
 	if len(kept) > 0 {
-		t.slots[base+1] = kept[0]
+		blk[1] = kept[0]
 	} else {
-		t.slots[base+1] = 0
+		blk[1] = 0
 	}
 	s.keepScratch = kept[:0]
 }

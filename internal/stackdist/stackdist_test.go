@@ -241,3 +241,81 @@ func TestMatchesBankOfCachesAdversarial(t *testing.T) {
 	}
 	diffTest(t, cfg, stream)
 }
+
+// TestBlocksFollowTheStream pins the profiler's footprint: a stream
+// touching k of a tier's G groups leaves G−k groups without a block,
+// and each block's stack room stays under twice the longest stack the
+// group held plus minStack, and within the capLimit+1 slots a stack can
+// reach — while the verdicts still match the bank of caches.
+func TestBlocksFollowTheStream(t *testing.T) {
+	cfg := Config{Sizes: []int{1, 2, 4, 8, 16, 32, 64, 128}, UnitSets: 8, Ways: 4}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := newOracle(cfg)
+	// Lines keep their low 7 bits in {3, 40, 77, 120}: 4 of the fine
+	// tier's 128 groups and 3 of the coarse tier's 8 ({3, 0, 5}).
+	lows := []uint64{3, 40, 77, 120}
+	high := make([][]int, len(s.tiers))
+	for ti, tr := range s.tiers {
+		high[ti] = make([]int, len(tr.blocks))
+	}
+	r := rng(7)
+	for i := 0; i < 40000; i++ {
+		x := r.next()
+		var hi uint64
+		switch x % 3 {
+		case 0: // hot lines: reuse, tombstones and compaction
+			hi = x >> 8 % 16
+		case 1: // a working set around the largest candidate
+			hi = x >> 8 % 512
+		default: // streaming: stacks grow to the truncation bound
+			hi = uint64(i)
+		}
+		line := hi<<7 | lows[x>>4%uint64(len(lows))]
+		s.Access(line)
+		o.access(line)
+		for ti, tr := range s.tiers {
+			g := line & tr.mask
+			high[ti][g] = max(high[ti][g], int(uint32(tr.blocks[g][0])))
+		}
+	}
+	for k, want := range o.misses() {
+		if got := s.Misses()[k]; got != want {
+			t.Errorf("size %d: stackdist %d misses, bank-of-caches %d", s.Sizes()[k], got, want)
+		}
+	}
+	for ti, tr := range s.tiers {
+		touched := map[uint64]bool{}
+		for _, low := range lows {
+			touched[low&tr.mask] = true
+		}
+		full := 0
+		for g, blk := range tr.blocks {
+			if !touched[uint64(g)] {
+				if blk != nil {
+					t.Errorf("tier %d: untouched group %d holds a %d-word block", ti, g, len(blk))
+				}
+				continue
+			}
+			if blk == nil {
+				t.Errorf("tier %d: touched group %d has no block", ti, g)
+				continue
+			}
+			room := len(blk) - 2 - tr.topSets
+			if room >= 2*high[ti][g]+minStack || room > tr.capLimit+1 {
+				t.Errorf("tier %d group %d: stack room %d for a high-water length %d (compaction at %d)",
+					ti, g, room, high[ti][g], tr.capLimit)
+			}
+			if room == tr.capLimit+1 {
+				full++
+			}
+		}
+		// The streaming third of the stream drives stacks to the
+		// truncation bound, so growth runs all the way to the clamp.
+		if full == 0 {
+			t.Errorf("tier %d: no block grew to the %d slots a stack can reach", ti, tr.capLimit+1)
+		}
+	}
+}

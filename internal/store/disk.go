@@ -224,8 +224,9 @@ func (d *Disk) Put(key string, val []byte) error {
 // stages the bytes in a temp file under tmpDir (which must be on path's
 // volume), fsyncs it, renames it over path (creating path's directory
 // if needed) and fsyncs that directory, so a crash at any point leaves
-// either the old file or the new one, and a write that returned
-// survives a power loss.
+// either the old file or the new one, and a write that returned nil
+// survives a power loss. Every step's error is returned, the
+// directory's fsync included.
 func WriteFileAtomic(tmpDir, path string, data []byte) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -256,11 +257,24 @@ func WriteFileAtomic(tmpDir, path string, data []byte) error {
 		return fmt.Errorf("store: publishing %s: %w", path, err)
 	}
 	// fsync the parent so the rename itself survives a crash.
-	if dh, err := os.Open(dir); err == nil {
-		dh.Sync()
-		dh.Close()
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("store: syncing directory %s: %w", dir, err)
 	}
 	return nil
+}
+
+// syncDir fsyncs a directory, making the entries renamed into it
+// durable. It is a variable so tests can make it fail.
+var syncDir = func(dir string) error {
+	dh, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = dh.Sync()
+	if cerr := dh.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Delete implements Store.

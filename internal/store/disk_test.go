@@ -296,6 +296,34 @@ func TestDiskInjectedErrors(t *testing.T) {
 	}
 }
 
+// TestWriteFileAtomicDirSyncFault makes the parent directory's fsync
+// fail after the rename: WriteFileAtomic and Disk.Put must report the
+// error, since the renamed file may not survive a crash, and Put must
+// count it.
+func TestWriteFileAtomicDirSyncFault(t *testing.T) {
+	errSync := errors.New("injected directory fsync failure")
+	orig := syncDir
+	syncDir = func(string) error { return errSync }
+	t.Cleanup(func() { syncDir = orig })
+
+	root := t.TempDir()
+	err := WriteFileAtomic(root, filepath.Join(root, "sub", "file"), []byte("data"))
+	if !errors.Is(err, errSync) || !strings.Contains(err.Error(), "store: syncing directory") {
+		t.Fatalf("WriteFileAtomic with a failing directory fsync = %v, want the wrapped sync error", err)
+	}
+
+	d, err := OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put("k", []byte("v")); !errors.Is(err, errSync) {
+		t.Fatalf("Put with a failing directory fsync = %v, want the sync error", err)
+	}
+	if st := d.Stats(); st.PutErrors != 1 {
+		t.Errorf("stats %+v, want 1 put error", st)
+	}
+}
+
 // TestDiskFanOut checks the objects layout: records land under
 // two-hex-character fan-out directories.
 func TestDiskFanOut(t *testing.T) {

@@ -36,3 +36,28 @@ func BenchmarkWarmSweepPaperGrid(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkColdSweepPaperGrid times a cold Execute of the small 32-point
+// paper grid: every iteration builds a fresh runner, so it captures the
+// traces, profiles, optimizes and runs every distinct point, and its
+// allocations are those of the cold stages.
+//
+//	go test -run '^$' -bench BenchmarkColdSweepPaperGrid -count 3 ./internal/sweep/
+func BenchmarkColdSweepPaperGrid(b *testing.B) {
+	sw, ok := experiments.BuiltinSweep(experiments.Small(), experiments.SweepPaperGrid)
+	if !ok {
+		b.Fatal("no built-in paper grid")
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rn := scenario.NewRunner(2)
+		res, err := sweep.Execute(context.Background(), rn, sw, nil)
+		rn.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Failed != 0 {
+			b.Fatalf("cold sweep: %d points failed", res.Failed)
+		}
+	}
+}

@@ -17,7 +17,9 @@ import (
 // task's program order with FIFO-internal traffic suppressed.
 type taskRecorder struct {
 	fifos  map[*kpn.FIFO]int
-	buf    []byte
+	full   [][]byte // filled chunks, in stream order
+	size   int      // bytes in full
+	buf    []byte   // the chunk being filled, after full
 	events uint64
 	instrs uint64
 	prev   uint64
@@ -30,18 +32,31 @@ func (r *taskRecorder) fail(err error) {
 	}
 }
 
-// reserve guarantees room for one maximal event record. Paper-scale
-// streams reach tens of megabytes; explicit doubling keeps total realloc
-// copy traffic at ~1x the final size, where append's large-slice growth
-// factor would make it ~4x.
+// Capture chunk sizes: a task's first chunk holds firstChunk bytes and
+// each later one twice its predecessor, up to maxChunk, which bounds the
+// room a finished stream leaves unfilled in its last chunk.
+const (
+	firstChunk = 4 << 10
+	maxChunk   = 64 << 10
+)
+
+// reserve guarantees room for one maximal event record in the chunk
+// being filled. A chunk without that room is set aside as it is and a
+// larger one takes its place, so an event never straddles two chunks
+// and a recorded byte is never copied before assemble copies each
+// stream once into the container. Paper-scale streams reach tens of
+// megabytes, where doubling one buffer would copy about as many bytes
+// again and, at its last doubling, hold up to three times the stream.
 func (r *taskRecorder) reserve() {
 	const maxEvent = 1 + 3*binary.MaxVarintLen64
 	if cap(r.buf)-len(r.buf) >= maxEvent {
 		return
 	}
-	next := make([]byte, len(r.buf), max(4096, 2*cap(r.buf)))
-	copy(next, r.buf)
-	r.buf = next
+	if r.buf != nil {
+		r.full = append(r.full, r.buf)
+		r.size += len(r.buf)
+	}
+	r.buf = make([]byte, 0, min(max(firstChunk, 2*cap(r.buf)), maxChunk))
 }
 
 func (r *taskRecorder) RecordExec(n uint64) {
@@ -256,12 +271,12 @@ func encodeApp(app *core.App, recs []*taskRecorder, meta Meta) (*Trace, error) {
 	for _, b := range app.Buffers {
 		h.Buffers = append(h.Buffers, int(b.ID))
 	}
-	streams := make([][]byte, len(recs))
-	for i, rec := range recs {
-		streams[i] = rec.buf
-		h.Streams = append(h.Streams, StreamInfo{Events: rec.events, Bytes: uint64(len(rec.buf))})
+	var chunks [][]byte
+	for _, rec := range recs {
+		chunks = append(append(chunks, rec.full...), rec.buf)
+		h.Streams = append(h.Streams, StreamInfo{Events: rec.events, Bytes: uint64(rec.size + len(rec.buf))})
 		h.Events += rec.events
 		h.Instrs += rec.instrs
 	}
-	return assemble(h, streams)
+	return assemble(h, chunks)
 }

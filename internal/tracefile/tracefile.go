@@ -494,17 +494,17 @@ func Decode(data []byte) (*Trace, error) {
 	return t, nil
 }
 
-// assemble encodes a header and streams into a container and round-trips
-// it through Decode, so every trace ever handed out has passed full
-// validation.
-func assemble(h Header, streams [][]byte) (*Trace, error) {
+// assemble encodes a header and the streams' bytes, given as chunks in
+// stream order, into a container and round-trips it through Decode, so
+// every trace ever handed out has passed full validation.
+func assemble(h Header, chunks [][]byte) (*Trace, error) {
 	hb, err := json.Marshal(h)
 	if err != nil {
 		return nil, fmt.Errorf("tracefile: encoding header: %w", err)
 	}
 	total := frameLen + len(hb)
-	for _, s := range streams {
-		total += len(s)
+	for _, c := range chunks {
+		total += len(c)
 	}
 	total += trailerLen
 	buf := make([]byte, 0, total)
@@ -513,8 +513,8 @@ func assemble(h Header, streams [][]byte) (*Trace, error) {
 	buf = binary.BigEndian.AppendUint16(buf, 0)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(hb)))
 	buf = append(buf, hb...)
-	for _, s := range streams {
-		buf = append(buf, s...)
+	for _, c := range chunks {
+		buf = append(buf, c...)
 	}
 	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 	return Decode(buf)

@@ -2,7 +2,9 @@ package tracefile
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"hash/crc32"
 	"path/filepath"
@@ -131,6 +133,34 @@ func TestDecodeRejectsWrappedAccess(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "access at 0xfffffffffffffffe outside region") {
 		t.Errorf("want the out-of-region error, got %v", err)
+	}
+}
+
+// TestCaptureDigestSmall pins the containers of the small-scale
+// applications, whose streams (up to 400 KB a task) cross many capture
+// chunks: a recorder that dropped, reordered or split an event at a
+// chunk boundary would change these bytes, which the 1.5 KB mini golden,
+// recorded into one chunk per task, never could.
+func TestCaptureDigestSmall(t *testing.T) {
+	for _, c := range []struct {
+		name, sha256 string
+	}{
+		{"2jpeg+canny", "939501bdbec36fa3e0326ec39d6b1e298be67321db312b62a13cd37a894b3bdb"},
+		{"mpeg2", "67a52de065fa56b67feb1180ff8353c0160ed371742884a86504716bc8438a60"},
+		{"jpeg1-only", "eaa9e26337a2d165949572044d64184c130485964d6a963f048c841a1a165f21"},
+	} {
+		w, err := workloads.Build(c.name, workloads.BuildConfig{Scale: workloads.Small})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := Capture(w, Meta{Workload: c.name, Scale: workloads.Small.String()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(tr.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != c.sha256 {
+			t.Errorf("%s: container sha256 %s (%d bytes), want %s", c.name, got, tr.Size(), c.sha256)
+		}
 	}
 }
 
