@@ -78,13 +78,17 @@ func (m *memo) lookup(key string) (e *memoEntry, owner bool) {
 	return e, true
 }
 
-// get returns the value resident under key, refreshing its recency, or
-// nil when the key has none. Unlike lookup it never installs a
-// computing entry: result entries are cache-aside, filled by put.
-func (m *memo) get(key string) any {
+// get returns the value resident under kind + "|" + key, refreshing its
+// recency, or nil when the key has none. Unlike lookup it never installs
+// a computing entry: result entries are cache-aside, filled by put. The
+// memo key is assembled in a stack buffer, since indexing the map with
+// string(b) does not allocate, so a hit allocates nothing.
+func (m *memo) get(kind, key string) any {
+	var buf [96]byte
+	b := append(append(append(buf[:0], kind...), '|'), key...)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if e := m.entries[key]; e != nil && e.elem != nil {
+	if e := m.entries[string(b)]; e != nil && e.elem != nil {
 		m.lru.MoveToFront(e.elem)
 		return e.val
 	}

@@ -79,6 +79,13 @@ type modelKey struct {
 
 func (k modelKey) full() string { return k.kind + "|" + k.key }
 
+// resident is memo.get for a full memo key, spelled kind + "|" + key as
+// StageKeys spells it.
+func (m *memo) resident(full string) any {
+	kind, key, _ := strings.Cut(full, "|")
+	return m.get(kind, key)
+}
+
 var (
 	errModel      = errors.New("model: computation failed")
 	errModelPanic = errors.New("model: memory-only build panicked")
@@ -136,7 +143,7 @@ func TestMemoModel(t *testing.T) {
 		case resultKind:
 			return &Result{Curves: []Curve{{Entity: k.key, Sizes: make([]int, k.ints)}}}
 		case memoryKind:
-			return []*Result{{Key: k.key, Scenario: Scenario{Sizes: make([]int, k.ints)}}}
+			return []*Result{{Key: k.key, Scenario: &Scenario{Sizes: make([]int, k.ints)}}}
 		}
 		return []profile.Curve{{Entity: k.key, Sizes: make([]int, k.ints)}}
 	}
@@ -169,7 +176,7 @@ func TestMemoModel(t *testing.T) {
 		if outcome == "canceled" {
 			return false
 		}
-		if v := rn.memo.get(k.full()); v != nil {
+		if v := rn.memo.get(k.kind, k.key); v != nil {
 			if !isRef(k, v) {
 				t.Errorf("%s: result get returned %v, not the reference value", k.full(), v)
 			}
@@ -298,7 +305,7 @@ func TestMemoModel(t *testing.T) {
 			if k.kind != resultKind && k.kind != memoryKind {
 				continue
 			}
-			if v := rn.memo.get(k.full()); (k.key == "oversized") != (v == nil) || v != nil && !isRef(k, v) {
+			if v := rn.memo.get(k.kind, k.key); (k.key == "oversized") != (v == nil) || v != nil && !isRef(k, v) {
 				t.Errorf("%s: after a put the memo holds %v", k.full(), v)
 			}
 		}
@@ -399,7 +406,8 @@ func TestMemoOversizedValueReachesWaitersNotRetained(t *testing.T) {
 }
 
 // TestMemoHitAllocs pins a memo hit — the path every warm request takes
-// per stage — at zero allocations, for a trace and for a JSON kind.
+// per stage — at zero allocations, for a trace and for a JSON kind, and
+// likewise a result-entry lookup, which every warm scenario takes.
 func TestMemoHitAllocs(t *testing.T) {
 	rn := NewRunner(1)
 	values := map[string]any{
@@ -415,6 +423,14 @@ func TestMemoHitAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(200, func() { rn.lookup(kind, key, f) }); n != 0 {
 			t.Errorf("%s memo hit: %v allocs, want 0", kind, n)
 		}
+	}
+	prepared, err := rn.Prepare(Scenario{Workload: "jpeg1-only", Scale: "small"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rn.memo.put(resultKind+"|"+prepared.Key, &Result{})
+	if n := testing.AllocsPerRun(200, func() { rn.memo.get(resultKind, prepared.Key) }); n != 0 {
+		t.Errorf("result entry hit: %v allocs, want 0", n)
 	}
 }
 
@@ -596,12 +612,12 @@ func BenchmarkHeapBytes(b *testing.B) {
 		kind string
 		v    any
 	}{
-		{"profile", rn.memo.get(keys["profile"])},
-		{"optimize", rn.memo.get(keys["optimize"])},
-		{"run", rn.memo.get(keys["run.partitioned"])},
-		{"result", rn.memo.get(resultKind + "|" + prepared.Key)},
+		{"profile", rn.memo.resident(keys["profile"])},
+		{"optimize", rn.memo.resident(keys["optimize"])},
+		{"run", rn.memo.resident(keys["run.partitioned"])},
+		{"result", rn.memo.get(resultKind, prepared.Key)},
 		{"prepared", prepared},
-		{"trace", rn.memo.get(keys["trace"])},
+		{"trace", rn.memo.resident(keys["trace"])},
 	}
 	for _, c := range values {
 		if c.v == nil {

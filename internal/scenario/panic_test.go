@@ -170,7 +170,7 @@ func TestNestedWorkerPanicIsContainedAndEvicted(t *testing.T) {
 	if pe.Stack == "" {
 		t.Error("panic error must carry the worker's stack")
 	}
-	if rn.memo.get(keys["profile"]) != nil {
+	if rn.memo.resident(keys["profile"]) != nil {
 		t.Error("the panicked profile stage must be evicted")
 	}
 	if st := rn.Stats(); st.StagePanics != 1 || st.StageErrors != 1 {

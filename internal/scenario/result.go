@@ -82,12 +82,15 @@ func (c *ComposeSummary) Compositional(threshold float64) bool {
 
 // Result is the versioned result document of one scenario. Which
 // sections are present depends on the spec's partition policy; Error is
-// set (and the sections nil) when the scenario failed.
+// set (and the sections nil) when the scenario failed. Scenario points
+// at the spec the result was prepared from (normalized when preparing
+// succeeded), which every result of that prepared scenario shares
+// read-only; the Runner always sets it.
 type Result struct {
-	SchemaVersion int      `json:"schema_version"`
-	Key           string   `json:"key,omitempty"`
-	Scenario      Scenario `json:"scenario"`
-	Error         string   `json:"error,omitempty"`
+	SchemaVersion int       `json:"schema_version"`
+	Key           string    `json:"key,omitempty"`
+	Scenario      *Scenario `json:"scenario"`
+	Error         string    `json:"error,omitempty"`
 
 	Shared      *RunSummary      `json:"shared,omitempty"`
 	Partitioned *RunSummary      `json:"partitioned,omitempty"`

@@ -105,7 +105,7 @@ func TestMemoResultHitsMatchColdResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := *cold[keys[i]]
-		want.Scenario = n
+		want.Scenario = &n
 		wantDoc, _ := json.Marshal(&want)
 		got, err := json.Marshal(hits[i])
 		if err != nil {

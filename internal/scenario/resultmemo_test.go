@@ -18,7 +18,7 @@ func optimizedSpec() Scenario {
 // resultEntry returns the result entry resident under a content key, or
 // nil.
 func resultEntry(rn *Runner, key string) *Result {
-	c, _ := rn.memo.get(resultKind + "|" + key).(*Result)
+	c, _ := rn.memo.get(resultKind, key).(*Result)
 	return c
 }
 

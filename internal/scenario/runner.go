@@ -783,12 +783,19 @@ func (r *Runner) RunContext(ctx context.Context, s Scenario) (*Result, error) {
 // error (also recorded in Result.Error). It executes nothing, so a
 // prepared result can be run any number of times by RunPreparedStream.
 func (r *Runner) Prepare(s Scenario) (res *Result, err error) {
-	defer r.containPanic(s, &res, &err)
+	// The result carries the spec as given until it normalizes and keys,
+	// so a validation error or a panic records what the caller passed.
+	spec := s
+	res = &Result{SchemaVersion: report.SchemaVersion, Scenario: &spec}
+	defer r.containPanic(res, &err)
 	n, err := s.Normalize()
 	if err != nil {
-		return &Result{SchemaVersion: report.SchemaVersion, Scenario: s, Error: err.Error()}, err
+		res.Error = err.Error()
+		return res, err
 	}
-	return &Result{SchemaVersion: report.SchemaVersion, Key: n.contentKey(), Scenario: n}, nil
+	res.Key = n.contentKey()
+	spec = n
+	return res, nil
 }
 
 // complete is a scenario's execute step: it fills the sections of a
@@ -805,23 +812,22 @@ func (r *Runner) Prepare(s Scenario) (res *Result, err error) {
 // fails in the first stage.
 func (r *Runner) complete(ctx context.Context, prepared *Result) (res *Result, err error) {
 	res = prepared
-	defer r.containPanic(res.Scenario, &res, &err)
-	key := resultKind + "|" + res.Key
+	defer r.containPanic(res, &err)
 	if ctx.Err() == nil {
-		if c, ok := r.memo.get(key).(*Result); ok {
+		if c, ok := r.memo.get(resultKind, res.Key).(*Result); ok {
 			atomic.AddUint64(&r.memoHits, resultHits(res))
 			res.setSections(c)
 			return res, nil
 		}
 	}
-	if err = r.execute(ctx, res.Scenario, res); err != nil {
+	if err = r.execute(ctx, *res.Scenario, res); err != nil {
 		res.Error = err.Error()
 		res.setSections(&Result{})
 		return res, err
 	}
 	c := &Result{}
 	c.setSections(res)
-	r.memo.put(key, c)
+	r.memo.put(resultKind+"|"+res.Key, c)
 	return res, nil
 }
 
@@ -840,21 +846,16 @@ func (res *Result) setSections(c *Result) {
 }
 
 // containPanic, deferred by Prepare and complete, recovers a panic
-// outside any stage into a StagePanicError result for spec s.
-func (r *Runner) containPanic(s Scenario, res **Result, err *error) {
+// outside any stage into a StagePanicError recorded in res.
+func (r *Runner) containPanic(res *Result, err *error) {
 	rec := recover()
 	if rec == nil {
 		return
 	}
 	atomic.AddUint64(&r.stagePanics, 1)
-	p := &StagePanicError{Stage: "scenario", Value: rec, Stack: string(debug.Stack())}
-	if *res == nil {
-		*res = &Result{SchemaVersion: report.SchemaVersion, Scenario: s}
-	}
-	rs := *res
-	p.Key = rs.Key
-	rs.Error = p.Error()
-	rs.setSections(&Result{})
+	p := &StagePanicError{Stage: "scenario", Key: res.Key, Value: rec, Stack: string(debug.Stack())}
+	res.Error = p.Error()
+	res.setSections(&Result{})
 	*err = p
 }
 
@@ -990,14 +991,18 @@ func (r *Runner) RunBatchStream(ctx context.Context, specs []Scenario, observe f
 // RunPreparedStream is RunBatchStream over scenarios already prepared by
 // Prepare: prepared holds what Prepare returned for each scenario and
 // errs its errors (nil when none failed); a sweep plan keeps its points
-// this way. Every slot gets a fresh Result carrying its prepared spec,
-// key and validation error, so the prepared results are never written
-// and one prepared list can run any number of times, concurrently too.
-// The results share each prepared spec's platform and sizes read-only.
+// this way. Every slot gets a fresh Result carrying its prepared key and
+// validation error and pointing at its prepared spec, so the prepared
+// results are never written and one prepared list can run any number of
+// times, concurrently too. The results share each prepared spec
+// read-only, and are allocated together as one slab: a point result
+// retained past the batch keeps the whole batch's slab alive.
 func (r *Runner) RunPreparedStream(ctx context.Context, prepared []*Result, errs []error, observe func(int, *Result) bool) ([]*Result, []error, <-chan struct{}) {
+	slab := make([]Result, len(prepared))
 	fresh := make([]*Result, len(prepared))
 	for i, p := range prepared {
-		fresh[i] = &Result{SchemaVersion: p.SchemaVersion, Key: p.Key, Scenario: p.Scenario, Error: p.Error}
+		slab[i] = Result{SchemaVersion: p.SchemaVersion, Key: p.Key, Scenario: p.Scenario, Error: p.Error}
+		fresh[i] = &slab[i]
 	}
 	perrs := make([]error, len(prepared))
 	copy(perrs, errs)
@@ -1063,7 +1068,7 @@ func (r *Runner) group(ctx context.Context, results []*Result, errs []error) *ba
 		if errs[i] != nil {
 			continue
 		}
-		if c, ok := r.memo.get(resultKind + "|" + res.Key).(*Result); ok {
+		if c, ok := r.memo.get(resultKind, res.Key).(*Result); ok {
 			res.setSections(c)
 			hits += resultHits(res)
 			continue

@@ -166,7 +166,7 @@ func TestSharedRepetitionFaultFailsBothReaders(t *testing.T) {
 				}
 			}
 			for _, key := range []string{keys["trace"], keys["run.shared"], keys["profile"], memoryKind + "|" + sharedRepKey(n)} {
-				if rn.memo.get(key) != nil {
+				if rn.memo.resident(key) != nil {
 					t.Errorf("%s is cached after the fault", key)
 				}
 			}

@@ -353,7 +353,7 @@ func TestMemoPlanMemoryOnly(t *testing.T) {
 // results — sweep metrics and aggregation, and the serve mode's
 // /v1/sweep encoding — only read the specs a plan shares with them:
 // after running them over warm sweeps, results served from the plan
-// still share its specs, and those specs are unchanged.
+// still point at its specs, and those specs are unchanged.
 func TestMemoPlanSpecsStayReadOnly(t *testing.T) {
 	body := `{
 		"name": "readonly",
@@ -415,7 +415,7 @@ func TestMemoPlanSpecsStayReadOnly(t *testing.T) {
 	}
 	again := served()
 	for i := range warm {
-		if again[i].Scenario.Platform != warm[i].Scenario.Platform {
+		if again[i].Scenario != warm[i].Scenario {
 			t.Errorf("point %d: warm results do not share the plan's spec", i)
 		}
 	}

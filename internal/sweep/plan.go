@@ -132,9 +132,9 @@ type planKeyAxis struct {
 	Zip    string   `json:"zip"`
 }
 
-// planKey returns the memo key of the sweep's plan; ok is false when
-// the sweep cannot be encoded (a non-finite float in a literal base),
-// which leaves it unmemoized.
+// planKey returns the memo key of the sweep's plan, hashing the key
+// document as it encodes; ok is false when the sweep cannot be encoded
+// (a non-finite float in a literal base), which leaves it unmemoized.
 func planKey(sw Sweep) (key string, ok bool) {
 	doc := planKeyDoc{
 		Name:      sw.Name,
@@ -150,10 +150,14 @@ func planKey(sw Sweep) (key string, ok bool) {
 		}
 		doc.Axes[i] = a
 	}
-	b, err := json.Marshal(doc)
-	if err != nil {
+	h := sha256.New()
+	if err := json.NewEncoder(h).Encode(doc); err != nil {
 		return "", false
 	}
-	sum := sha256.Sum256(b)
-	return "sweep.plan|" + hex.EncodeToString(sum[:16]), true
+	const prefix = "sweep.plan|"
+	var sum [sha256.Size]byte
+	var b [len(prefix) + 2*16]byte
+	copy(b[:], prefix)
+	hex.Encode(b[len(prefix):], h.Sum(sum[:0])[:16])
+	return string(b[:]), true
 }

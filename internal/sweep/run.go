@@ -84,6 +84,13 @@ func (m *Metrics) get(name string) float64 {
 // Sweeps and explorations summarize their points through this one
 // function, so their fronts are computed from identical numbers.
 func Summarize(index int, coords []Coord, r *scenario.Result, err error, l2Bytes int) PointSummary {
+	return summarize(index, coords, r, err, l2Bytes, new(Metrics))
+}
+
+// summarize is Summarize writing the point's metrics, when it has any,
+// into m, so that a caller summarizing many points can hand out the
+// slots of one slab.
+func summarize(index int, coords []Coord, r *scenario.Result, err error, l2Bytes int, m *Metrics) PointSummary {
 	ps := PointSummary{Index: index, Coords: coords}
 	switch {
 	case r == nil:
@@ -96,22 +103,25 @@ func Summarize(index int, coords []Coord, r *scenario.Result, err error, l2Bytes
 		if l2Bytes == 0 {
 			l2Bytes = l2BytesOf(r.Scenario)
 		}
-		ps.Metrics = metricsOf(r, l2Bytes)
+		if m.set(r, l2Bytes) {
+			ps.Metrics = m
+		}
 	}
 	return ps
 }
 
-// metricsOf derives a point's metrics from its scenario result and the
-// L2 capacity of its spec — nil when the result carries no measured run.
-func metricsOf(r *scenario.Result, l2Bytes int) *Metrics {
+// set fills m from a point's scenario result and the L2 capacity of its
+// spec, and reports false, leaving m alone, when the result carries no
+// measured run.
+func (m *Metrics) set(r *scenario.Result, l2Bytes int) bool {
 	run := r.Partitioned
 	if run == nil {
 		run = r.Shared
 	}
 	if run == nil {
-		return nil
+		return false
 	}
-	return &Metrics{
+	*m = Metrics{
 		Makespan:   run.Makespan,
 		Misses:     run.TotalMisses,
 		Energy:     run.Energy,
@@ -120,11 +130,12 @@ func metricsOf(r *scenario.Result, l2Bytes int) *Metrics {
 		L2Bytes:    l2Bytes,
 		MissRatio:  r.MissRatio(),
 	}
+	return true
 }
 
 // l2BytesOf is the capacity of a spec's partitioned level (0 when its
 // platform does not assemble).
-func l2BytesOf(s scenario.Scenario) int {
+func l2BytesOf(s *scenario.Scenario) int {
 	if s.Platform == nil {
 		return 0
 	}
@@ -229,9 +240,11 @@ func (r *Result) Envelope() report.Envelope {
 
 // DefaultPareto is the front pair set used when a spec names none: the
 // paper's size/performance trade-off and the energy criterion.
-func DefaultPareto() []ParetoPair {
-	return []ParetoPair{{X: "l2_bytes", Y: "makespan"}, {X: "energy", Y: "makespan"}}
-}
+func DefaultPareto() []ParetoPair { return slices.Clone(defaultPareto) }
+
+// defaultPareto is DefaultPareto's pair set, which ExecutePrepared reads
+// without copying it.
+var defaultPareto = []ParetoPair{{X: "l2_bytes", Y: "makespan"}, {X: "energy", Y: "makespan"}}
 
 // Execute expands the sweep and runs every point through rn, sharing
 // the runner's content-addressed stage memo across the whole batch.
@@ -277,8 +290,9 @@ func ExecutePrepared(ctx context.Context, rn *scenario.Runner, p *Plan, observe 
 		Points:        make([]PointSummary, n),
 	}
 	res.Stats = rn.Stats().Delta(before)
+	metrics := make([]Metrics, n)
 	for i, coords := range p.coords {
-		ps := Summarize(i, coords, results[i], errs[i], p.l2Bytes[i])
+		ps := summarize(i, coords, results[i], errs[i], p.l2Bytes[i], &metrics[i])
 		switch {
 		case ps.Canceled:
 			res.Canceled++
@@ -291,10 +305,12 @@ func ExecutePrepared(ctx context.Context, rn *scenario.Runner, p *Plan, observe 
 	res.Extremes = extremes(res.Points)
 	pairs := p.pareto
 	if len(pairs) == 0 {
-		pairs = DefaultPareto()
+		pairs = defaultPareto
 	}
-	for _, pr := range pairs {
-		res.Pareto = append(res.Pareto, paretoFront(res.Points, pr))
+	res.Pareto = make([]ParetoFront, len(pairs))
+	cs := make([]candidate, 0, n)
+	for i, pr := range pairs {
+		res.Pareto[i] = paretoFront(res.Points, pr, cs)
 	}
 	return res, ctx.Err()
 }
@@ -316,30 +332,36 @@ func ComputeSensitivity(sw Sweep, points []PointSummary) []AxisSensitivity {
 // refer to the summaries' own Index fields, so fronts over explored
 // subsets and over full expansions are directly comparable.
 func ComputeParetoFront(points []PointSummary, pair ParetoPair) ParetoFront {
-	return paretoFront(points, pair)
+	return paretoFront(points, pair, make([]candidate, 0, len(points)))
 }
 
 // sensitivity builds one marginal table per axis label over the executed
-// points (one pass per axis — never over the axis's declared value
+// points (two passes per axis — never over the axis's declared value
 // domain, which a range axis can make astronomically larger than the
-// capped point set). Rows appear in first-appearance order, which for
-// the dimension-major expansion is exactly the axis's value order.
+// capped point set). The first pass numbers the axis's values in
+// first-appearance order, which for the dimension-major expansion is
+// exactly the axis's value order, so the second can accumulate into
+// rows allocated at their final length.
 func sensitivity(labels []string, points []PointSummary) []AxisSensitivity {
-	var out []AxisSensitivity
-	for _, label := range labels {
-		var order []string
-		rows := map[string]*SensitivityRow{}
+	out := make([]AxisSensitivity, len(labels))
+	index := map[string]int{} // value → its row, for the current axis
+	for i, label := range labels {
+		clear(index)
+		for _, p := range points {
+			if v, ok := coordValue(p.Coords, label); ok {
+				if _, seen := index[v]; !seen {
+					index[v] = len(index)
+				}
+			}
+		}
+		rows := make([]SensitivityRow, len(index))
 		for _, p := range points {
 			v, ok := coordValue(p.Coords, label)
 			if !ok {
 				continue
 			}
-			r := rows[v]
-			if r == nil {
-				r = &SensitivityRow{Value: v}
-				rows[v] = r
-				order = append(order, v)
-			}
+			r := &rows[index[v]]
+			r.Value = v
 			if p.Metrics == nil {
 				continue
 			}
@@ -348,17 +370,14 @@ func sensitivity(labels []string, points []PointSummary) []AxisSensitivity {
 			r.MeanMisses += float64(p.Metrics.Misses)
 			r.MeanEnergy += p.Metrics.Energy
 		}
-		table := AxisSensitivity{Axis: label, Rows: make([]SensitivityRow, 0, len(order))}
-		for _, v := range order {
-			r := rows[v]
-			if r.N > 0 {
+		for j := range rows {
+			if r := &rows[j]; r.N > 0 {
 				r.MeanMakespan /= float64(r.N)
 				r.MeanMisses /= float64(r.N)
 				r.MeanEnergy /= float64(r.N)
 			}
-			table.Rows = append(table.Rows, *r)
 		}
-		out = append(out, table)
+		out[i] = AxisSensitivity{Axis: label, Rows: rows}
 	}
 	return out
 }
@@ -374,8 +393,9 @@ func coordValue(coords []Coord, axis string) (string, bool) {
 
 // extremes finds the best/worst point per headline metric.
 func extremes(points []PointSummary) []MetricExtremes {
-	var out []MetricExtremes
-	for _, m := range []string{"makespan", "misses", "energy"} {
+	headline := []string{"makespan", "misses", "energy"}
+	out := make([]MetricExtremes, 0, len(headline))
+	for _, m := range headline {
 		e := MetricExtremes{Metric: m, BestIndex: -1, WorstIndex: -1}
 		for _, p := range points {
 			if p.Metrics == nil {
@@ -396,22 +416,27 @@ func extremes(points []PointSummary) []MetricExtremes {
 	return out
 }
 
+// candidate is a measured point's coordinates under a Pareto pair.
+type candidate struct {
+	idx  int
+	x, y float64
+}
+
 // paretoFront computes the non-dominated set under minimization of the
-// metric pair, stably ordered by ascending (x, y, index).
-func paretoFront(points []PointSummary, pair ParetoPair) ParetoFront {
+// metric pair, stably ordered by ascending (x, y, index). It collects
+// the candidates in cs's backing array, so a caller computing several
+// fronts over the same points can pass one buffer of len(points)
+// capacity to them all.
+func paretoFront(points []PointSummary, pair ParetoPair, cs []candidate) ParetoFront {
 	front := ParetoFront{X: pair.X, Y: pair.Y}
-	type cand struct {
-		idx  int
-		x, y float64
-	}
-	var cs []cand
+	cs = cs[:0]
 	for _, p := range points {
 		if p.Metrics == nil {
 			continue
 		}
-		cs = append(cs, cand{idx: p.Index, x: p.Metrics.get(pair.X), y: p.Metrics.get(pair.Y)})
+		cs = append(cs, candidate{idx: p.Index, x: p.Metrics.get(pair.X), y: p.Metrics.get(pair.Y)})
 	}
-	slices.SortFunc(cs, func(a, b cand) int {
+	slices.SortFunc(cs, func(a, b candidate) int {
 		if c := cmp.Compare(a.x, b.x); c != 0 {
 			return c
 		}
@@ -420,15 +445,20 @@ func paretoFront(points []PointSummary, pair ParetoPair) ParetoFront {
 		}
 		return cmp.Compare(a.idx, b.idx)
 	})
-	// Walk in (x, y) order: a point joins the front when it strictly
-	// improves y, or exactly ties the last admitted point on both
-	// coordinates (neither dominates the other, e.g. two solvers landing
-	// on the same allocation).
-	bestX, bestY := 0.0, 0.0
-	for i, c := range cs {
-		if i == 0 || c.y < bestY || (c.y == bestY && c.x == bestX) {
-			front.Indices = append(front.Indices, c.idx)
-			bestX, bestY = c.x, c.y
+	// Walk in (x, y) order, filtering cs in place: a point joins the
+	// front when it strictly improves y on the last admitted point, or
+	// exactly ties it on both coordinates (neither dominates the other,
+	// e.g. two solvers landing on the same allocation).
+	kept := cs[:0]
+	for _, c := range cs {
+		if n := len(kept); n == 0 || c.y < kept[n-1].y || (c.y == kept[n-1].y && c.x == kept[n-1].x) {
+			kept = append(kept, c)
+		}
+	}
+	if len(kept) > 0 { // an empty front keeps nil indices
+		front.Indices = make([]int, len(kept))
+		for i, c := range kept {
+			front.Indices[i] = c.idx
 		}
 	}
 	return front

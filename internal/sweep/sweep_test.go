@@ -462,7 +462,7 @@ func TestParetoFrontTies(t *testing.T) {
 		mk(0, 1, 5), mk(1, 1, 5), // tied optimum: both on the front
 		mk(2, 2, 5), // dominated by the x=1 points
 		mk(3, 3, 2), // improves y: on the front
-	}, ParetoPair{X: "energy", Y: "makespan"})
+	}, ParetoPair{X: "energy", Y: "makespan"}, nil)
 	if len(front.Indices) != 3 || front.Indices[0] != 0 || front.Indices[1] != 1 || front.Indices[2] != 3 {
 		t.Errorf("want front [0 1 3], got %v", front.Indices)
 	}
@@ -505,7 +505,7 @@ func TestSummarizeClassifiesPoints(t *testing.T) {
 	if ps := Summarize(3, coords, nil, nil, 0); !ps.Canceled || ps.Index != 3 || ps.Error != "" || len(ps.Coords) != 1 {
 		t.Errorf("unstarted point: %+v", ps)
 	}
-	failed := &scenario.Result{Key: "k", Scenario: spec, Error: "stage failed"}
+	failed := &scenario.Result{Key: "k", Scenario: &spec, Error: "stage failed"}
 	for _, err := range []error{context.Canceled, fmt.Errorf("profile: %w", context.DeadlineExceeded)} {
 		if ps := Summarize(0, coords, failed, err, 0); !ps.Canceled || ps.Key != "k" || ps.Error != "stage failed" {
 			t.Errorf("point expired by %v: %+v", err, ps)
@@ -514,11 +514,11 @@ func TestSummarizeClassifiesPoints(t *testing.T) {
 	if ps := Summarize(0, coords, failed, errors.New("stage failed"), 0); ps.Canceled || ps.Error != "stage failed" || ps.Metrics != nil {
 		t.Errorf("failed point: %+v", ps)
 	}
-	profiled := &scenario.Result{Key: "k", Scenario: spec}
+	profiled := &scenario.Result{Key: "k", Scenario: &spec}
 	if ps := Summarize(0, coords, profiled, nil, 0); ps.Canceled || ps.Error != "" || ps.Key != "k" || ps.Metrics != nil {
 		t.Errorf("a point without a measured run must carry no metrics: %+v", ps)
 	}
-	measured := &scenario.Result{Key: "k", Scenario: spec,
+	measured := &scenario.Result{Key: "k", Scenario: &spec,
 		Shared:      &scenario.RunSummary{Makespan: 9, TotalMisses: 30},
 		Partitioned: &scenario.RunSummary{Makespan: 7, TotalMisses: 10},
 	}
