@@ -347,6 +347,60 @@ func TestMemoryStallsAccumulate(t *testing.T) {
 	}
 }
 
+// countingRecorder counts the operations a task records.
+type countingRecorder struct{ execs, instrs, accesses, bulks int }
+
+func (r *countingRecorder) RecordExec(n uint64)                               { r.execs++; r.instrs += int(n) }
+func (r *countingRecorder) RecordAccess(trace.Access)                         { r.accesses++ }
+func (r *countingRecorder) RecordBulk(mem.RegionID, uint64, uint64, trace.Op) { r.bulks++ }
+func (r *countingRecorder) RecordFIFOWrite(*FIFO)                             {}
+func (r *countingRecorder) RecordFIFORead(*FIFO, bool)                        {}
+func (r *countingRecorder) RecordFIFOClose(*FIFO)                             {}
+
+// TestNoMemoryRunsFunctionally checks the mode trace capture runs in: a
+// task resumed with NoMemory moves real bytes, keeps its bounds checks,
+// records every operation and still yields when its slice budget runs
+// out, while its core advances by its instructions alone.
+func TestNoMemoryRunsFunctionally(t *testing.T) {
+	as := mem.NewAddressSpace()
+	core := cpu.New(cpu.Config{Name: "p0", BaseCPI: 1.0})
+	rec := &countingRecorder{}
+	var got32 uint32
+	got := make([]byte, 64)
+	p := &Process{
+		Name:     "w",
+		Code:     as.MustAlloc("w.code", mem.KindCode, "w", 4096),
+		Heap:     as.MustAlloc("w.heap", mem.KindHeap, "w", 4096),
+		Recorder: rec,
+		Body: func(c *Ctx) {
+			c.Exec(100)
+			c.Store32(c.Heap(), 16, 0xCAFEBABE)
+			got32 = c.Load32(c.Heap(), 16)
+			c.StoreBytes(c.Heap(), 128, []byte(strings.Repeat("x", 64)))
+			c.LoadBytes(c.Heap(), 128, got)
+			c.Exec(28)
+			c.Store32(c.Heap(), 4096, 1) // out of range: fails the task
+		},
+	}
+	p.Start()
+	if y := p.RunSlice(core, NoMemory, 50); y.Reason != YieldQuantum {
+		t.Fatalf("a 50-cycle slice of 100 instructions yielded %v, want the quantum", y.Reason)
+	}
+	y := p.RunSlice(core, NoMemory, 1<<30)
+	if y.Reason != YieldFailed || !strings.Contains(y.Err.Error(), "outside region bounds") {
+		t.Fatalf("an out-of-range store under NoMemory yielded %v (%v), want the bounds failure", y.Reason, y.Err)
+	}
+	if got32 != 0xCAFEBABE || string(got) != strings.Repeat("x", 64) {
+		t.Errorf("round trips read %#x and %q", got32, got)
+	}
+	if core.Now() != 128 || core.StallCycles() != 0 || core.Instructions() != 128 {
+		t.Errorf("core at %d cycles, %d stalled, %d instructions; want 128, 0, 128", core.Now(), core.StallCycles(), core.Instructions())
+	}
+	if rec.execs != 2 || rec.instrs != 128 || rec.accesses != 2 || rec.bulks != 2 {
+		t.Errorf("recorded %+v, want 2 execs of 128 instructions, 2 accesses and 2 bulk transfers", *rec)
+	}
+}
+
 func TestProcessLifecyclePanics(t *testing.T) {
 	as := mem.NewAddressSpace()
 	t.Run("double start", func(t *testing.T) {

@@ -26,6 +26,18 @@ type Memory interface {
 	AccessAt(a trace.Access, now uint64) uint64
 }
 
+// NoMemory is the memory system of a functional run whose timing is
+// thrown away, such as trace capture: a task resumed with it moves real
+// bytes and keeps every bounds check, its recorder sees every operation,
+// and Exec advances its core by the instructions alone, but nothing is
+// fetched or charged. It is a sentinel of an unexported type, so no
+// other Memory (a nil one included) selects the mode.
+var NoMemory Memory = noMemory{}
+
+type noMemory struct{}
+
+func (noMemory) AccessAt(trace.Access, uint64) uint64 { return 0 }
+
 // LineMemory extends Memory with the contract of the exact line-merged
 // fast path (implemented by cache.Hierarchy). Because tasks run in strict
 // handoff — exactly one task executes at any instant — accesses of one
@@ -319,6 +331,7 @@ type Ctx struct {
 
 	core   *cpu.Core
 	memsys Memory
+	noMem  bool // memsys is NoMemory: fetch and charge nothing
 	budget int64
 
 	fetchCursor uint64
@@ -444,6 +457,7 @@ func (c *Ctx) awaitResume() {
 		// the Memory/LineMemory interface tables (test stubs keep the
 		// interface fallback).
 		c.hier, _ = m.mem.(*cache.Hierarchy)
+		_, c.noMem = m.mem.(noMemory)
 		c.lmem = nil
 		c.slots = nil
 		if c.coalesce {
@@ -541,9 +555,17 @@ func (c *Ctx) Now() uint64 { return c.core.Now() }
 // Exec retires n instructions: advances time by n*BaseCPI and issues one
 // instruction fetch per cache line's worth of instructions (4-byte
 // instruction words), cycling through the task's hot code footprint.
+// Under NoMemory it only advances time.
 func (c *Ctx) Exec(n uint64) {
 	if c.rec != nil && c.recMute == 0 {
 		c.rec.RecordExec(n)
+	}
+	if c.noMem {
+		cyc := c.core.Exec(n)
+		c.budget -= int64(cyc)
+		c.consumed += cyc
+		c.maybeYield()
+		return
 	}
 	hot := c.proc.HotCode
 	if hot == 0 || hot > c.proc.Code.Size {
@@ -895,6 +917,9 @@ func (c *Ctx) access(a trace.Access) {
 			return
 		}
 	}
+	if c.noMem {
+		return
+	}
 	c.chargeFiltered(a)
 	c.maybeYield()
 }
@@ -1011,6 +1036,9 @@ func (c *Ctx) ChargeBulk(r *mem.Region, off, n uint64, op trace.Op) {
 // yields still land on exactly the word the word-granular loop would
 // yield on.
 func (c *Ctx) chargeBulk(r *mem.Region, off, n uint64, op trace.Op) {
+	if c.noMem {
+		return
+	}
 	write := op == trace.Write
 	for done := uint64(0); done < n; {
 		sz := n - done

@@ -65,27 +65,44 @@ func newMemo(budget int64) *memo {
 // When the key has none it installs a computing entry and reports owner:
 // the caller must compute the value and settle the entry.
 func (m *memo) lookup(key string) (e *memoEntry, owner bool) {
+	return lookupKey(m, key)
+}
+
+// lookupKey is lookup over a key given as a string or as bytes: a key
+// assembled in a stack buffer (see memoKeyBuf) is copied to the heap
+// only for an entry the lookup installs.
+func lookupKey[K ~string | ~[]byte](m *memo, key K) (e *memoEntry, owner bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if e = m.entries[key]; e != nil {
+	if e = m.entries[string(key)]; e != nil {
 		if e.elem != nil {
 			m.lru.MoveToFront(e.elem)
 		}
 		return e, false
 	}
-	e = &memoEntry{key: key, done: make(chan struct{})}
-	m.entries[key] = e
+	e = &memoEntry{key: string(key), done: make(chan struct{})}
+	m.entries[e.key] = e
 	return e, true
+}
+
+// memoKeyBuf holds a memo key assembled on the caller's stack. Indexing
+// the entries with string(b) of it does not allocate, so a lookup that
+// finds its entry allocates nothing.
+type memoKeyBuf [96]byte
+
+// key assembles kind + "|" + key in buf (on the heap only when it is
+// longer than buf).
+func (buf *memoKeyBuf) key(kind, key string) []byte {
+	return append(append(append(buf[:0], kind...), '|'), key...)
 }
 
 // get returns the value resident under kind + "|" + key, refreshing its
 // recency, or nil when the key has none. Unlike lookup it never installs
-// a computing entry: result entries are cache-aside, filled by put. The
-// memo key is assembled in a stack buffer, since indexing the map with
-// string(b) does not allocate, so a hit allocates nothing.
+// a computing entry: result entries are cache-aside, filled by put. A
+// hit allocates nothing.
 func (m *memo) get(kind, key string) any {
-	var buf [96]byte
-	b := append(append(append(buf[:0], kind...), '|'), key...)
+	var buf memoKeyBuf
+	b := buf.key(kind, key)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if e := m.entries[string(b)]; e != nil && e.elem != nil {

@@ -407,7 +407,9 @@ func TestMemoOversizedValueReachesWaitersNotRetained(t *testing.T) {
 
 // TestMemoHitAllocs pins a memo hit — the path every warm request takes
 // per stage — at zero allocations, for a trace and for a JSON kind, and
-// likewise a result-entry lookup, which every warm scenario takes.
+// likewise a result-entry lookup, which every warm scenario takes, and
+// a memory-only lookup (Runner.Memoize), which every warm sweep takes
+// for its plan.
 func TestMemoHitAllocs(t *testing.T) {
 	rn := NewRunner(1)
 	values := map[string]any{
@@ -431,6 +433,14 @@ func TestMemoHitAllocs(t *testing.T) {
 	rn.memo.put(resultKind+"|"+prepared.Key, &Result{})
 	if n := testing.AllocsPerRun(200, func() { rn.memo.get(resultKind, prepared.Key) }); n != 0 {
 		t.Errorf("result entry hit: %v allocs, want 0", n)
+	}
+	const planKey = "sweep.plan|0123456789abcdef0123456789abcdef" // a plan key's shape
+	plan := func() (any, error) { return prepared, nil }
+	if _, err := rn.Memoize(planKey, plan); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() { rn.Memoize(planKey, plan) }); n != 0 {
+		t.Errorf("memory-only hit: %v allocs, want 0", n)
 	}
 }
 

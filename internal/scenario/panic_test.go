@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -14,9 +15,12 @@ import (
 
 // registerPanicking registers a workload whose factory panics the first
 // `panics` times it is built, then behaves like jpeg1-only — the
-// build-panic vector of the fault suite.
-func registerPanicking(t *testing.T, name string, panics int) {
+// build-panic vector of the fault suite. It returns the workload's
+// name, prefix plus a process-unique number, so the tests repeat under
+// -count=N.
+func registerPanicking(t *testing.T, prefix string, panics int) string {
 	t.Helper()
+	name := fmt.Sprintf("%s-%d", prefix, gateSeq.Add(1))
 	base, ok := workloads.Lookup("jpeg1-only")
 	if !ok {
 		t.Fatal("jpeg1-only not registered")
@@ -37,14 +41,17 @@ func registerPanicking(t *testing.T, name string, panics int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return name
 }
 
 // registerBadPlatform registers a workload whose factory trips a
 // platform-construction panic that no spec-level validation can catch:
 // a non-power-of-two address-space alignment, exactly the class of
-// config error that panics by design deep inside the memory model.
-func registerBadPlatform(t *testing.T, name string) {
+// config error that panics by design deep inside the memory model. It
+// returns the workload's name, prefix plus a process-unique number.
+func registerBadPlatform(t *testing.T, prefix string) string {
 	t.Helper()
+	name := fmt.Sprintf("%s-%d", prefix, gateSeq.Add(1))
 	base, ok := workloads.Lookup("jpeg1-only")
 	if !ok {
 		t.Fatal("jpeg1-only not registered")
@@ -61,6 +68,7 @@ func registerBadPlatform(t *testing.T, name string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return name
 }
 
 // TestStagePanicIsContainedAndEvicted is the heart of the panic
@@ -68,9 +76,9 @@ func registerBadPlatform(t *testing.T, name string) {
 // *StagePanicError (never an unwound goroutine), the memo entry is
 // evicted (a retry re-runs and succeeds), and the panic is counted.
 func TestStagePanicIsContainedAndEvicted(t *testing.T) {
-	registerPanicking(t, "panic-once", 1)
+	name := registerPanicking(t, "panic-once", 1)
 	rn := NewRunner(1)
-	spec := Scenario{Workload: "panic-once", Scale: "small", Runs: 1, Partition: PartitionProfile}
+	spec := Scenario{Workload: name, Scale: "small", Runs: 1, Partition: PartitionProfile}
 
 	res, err := rn.Run(spec)
 	var pe *StagePanicError
@@ -118,9 +126,9 @@ func TestStagePanicIsContainedAndEvicted(t *testing.T) {
 // TestNestedWorkerPanicIsContainedAndEvicted covers a panic that
 // crosses a worker boundary inside a stage.
 func TestPlatformPanicPastSpecChecks(t *testing.T) {
-	registerBadPlatform(t, "bad-align")
+	name := registerBadPlatform(t, "bad-align")
 	rn := NewRunner(2)
-	spec := Scenario{Workload: "bad-align", Scale: "small", Partition: PartitionShared}
+	spec := Scenario{Workload: name, Scale: "small", Partition: PartitionShared}
 
 	res, err := rn.RunContext(context.Background(), spec)
 	var pe *StagePanicError
@@ -193,10 +201,10 @@ func TestNestedWorkerPanicIsContainedAndEvicted(t *testing.T) {
 // batch yields exactly one error result; its neighbors complete
 // normally, in order.
 func TestBatchIsolatesPanickingScenario(t *testing.T) {
-	registerPanicking(t, "panic-mid", 1)
+	name := registerPanicking(t, "panic-mid", 1)
 	rn := NewRunner(2)
 	good := Scenario{Workload: "jpeg1-only", Scale: "small", Runs: 1, Partition: PartitionProfile}
-	bad := Scenario{Workload: "panic-mid", Scale: "small", Runs: 1, Partition: PartitionProfile}
+	bad := Scenario{Workload: name, Scale: "small", Runs: 1, Partition: PartitionProfile}
 
 	results := rn.RunBatch([]Scenario{good, bad, good})
 	if len(results) != 3 {

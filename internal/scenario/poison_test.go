@@ -90,9 +90,10 @@ func TestStageErrorNotMemoized(t *testing.T) {
 // not yet started: their result slots stay nil and no simulation runs
 // for them.
 func TestRunBatchContextCancel(t *testing.T) {
-	builds := registerFlaky(t, "counted-ctx", 0)
+	name := fmt.Sprintf("counted-ctx-%d", gateSeq.Add(1))
+	builds := registerFlaky(t, name, 0)
 	rn := NewRunner(1)
-	spec := Scenario{Workload: "counted-ctx", Scale: "small", Runs: 1, Partition: PartitionProfile}
+	spec := Scenario{Workload: name, Scale: "small", Runs: 1, Partition: PartitionProfile}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

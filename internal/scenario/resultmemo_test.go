@@ -129,9 +129,8 @@ func TestMemoResultSkippedUnderCanceledCtx(t *testing.T) {
 func TestMemoResultNeverCachesFailures(t *testing.T) {
 	// Fresh workload names per run, so the test repeats under -count=N.
 	flaky := fmt.Sprintf("result-flaky-%d", gateSeq.Add(1))
-	panicking := fmt.Sprintf("result-panic-%d", gateSeq.Add(1))
 	registerFlaky(t, flaky, 1)
-	registerPanicking(t, panicking, 1)
+	panicking := registerPanicking(t, "result-panic", 1)
 	rn := NewRunner(1)
 	for _, w := range []string{flaky, panicking} {
 		s := Scenario{Workload: w, Scale: "small", Runs: 1, Partition: PartitionOptimized}

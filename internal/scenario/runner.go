@@ -270,7 +270,8 @@ const memoryKind = "memory"
 // the goroutine's stack, a fatal error that ends the process. Heap the
 // value reaches only through interface or array fields is not charged.
 func (r *Runner) Memoize(key string, build func() (any, error)) (any, error) {
-	e, owner := r.memo.lookup(memoryKind + "|" + key)
+	var buf memoKeyBuf
+	e, owner := lookupKey(r.memo, buf.key(memoryKind, key))
 	if !owner {
 		<-e.done
 		return e.val, e.err

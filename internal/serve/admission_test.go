@@ -2,9 +2,11 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,12 +15,19 @@ import (
 	"repro/internal/workloads"
 )
 
+// testSeq numbers the workloads the tests register, so that every
+// registration has a process-unique name and the tests repeat under
+// -count=N.
+var testSeq atomic.Int64
+
 // registerGatedWorkload registers a jpeg1-only wrapper whose every
 // factory call signals entered and then blocks until release is closed
 // — the handle admission and drain tests use to hold a request in
-// flight deterministically.
-func registerGatedWorkload(t *testing.T, name string) (entered chan struct{}, release chan struct{}) {
+// flight deterministically. Its name is prefix plus a process-unique
+// number.
+func registerGatedWorkload(t *testing.T, prefix string) (name string, entered chan struct{}, release chan struct{}) {
 	t.Helper()
+	name = fmt.Sprintf("%s-%d", prefix, testSeq.Add(1))
 	base, ok := workloads.Lookup("jpeg1-only")
 	if !ok {
 		t.Fatal("jpeg1-only not registered")
@@ -41,7 +50,13 @@ func registerGatedWorkload(t *testing.T, name string) (entered chan struct{}, re
 	if err != nil {
 		t.Fatal(err)
 	}
-	return entered, release
+	return name, entered, release
+}
+
+// profileBatch is a /v1/batch body of one small runs: 1 profile
+// scenario of the named workload.
+func profileBatch(workload string) string {
+	return `{"scenarios":[{"workload":"` + workload + `","scale":"small","runs":1,"partition":"profile"}]}`
 }
 
 func waitSignal(t *testing.T, ch <-chan struct{}, what string) {
@@ -75,13 +90,13 @@ func getHealth(t *testing.T, url string) (int, Health) {
 // immediately with 429 and a Retry-After hint — it is never queued —
 // while /healthz reports the load and the shed count.
 func TestOverCapacitySheds429(t *testing.T) {
-	entered, release := registerGatedWorkload(t, "gated-shed")
+	name, entered, release := registerGatedWorkload(t, "gated-shed")
 	cfg := testConfig()
 	s := NewWithOptions(cfg, scenario.NewRunner(1), Options{MaxInflight: 1, Queue: -1})
 	srv := httptest.NewServer(s)
 	t.Cleanup(srv.Close)
 
-	body := `{"scenarios":[{"workload":"gated-shed","scale":"small","runs":1,"partition":"profile"}]}`
+	body := profileBatch(name)
 	first := make(chan string, 1)
 	go func() {
 		_, b := postBatch(t, srv.URL, body)
@@ -117,13 +132,13 @@ func TestOverCapacitySheds429(t *testing.T) {
 // submission waits for the slot (and eventually completes), a third —
 // over both the slot and the queue — sheds with 429.
 func TestQueueAdmitsThenSheds(t *testing.T) {
-	entered, release := registerGatedWorkload(t, "gated-queue")
+	name, entered, release := registerGatedWorkload(t, "gated-queue")
 	cfg := testConfig()
 	s := NewWithOptions(cfg, scenario.NewRunner(1), Options{MaxInflight: 1, Queue: 1})
 	srv := httptest.NewServer(s)
 	t.Cleanup(srv.Close)
 
-	body := `{"scenarios":[{"workload":"gated-queue","scale":"small","runs":1,"partition":"profile"}]}`
+	body := profileBatch(name)
 	done := make(chan string, 2)
 	go func() { _, b := postBatch(t, srv.URL, body); done <- b }()
 	waitSignal(t, entered, "first request to start")

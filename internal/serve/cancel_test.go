@@ -3,9 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,54 +16,57 @@ import (
 	"repro/internal/workloads"
 )
 
-var registerBlockingOnce sync.Once
+// cancelWorkloads are two instrumented wrappers around jpeg1-only,
+// registered afresh for each run of the test: blocking, whose first
+// factory call signals started and blocks until release closes (so the
+// test controls when the first pipeline stage finishes; later pipeline
+// stages build the workload again and pass through), and counted, which
+// counts its builds (so the test can prove queued scenarios never ran).
+type cancelWorkloads struct {
+	blocking, counted string
+	started           chan struct{}
+	release           chan struct{}
+	builds            atomic.Int32
+}
 
-var (
-	// blockStarted is signaled when the blocking workload's factory is
-	// first entered; blockRelease lets it proceed. Only the first factory
-	// call blocks — later pipeline stages build the workload again and
-	// must pass through.
-	blockStarted       = make(chan struct{}, 8)
-	blockRelease       = make(chan struct{})
-	blockFirst   int32 = 1
-	// countedBuilds counts how often the counted workload was built.
-	countedBuilds int32
-)
-
-// registerCancelWorkloads registers two instrumented wrappers around
-// jpeg1-only: one whose first factory call blocks until released (so
-// the test controls when the first pipeline stage finishes), and one
-// that counts its builds (so the test can prove queued scenarios never
-// ran).
-func registerCancelWorkloads(t *testing.T) {
+// registerCancelWorkloads registers a fresh pair of cancelWorkloads
+// under process-unique names.
+func registerCancelWorkloads(t *testing.T) *cancelWorkloads {
 	t.Helper()
-	registerBlockingOnce.Do(func() {
-		base, ok := workloads.Lookup("jpeg1-only")
-		if !ok {
-			t.Fatal("jpeg1-only not registered")
+	base, ok := workloads.Lookup("jpeg1-only")
+	if !ok {
+		t.Fatal("jpeg1-only not registered")
+	}
+	n := testSeq.Add(1)
+	cw := &cancelWorkloads{
+		blocking: fmt.Sprintf("serve-test-blocking-%d", n),
+		counted:  fmt.Sprintf("serve-test-counted-%d", n),
+		started:  make(chan struct{}, 1),
+		release:  make(chan struct{}),
+	}
+	var blocked atomic.Bool
+	workloads.MustRegister(cw.blocking, func(bc workloads.BuildConfig) core.Workload {
+		w := base(bc)
+		inner := w.Factory
+		w.Factory = func() (*core.App, error) {
+			if blocked.CompareAndSwap(false, true) {
+				cw.started <- struct{}{}
+				<-cw.release
+			}
+			return inner()
 		}
-		workloads.MustRegister("serve-test-blocking", func(bc workloads.BuildConfig) core.Workload {
-			w := base(bc)
-			inner := w.Factory
-			w.Factory = func() (*core.App, error) {
-				if atomic.CompareAndSwapInt32(&blockFirst, 1, 0) {
-					blockStarted <- struct{}{}
-					<-blockRelease
-				}
-				return inner()
-			}
-			return w
-		})
-		workloads.MustRegister("serve-test-counted", func(bc workloads.BuildConfig) core.Workload {
-			w := base(bc)
-			inner := w.Factory
-			w.Factory = func() (*core.App, error) {
-				atomic.AddInt32(&countedBuilds, 1)
-				return inner()
-			}
-			return w
-		})
+		return w
 	})
+	workloads.MustRegister(cw.counted, func(bc workloads.BuildConfig) core.Workload {
+		w := base(bc)
+		inner := w.Factory
+		w.Factory = func() (*core.App, error) {
+			cw.builds.Add(1)
+			return inner()
+		}
+		return w
+	})
+	return cw
 }
 
 // TestBatchClientDisconnectCancelsQueuedWork is the regression test for
@@ -76,7 +79,7 @@ func registerCancelWorkloads(t *testing.T) {
 // the request's context — exactly the signal net/http delivers on a
 // real disconnect — which keeps the test deterministic.
 func TestBatchClientDisconnectCancelsQueuedWork(t *testing.T) {
-	registerCancelWorkloads(t)
+	cw := registerCancelWorkloads(t)
 	cfg := experiments.Small()
 	cfg.ProfileRuns = 1
 	cfg.Workers = 1 // single worker: scenario 0 blocks, 1 and 2 stay queued
@@ -86,11 +89,11 @@ func TestBatchClientDisconnectCancelsQueuedWork(t *testing.T) {
 	// Scenario 0 is a full study: with one worker its pipeline runs the
 	// shared baseline first (the factory blocks inside that run's trace
 	// capture), then the profile+optimize leg, then the partitioned run.
-	const body = `{"scenarios":[
-		{"workload":"serve-test-blocking","scale":"small","runs":1},
-		{"workload":"serve-test-counted","scale":"small","runs":1,"partition":"profile"},
-		{"workload":"serve-test-counted","scale":"small","runs":1,"seed":7,"partition":"profile"}
-	]}`
+	body := fmt.Sprintf(`{"scenarios":[
+		{"workload":%q,"scale":"small","runs":1},
+		{"workload":%q,"scale":"small","runs":1,"partition":"profile"},
+		{"workload":%q,"scale":"small","runs":1,"seed":7,"partition":"profile"}
+	]}`, cw.blocking, cw.counted, cw.counted)
 	ctx, cancel := context.WithCancel(context.Background())
 	req := httptest.NewRequest("POST", "/v1/batch", strings.NewReader(body)).WithContext(ctx)
 	rec := httptest.NewRecorder()
@@ -103,19 +106,19 @@ func TestBatchClientDisconnectCancelsQueuedWork(t *testing.T) {
 	// Wait until scenario 0 is inside its (blocked) shared run, then
 	// drop the client and let the in-flight stage finish.
 	select {
-	case <-blockStarted:
+	case <-cw.started:
 	case <-time.After(30 * time.Second):
 		t.Fatal("blocking workload never started")
 	}
 	cancel()
-	close(blockRelease)
+	close(cw.release)
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
 		t.Fatal("handler did not return after the disconnect")
 	}
 
-	if n := atomic.LoadInt32(&countedBuilds); n != 0 {
+	if n := cw.builds.Load(); n != 0 {
 		t.Errorf("queued scenarios ran after the client disconnected: %d builds", n)
 	}
 	st := rn.Stats()
@@ -132,7 +135,7 @@ func TestBatchClientDisconnectCancelsQueuedWork(t *testing.T) {
 	// the captured trace served to the optimize and partitioned-run
 	// closures. The runs: 1 profile reads only the shared repetition
 	// the shared run left resident, so it looks up no trace.
-	res, err := rn.Run(scenario.Scenario{Workload: "serve-test-blocking", Scale: "small", Runs: 1})
+	res, err := rn.Run(scenario.Scenario{Workload: cw.blocking, Scale: "small", Runs: 1})
 	if err != nil || res.Shared == nil || res.Partitioned == nil {
 		t.Fatalf("later run of the interrupted scenario failed: %v", err)
 	}

@@ -130,7 +130,7 @@ func postBatchTo(t *testing.T, url, body string) (int, string) {
 // the signal handler does) must let that stream run to a complete
 // stream.end before Serve returns cleanly.
 func TestServeDrainsInflightStream(t *testing.T) {
-	entered, release := registerGatedWorkload(t, "gated-drain")
+	name, entered, release := registerGatedWorkload(t, "gated-drain")
 	cfg := testConfig()
 	s := NewWithOptions(cfg, scenario.NewRunner(1), Options{})
 
@@ -142,7 +142,7 @@ func TestServeDrainsInflightStream(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- s.Serve(ctx, l, 30*time.Second) }()
 
-	body := `{"scenarios":[{"workload":"gated-drain","scale":"small","runs":1,"partition":"profile"}]}`
+	body := profileBatch(name)
 	streamed := make(chan string, 1)
 	go func() {
 		_, b := postBatchTo(t, "http://"+l.Addr().String()+"/v1/batch", body)

@@ -15,12 +15,15 @@ import (
 // lookup, 32 result hits and the aggregation, and allocates little more
 // than its output: the results slab pointing at the plan's specs, the
 // point summaries with one metrics slab, and the sensitivity, extremes
-// and Pareto tables. It measures about 36 objects and 12.2 KB on
-// amd64 (a few more under -race); a point result that copied its spec,
-// or per-point aggregation scratch, allocated 185 objects and 28.3 KB.
+// and Pareto tables. It measures 17 objects and 11.8 KB on amd64 (18-19
+// and 12.2-12.5 KB under -race). A plan key built through a reflected key
+// document, with a memo key concatenated for the plan lookup, and
+// sensitivity tables numbered per call, allocated 36 objects and
+// 12.2 KB; a point result that copied its spec, or per-point
+// aggregation scratch, 185 objects and 28.3 KB.
 const (
-	warmSweepAllocBudget = 64
-	warmSweepByteBudget  = 16 << 10
+	warmSweepAllocBudget = 24
+	warmSweepByteBudget  = 14 << 10
 )
 
 // TestWarmSweepAllocs holds a warm Execute of the small paper grid, on

@@ -11,11 +11,12 @@ import (
 
 // BenchmarkWarmSweepPaperGrid times a warm Execute of the small 32-point
 // paper grid on the runner that ran it cold: every point's result is
-// resident and the sweep's plan memoized, so an iteration is one spec
-// hash, one plan lookup, 32 result lookups and the aggregation. Its
-// allocations are little more than the results slab and the aggregate
-// it returns, about 36 objects and 12 KB, which TestWarmSweepAllocs
-// holds to 64 objects and 16 KB.
+// resident and the sweep's plan memoized, with every point's
+// sensitivity row, so an iteration is one spec hash, one plan lookup, 32
+// result lookups and the aggregation, a pass of adds and two Pareto
+// sorts. Its allocations are little more than the results slab and the
+// aggregate it returns, 17 objects and 11.8 KB, which TestWarmSweepAllocs
+// holds to 24 objects and 14 KB.
 //
 //	go test -run '^$' -bench BenchmarkWarmSweepPaperGrid -benchmem -count 3 ./internal/sweep/
 func BenchmarkWarmSweepPaperGrid(b *testing.B) {

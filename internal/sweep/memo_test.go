@@ -157,27 +157,44 @@ func parse(t *testing.T, raw string) sweep.Sweep {
 // TestMemoPlanKeyCoversSweepFields changes one field of a sweep at a
 // time after running it warm: the changed sweep's output on the warm
 // runner equals a fresh runner's, so no change is served a stale plan.
-// Raw axis values count as written, since their text is their label.
+// Each variant differs from one sweep run before it (the base, or the
+// variant listed just before it) in a single field of the key, and in
+// its output. Raw axis values count as written, since their text is
+// their label, and as separate values: [12, 3] and [1, 23] concatenate
+// alike, as do two axes named "ab" and "c" and two named "a" and "bc".
 func TestMemoPlanKeyCoversSweepFields(t *testing.T) {
 	rn := scenario.NewRunner(2)
 	base := parse(t, planSweep)
 	run(t, rn, base)
 	run(t, rn, base)
-	variants := map[string]string{
-		"base":         `{"name": "plan", "base": {"workload": "jpeg1-only", "scale": "small", "runs": 2, "partition": "profile"}, "axes": [{"field": "seed", "values": [0, 1]}]}`,
-		"axis value":   `{"name": "plan", "base": {"workload": "jpeg1-only", "scale": "small", "runs": 1, "partition": "profile"}, "axes": [{"field": "seed", "values": [0, 2]}]}`,
-		"axis name":    `{"name": "plan", "base": {"workload": "jpeg1-only", "scale": "small", "runs": 1, "partition": "profile"}, "axes": [{"name": "s", "field": "seed", "values": [0, 1]}]}`,
-		"max_points":   `{"name": "plan", "base": {"workload": "jpeg1-only", "scale": "small", "runs": 1, "partition": "profile"}, "axes": [{"field": "seed", "values": [0, 1]}], "max_points": 1}`,
-		"name":         `{"name": "other", "base": {"workload": "jpeg1-only", "scale": "small", "runs": 1, "partition": "profile"}, "axes": [{"field": "seed", "values": [0, 1]}]}`,
-		"pareto":       `{"name": "plan", "base": {"workload": "jpeg1-only", "scale": "small", "runs": 1, "partition": "profile"}, "axes": [{"field": "seed", "values": [0, 1]}], "pareto": [{"x": "energy", "y": "misses"}]}`,
-		"sizes spaced": `{"name": "plan", "base": {"workload": "jpeg1-only", "scale": "small", "runs": 1, "partition": "profile"}, "axes": [{"field": "sizes", "values": [[1, 2]]}]}`,
-		"sizes tight":  `{"name": "plan", "base": {"workload": "jpeg1-only", "scale": "small", "runs": 1, "partition": "profile"}, "axes": [{"field": "sizes", "values": [[1,2]]}]}`,
+	const head = `{"name": "plan", "base": {"workload": "jpeg1-only", "scale": "small", "runs": 1, "partition": "profile"}, "axes": `
+	variants := []struct{ name, spec string }{
+		{"base", `{"name": "plan", "base": {"workload": "jpeg1-only", "scale": "small", "runs": 2, "partition": "profile"}, "axes": [{"field": "seed", "values": [0, 1]}]}`},
+		{"axis value", head + `[{"field": "seed", "values": [0, 2]}]}`},
+		{"axis name", head + `[{"name": "s", "field": "seed", "values": [0, 1]}]}`},
+		{"max_points", head + `[{"field": "seed", "values": [0, 1]}], "max_points": 1}`},
+		{"name", `{"name": "other", "base": {"workload": "jpeg1-only", "scale": "small", "runs": 1, "partition": "profile"}, "axes": [{"field": "seed", "values": [0, 1]}]}`},
+		{"pareto", head + `[{"field": "seed", "values": [0, 1]}], "pareto": [{"x": "energy", "y": "misses"}]}`},
+		{"sizes spaced", head + `[{"field": "sizes", "values": [[1, 2]]}]}`},
+		{"sizes tight", head + `[{"field": "sizes", "values": [[1,2]]}]}`},
+		{"field seed", head + `[{"name": "x", "field": "seed", "values": [1, 2]}]}`},
+		{"field runs", head + `[{"name": "x", "field": "runs", "values": [1, 2]}]}`},
+		{"unzipped", head + `[{"field": "seed", "values": [0, 1]}, {"field": "runs", "values": [1, 2]}]}`},
+		{"zipped", head + `[{"field": "seed", "values": [0, 1], "zip": "z"}, {"field": "runs", "values": [1, 2], "zip": "z"}]}`},
+		{"range", head + `[{"field": "seed", "range": {"from": 0, "count": 2}}]}`},
+		{"range from", head + `[{"field": "seed", "range": {"from": 1, "count": 2}}]}`},
+		{"range count", head + `[{"field": "seed", "range": {"from": 0, "count": 3}}]}`},
+		{"range step", head + `[{"field": "seed", "range": {"from": 0, "count": 2, "step": 2}}]}`},
+		{"values 12,3", head + `[{"field": "seed", "values": [12, 3]}]}`},
+		{"values 1,23", head + `[{"field": "seed", "values": [1, 23]}]}`},
+		{"axes ab,c", head + `[{"name": "ab", "field": "seed", "values": [0]}, {"name": "c", "field": "runs", "values": [1]}]}`},
+		{"axes a,bc", head + `[{"name": "a", "field": "seed", "values": [0]}, {"name": "bc", "field": "runs", "values": [1]}]}`},
 	}
-	for _, name := range []string{"base", "axis value", "axis name", "max_points", "name", "pareto", "sizes spaced", "sizes tight"} {
-		sw := parse(t, variants[name])
+	for _, v := range variants {
+		sw := parse(t, v.spec)
 		stream, agg, _ := run(t, rn, sw)
 		wantStream, wantAgg, _ := run(t, scenario.NewRunner(2), sw)
-		sameRun(t, name, stream, agg, wantStream, wantAgg)
+		sameRun(t, v.name, stream, agg, wantStream, wantAgg)
 	}
 }
 

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -12,14 +13,16 @@ import (
 
 // Plan is a sweep expanded and prepared for execution: every point's
 // coordinates and its prepared scenario (normalized spec and content
-// key), plus what the aggregate needs of the sweep. Prepare memoizes a
-// plan in the runner's memo, so a warm sweep skips expanding, decoding
-// axis values, normalizing and keying its points. A plan is immutable:
-// ExecutePrepared shares its coordinates and specs read-only with the
-// results and aggregates it builds.
+// key), plus what the aggregate needs of the sweep, such as every
+// point's row in each axis's sensitivity table. Prepare memoizes a plan
+// in the runner's memo, so a warm sweep skips expanding, decoding axis
+// values, normalizing and keying its points, and numbering their
+// coordinates. A plan is immutable: ExecutePrepared shares its
+// coordinates and specs read-only with the results and aggregates it
+// builds.
 type Plan struct {
 	name   string
-	labels []string // axis labels, for the sensitivity tables
+	axes   axisRows // the sensitivity rows of the points
 	pareto []ParetoPair
 	total  int
 	coords [][]Coord
@@ -85,15 +88,11 @@ func buildPlan(rn *scenario.Runner, sw Sweep) (*Plan, error) {
 	}
 	p := &Plan{
 		name:     sw.Name,
-		labels:   make([]string, len(sw.Axes)),
 		pareto:   slices.Clone(sw.Pareto),
 		total:    total,
 		coords:   make([][]Coord, len(points)),
 		prepared: make([]*scenario.Result, len(points)),
 		l2Bytes:  make([]int, len(points)),
-	}
-	for i, ax := range sw.Axes {
-		p.labels[i] = ax.label()
 	}
 	for i, pt := range points {
 		p.coords[i] = pt.Coords
@@ -108,56 +107,67 @@ func buildPlan(rn *scenario.Runner, sw Sweep) (*Plan, error) {
 		}
 		p.errs[i] = perr
 	}
+	p.axes = numberAxes(sw, len(points), func(i int) []Coord { return p.coords[i] })
 	return p, nil
 }
 
-// planKeyDoc is what a plan key hashes: every field of the sweep. Raw
-// axis values are hashed as their exact text, which their coordinate
-// labels are made of. A base with an empty sizes list and one without
-// sizes encode alike and share a key, which is right: both normalize to
-// the default ladder.
-type planKeyDoc struct {
-	Name      string            `json:"name"`
-	Base      scenario.Scenario `json:"base"`
-	Axes      []planKeyAxis     `json:"axes"`
-	MaxPoints int               `json:"max_points"`
-	Pareto    []ParetoPair      `json:"pareto"`
-}
-
-type planKeyAxis struct {
-	Name   string   `json:"name"`
-	Field  string   `json:"field"`
-	Values []string `json:"values"`
-	Range  *Range   `json:"range"`
-	Zip    string   `json:"zip"`
-}
-
-// planKey returns the memo key of the sweep's plan, hashing the key
-// document as it encodes; ok is false when the sweep cannot be encoded
-// (a non-finite float in a literal base), which leaves it unmemoized.
+// planKey returns the memo key of the sweep's plan, a hash of every
+// field of the sweep. The name, the axes, the point cap and the Pareto
+// pairs are written straight into the hashed document, every string and
+// raw axis value length-prefixed, so no two sweeps whose values merely
+// concatenate alike share a key. Raw axis values are hashed as their
+// exact text, which their coordinate labels are made of. The base ends
+// the document as its JSON encoding, so a base with an empty sizes list
+// and one without sizes share a key, which is right: both normalize to
+// the default ladder. ok is false when the base cannot be encoded (a
+// non-finite float in a literal base), which leaves the sweep
+// unmemoized.
 func planKey(sw Sweep) (key string, ok bool) {
-	doc := planKeyDoc{
-		Name:      sw.Name,
-		Base:      sw.Base,
-		Axes:      make([]planKeyAxis, len(sw.Axes)),
-		MaxPoints: sw.MaxPoints,
-		Pareto:    sw.Pareto,
-	}
-	for i, ax := range sw.Axes {
-		a := planKeyAxis{Name: ax.Name, Field: ax.Field, Range: ax.Range, Zip: ax.Zip, Values: make([]string, len(ax.Values))}
-		for k, v := range ax.Values {
-			a.Values[k] = string(v)
-		}
-		doc.Axes[i] = a
-	}
-	h := sha256.New()
-	if err := json.NewEncoder(h).Encode(doc); err != nil {
+	base, err := json.Marshal(sw.Base)
+	if err != nil {
 		return "", false
 	}
+	var buf [1024]byte
+	b := appendKeyBytes(buf[:0], sw.Name)
+	b = appendKeyInt(b, int64(len(sw.Axes)))
+	for _, ax := range sw.Axes {
+		b = appendKeyBytes(b, ax.Name)
+		b = appendKeyBytes(b, ax.Field)
+		b = appendKeyBytes(b, ax.Zip)
+		if r := ax.Range; r != nil {
+			b = append(b, 1)
+			b = appendKeyInt(b, r.From)
+			b = appendKeyInt(b, int64(r.Count))
+			b = appendKeyInt(b, r.Step)
+		} else {
+			b = append(b, 0)
+		}
+		b = appendKeyInt(b, int64(len(ax.Values)))
+		for _, v := range ax.Values {
+			b = appendKeyBytes(b, v)
+		}
+	}
+	b = appendKeyInt(b, int64(sw.MaxPoints))
+	b = appendKeyInt(b, int64(len(sw.Pareto)))
+	for _, pr := range sw.Pareto {
+		b = appendKeyBytes(b, pr.X)
+		b = appendKeyBytes(b, pr.Y)
+	}
+	sum := sha256.Sum256(append(b, base...))
 	const prefix = "sweep.plan|"
-	var sum [sha256.Size]byte
-	var b [len(prefix) + 2*16]byte
-	copy(b[:], prefix)
-	hex.Encode(b[len(prefix):], h.Sum(sum[:0])[:16])
-	return string(b[:]), true
+	var k [len(prefix) + 2*16]byte
+	copy(k[:], prefix)
+	hex.Encode(k[len(prefix):], sum[:16])
+	return string(k[:]), true
+}
+
+// appendKeyBytes appends s to a plan key document, prefixed by its
+// length.
+func appendKeyBytes[S ~string | ~[]byte](b []byte, s S) []byte {
+	return append(appendKeyInt(b, int64(len(s))), s...)
+}
+
+// appendKeyInt appends v to a plan key document in a fixed eight bytes.
+func appendKeyInt(b []byte, v int64) []byte {
+	return binary.LittleEndian.AppendUint64(b, uint64(v))
 }

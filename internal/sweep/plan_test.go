@@ -33,12 +33,14 @@ func TestMemoPlanSizeTracksDocument(t *testing.T) {
 	doc, err := json.Marshal(struct {
 		Name     string
 		Labels   []string
+		Values   [][]string
+		Rows     []int32
 		Pareto   []ParetoPair
 		Total    int
 		Coords   [][]Coord
 		Prepared []*scenario.Result
 		L2Bytes  []int
-	}{p.name, p.labels, p.pareto, p.total, p.coords, p.prepared, p.l2Bytes})
+	}{p.name, p.axes.labels, p.axes.values, p.axes.rows, p.pareto, p.total, p.coords, p.prepared, p.l2Bytes})
 	if err != nil {
 		t.Fatal(err)
 	}

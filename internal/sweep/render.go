@@ -107,7 +107,7 @@ func FrontTables(fronts []ParetoFront, point func(idx int) *PointSummary) string
 			if p == nil || p.Metrics == nil {
 				continue
 			}
-			t.AddRow(idx, CoordLabel(p.Coords), p.Metrics.get(f.X), p.Metrics.get(f.Y))
+			t.AddRow(idx, CoordLabel(p.Coords), p.Metrics.Get(f.X), p.Metrics.Get(f.Y))
 		}
 		b.WriteString(t.String())
 	}

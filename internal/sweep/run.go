@@ -53,25 +53,26 @@ func validMetric(name string) bool {
 // Get extracts a metric by name (see MetricNames); unknown names read
 // as 0 — Pareto pairs are validated against the registry long before
 // any lookup.
-func (m *Metrics) Get(name string) float64 { return m.get(name) }
+func (m *Metrics) Get(name string) float64 { return metric(name)(m) }
 
-// get extracts a metric by name.
-func (m *Metrics) get(name string) float64 {
+// metric returns the accessor of a named metric, so that a caller
+// reading one metric of many points resolves the name once.
+func metric(name string) func(*Metrics) float64 {
 	switch name {
 	case "makespan":
-		return float64(m.Makespan)
+		return func(m *Metrics) float64 { return float64(m.Makespan) }
 	case "misses":
-		return float64(m.Misses)
+		return func(m *Metrics) float64 { return float64(m.Misses) }
 	case "energy":
-		return m.Energy
+		return func(m *Metrics) float64 { return m.Energy }
 	case "l2_miss_rate":
-		return m.L2MissRate
+		return func(m *Metrics) float64 { return m.L2MissRate }
 	case "cpi":
-		return m.CPIMean
+		return func(m *Metrics) float64 { return m.CPIMean }
 	case "l2_bytes":
-		return float64(m.L2Bytes)
+		return func(m *Metrics) float64 { return float64(m.L2Bytes) }
 	}
-	return 0
+	return func(*Metrics) float64 { return 0 }
 }
 
 // Summarize turns a finished point into its summary. The point is
@@ -301,7 +302,7 @@ func ExecutePrepared(ctx context.Context, rn *scenario.Runner, p *Plan, observe 
 		}
 		res.Points[i] = ps
 	}
-	res.Sensitivity = sensitivity(p.labels, res.Points)
+	res.Sensitivity = p.axes.tables(res.Points)
 	res.Extremes = extremes(res.Points)
 	pairs := p.pareto
 	if len(pairs) == 0 {
@@ -320,11 +321,8 @@ func ExecutePrepared(ctx context.Context, rn *scenario.Runner, p *Plan, observe 
 // full expansion, exposed so the exploration layer can marginalize over
 // exactly the points it visited.
 func ComputeSensitivity(sw Sweep, points []PointSummary) []AxisSensitivity {
-	labels := make([]string, len(sw.Axes))
-	for i, ax := range sw.Axes {
-		labels[i] = ax.label()
-	}
-	return sensitivity(labels, points)
+	ar := numberAxes(sw, len(points), func(i int) []Coord { return points[i].Coords })
+	return ar.tables(points)
 }
 
 // ComputeParetoFront computes the non-dominated set of a point-summary
@@ -335,49 +333,92 @@ func ComputeParetoFront(points []PointSummary, pair ParetoPair) ParetoFront {
 	return paretoFront(points, pair, make([]candidate, 0, len(points)))
 }
 
-// sensitivity builds one marginal table per axis label over the executed
-// points (two passes per axis — never over the axis's declared value
-// domain, which a range axis can make astronomically larger than the
-// capped point set). The first pass numbers the axis's values in
-// first-appearance order, which for the dimension-major expansion is
-// exactly the axis's value order, so the second can accumulate into
-// rows allocated at their final length.
-func sensitivity(labels []string, points []PointSummary) []AxisSensitivity {
-	out := make([]AxisSensitivity, len(labels))
-	index := map[string]int{} // value → its row, for the current axis
-	for i, label := range labels {
+// axisRows numbers a point set's coordinates for the sensitivity
+// tables: each axis's values in first-appearance order, and every
+// point's row in each axis's table. It depends on the coordinates
+// alone, so a plan numbers its points once and each aggregate of them
+// is one pass of adds.
+type axisRows struct {
+	labels []string   // the axis labels, one table each
+	values [][]string // per axis, its values in first-appearance order
+	// rows is point-major: rows[i*len(labels)+a] is point i's row in
+	// axis a's table, or -1 when the point has no coordinate on it.
+	rows []int32
+}
+
+// numberAxes numbers the coordinates of n points on the sweep's axes,
+// coords(i) being point i's. It walks the points, never an axis's
+// declared value domain, which a range axis can make astronomically
+// larger than the capped point set. First-appearance order is, for the
+// dimension-major expansion, exactly each axis's value order.
+func numberAxes(sw Sweep, n int, coords func(int) []Coord) axisRows {
+	na := len(sw.Axes)
+	ar := axisRows{labels: make([]string, na), values: make([][]string, na), rows: make([]int32, n*na)}
+	index := map[string]int32{} // value → its row, for the current axis
+	for a, ax := range sw.Axes {
+		label := ax.label()
+		ar.labels[a] = label
 		clear(index)
-		for _, p := range points {
-			if v, ok := coordValue(p.Coords, label); ok {
-				if _, seen := index[v]; !seen {
-					index[v] = len(index)
+		for i := range n {
+			row := int32(-1)
+			if v, ok := coordValue(coords(i), label); ok {
+				var seen bool
+				if row, seen = index[v]; !seen {
+					row = int32(len(ar.values[a]))
+					index[v] = row
+					ar.values[a] = append(ar.values[a], v)
 				}
 			}
+			ar.rows[i*na+a] = row
 		}
-		rows := make([]SensitivityRow, len(index))
-		for _, p := range points {
-			v, ok := coordValue(p.Coords, label)
-			if !ok {
+	}
+	return ar
+}
+
+// tables accumulates one marginal table per axis over points, the
+// point set ar numbered, in the same order: every row lists its value,
+// and a measured point adds its metrics to its row of each axis. The
+// rows of all axes share one slab.
+func (ar *axisRows) tables(points []PointSummary) []AxisSensitivity {
+	na := len(ar.labels)
+	total := 0
+	for _, vs := range ar.values {
+		total += len(vs)
+	}
+	slab := make([]SensitivityRow, total)
+	out := make([]AxisSensitivity, na)
+	for a, vs := range ar.values {
+		rows := slab[:len(vs):len(vs)]
+		slab = slab[len(vs):]
+		for j, v := range vs {
+			rows[j].Value = v
+		}
+		out[a] = AxisSensitivity{Axis: ar.labels[a], Rows: rows}
+	}
+	for i, p := range points {
+		m := p.Metrics
+		if m == nil {
+			continue
+		}
+		for a, row := range ar.rows[i*na : (i+1)*na] {
+			if row < 0 {
 				continue
 			}
-			r := &rows[index[v]]
-			r.Value = v
-			if p.Metrics == nil {
-				continue
-			}
+			r := &out[a].Rows[row]
 			r.N++
-			r.MeanMakespan += float64(p.Metrics.Makespan)
-			r.MeanMisses += float64(p.Metrics.Misses)
-			r.MeanEnergy += p.Metrics.Energy
+			r.MeanMakespan += float64(m.Makespan)
+			r.MeanMisses += float64(m.Misses)
+			r.MeanEnergy += m.Energy
 		}
-		for j := range rows {
-			if r := &rows[j]; r.N > 0 {
+	}
+	for _, t := range out {
+		for j := range t.Rows {
+			if r := &t.Rows[j]; r.N > 0 {
 				r.MeanMakespan /= float64(r.N)
 				r.MeanMisses /= float64(r.N)
 				r.MeanEnergy /= float64(r.N)
 			}
 		}
-		out[i] = AxisSensitivity{Axis: label, Rows: rows}
 	}
 	return out
 }
@@ -393,15 +434,16 @@ func coordValue(coords []Coord, axis string) (string, bool) {
 
 // extremes finds the best/worst point per headline metric.
 func extremes(points []PointSummary) []MetricExtremes {
-	headline := []string{"makespan", "misses", "energy"}
+	headline := [...]string{"makespan", "misses", "energy"}
 	out := make([]MetricExtremes, 0, len(headline))
-	for _, m := range headline {
-		e := MetricExtremes{Metric: m, BestIndex: -1, WorstIndex: -1}
+	for _, name := range headline {
+		get := metric(name)
+		e := MetricExtremes{Metric: name, BestIndex: -1, WorstIndex: -1}
 		for _, p := range points {
 			if p.Metrics == nil {
 				continue
 			}
-			v := p.Metrics.get(m)
+			v := get(p.Metrics)
 			if e.BestIndex < 0 || v < e.BestValue {
 				e.BestIndex, e.BestValue = p.Index, v
 			}
@@ -429,12 +471,13 @@ type candidate struct {
 // capacity to them all.
 func paretoFront(points []PointSummary, pair ParetoPair, cs []candidate) ParetoFront {
 	front := ParetoFront{X: pair.X, Y: pair.Y}
+	getX, getY := metric(pair.X), metric(pair.Y)
 	cs = cs[:0]
 	for _, p := range points {
 		if p.Metrics == nil {
 			continue
 		}
-		cs = append(cs, candidate{idx: p.Index, x: p.Metrics.get(pair.X), y: p.Metrics.get(pair.Y)})
+		cs = append(cs, candidate{idx: p.Index, x: getX(p.Metrics), y: getY(p.Metrics)})
 	}
 	slices.SortFunc(cs, func(a, b candidate) int {
 		if c := cmp.Compare(a.x, b.x); c != 0 {

@@ -45,3 +45,33 @@ func BenchmarkValidateJpegCanny(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkCaptureSmall times CaptureApp on each small-scale
+// application: one functional run of a freshly built app under
+// kpn.NoMemory, recording and assembling its container. Building the
+// app is left out of the timing.
+//
+//	go test -run '^$' -bench BenchmarkCaptureSmall -count 3 ./internal/tracefile/
+func BenchmarkCaptureSmall(b *testing.B) {
+	for _, name := range []string{"2jpeg+canny", "jpeg1-only", "mpeg2"} {
+		b.Run(name, func(b *testing.B) {
+			w, err := workloads.Build(name, workloads.BuildConfig{Scale: workloads.Small})
+			if err != nil {
+				b.Fatal(err)
+			}
+			meta := Meta{Workload: name, Scale: workloads.Small.String()}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				app, err := w.Factory()
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := CaptureApp(app, meta); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -127,14 +127,6 @@ func (r *taskRecorder) RecordFIFORead(f *kpn.FIFO, ok bool) {
 
 func (r *taskRecorder) RecordFIFOClose(f *kpn.FIFO) { r.fifoEvent(evFifoClose, f) }
 
-// zeroMemory is the free memory system of the capture run: the recorded
-// stream is timing-independent, so capture only needs the functional
-// side effects, not a cache model. It is deliberately not a
-// kpn.LineMemory, which drives the Ctx word-granularly.
-type zeroMemory struct{}
-
-func (zeroMemory) AccessAt(trace.Access, uint64) uint64 { return 0 }
-
 const (
 	// captureSliceBudget is the per-RunSlice cycle budget; effectively
 	// unbounded so tasks only yield on FIFO blocking or completion.
@@ -152,10 +144,11 @@ func Capture(w core.Workload, meta Meta) (*Trace, error) {
 	return CaptureApp(app, meta)
 }
 
-// CaptureApp runs app functionally to completion — one core, free
-// memory, unbounded slices — recording every task's Ctx-level operation
-// stream, and returns the encoded trace. The app is consumed (apps run
-// exactly once).
+// CaptureApp runs app functionally to completion — one core, no memory
+// model (kpn.NoMemory: the recorded stream is timing-independent, so
+// capture needs the functional side effects alone), unbounded slices —
+// recording every task's Ctx-level operation stream, and returns the
+// encoded trace. The app is consumed (apps run exactly once).
 //
 // The recorded stream is independent of everything this runner chooses:
 // capture scheduling cannot reorder a task's own operations (program
@@ -192,7 +185,7 @@ func CaptureApp(app *core.App, meta Meta) (*Trace, error) {
 			if !p.Runnable() {
 				continue
 			}
-			y := p.RunSlice(c, zeroMemory{}, captureSliceBudget)
+			y := p.RunSlice(c, kpn.NoMemory, captureSliceBudget)
 			progress = true
 			if y.Reason == kpn.YieldFailed {
 				kill()

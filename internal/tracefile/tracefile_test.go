@@ -6,9 +6,11 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -248,17 +250,22 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// registerSeq keeps the registered workload names unique under
+// -count=N.
+var registerSeq atomic.Int64
+
 func TestRegisterWorkload(t *testing.T) {
 	tr := captureMini(t)
-	if err := RegisterWorkload("mini-trace-test", tr); err != nil {
+	name := fmt.Sprintf("mini-trace-test-%d", registerSeq.Add(1))
+	if err := RegisterWorkload(name, tr); err != nil {
 		t.Fatal(err)
 	}
-	b, ok := workloads.Lookup("mini-trace-test")
+	b, ok := workloads.Lookup(name)
 	if !ok {
 		t.Fatal("registered trace workload not found")
 	}
 	w := b(workloads.BuildConfig{Scale: workloads.Paper, Seed: 99})
-	if w.Name != "mini-trace-test" {
+	if w.Name != name {
 		t.Fatalf("workload name = %q", w.Name)
 	}
 	app, err := w.Factory()
