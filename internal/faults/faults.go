@@ -30,7 +30,7 @@ import (
 // disk store honors Error and Delay on both, and Truncate on put — a
 // torn write that frames a deliberately short record through the same
 // atomic path, simulating a crash between rename and data flush).
-// SiteTraceRead is hit once per trace-stage document decode, so corrupt
+// SiteTraceRead is hit once per trace-stage record decode, so corrupt
 // recorded traces are provable to read as misses and recapture.
 // SiteExploreStep is hit once per exploration round, after the round's
 // points are evaluated but before its checkpoint is written — an

@@ -12,19 +12,24 @@ import (
 	"repro/internal/profile"
 )
 
-// stageKinds lists every stage kind, the codec table's rows.
+// stageKinds lists every stage kind decodeStage serves.
 var stageKinds = []string{stageProfile, stageOptimize, stageRun, stageTrace}
 
-// FuzzDecodeStage hardens the stage-document decoder of every kind
-// against arbitrary bytes: a document either fails to decode with an
+// FuzzDecodeStage hardens the stage-record decoder of every kind
+// against arbitrary bytes: a record either fails to decode with an
 // error or decodes to a value whose encoding is a fixed point — it
-// decodes again and re-encodes byte-identically, so a document written
+// decodes again and re-encodes byte-identically, so a record written
 // by the encoder reads back as exactly the bytes on disk. The corpus is
-// seeded with the envelope golden and a document of every kind,
-// including the golden trace container.
+// seeded with the envelope golden, a document of every JSON kind, the
+// golden trace container as the trace record, and the JSON document
+// earlier builds wrote for a trace, which must no longer decode.
 func FuzzDecodeStage(f *testing.F) {
 	f.Add([]byte(`{"v":1,"kind":"profile","data":[1,2]}`))
-	f.Add([]byte(`{"v":1,"kind":"trace","data":null}`))
+	oldTrace := []byte(`{"v":1,"kind":"trace","data":null}`)
+	if _, err := decodeStage(stageTrace, oldTrace); err == nil {
+		f.Fatal("a JSON trace document decodes as a trace record")
+	}
+	f.Add(oldTrace)
 	curves := []profile.Curve{{Entity: "FrontEnd1", Sizes: []int{1, 2, 4}, Misses: []float64{4608, 4423.5, 1003}, Accesses: 4608}}
 	values := map[string]any{
 		stageProfile:  curves,
@@ -37,13 +42,13 @@ func FuzzDecodeStage(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		// A document the encoder wrote reads back as exactly its bytes.
+		// A record the encoder wrote reads back as exactly its bytes.
 		v, err := decodeStage(kind, doc)
 		if err != nil {
 			f.Fatal(err)
 		}
 		if again, err := encodeStage(kind, v); err != nil || !bytes.Equal(again, doc) {
-			f.Fatalf("%s: the document does not re-encode byte-identically: %s", kind, again)
+			f.Fatalf("%s: the record does not re-encode byte-identically: %s", kind, again)
 		}
 		f.Add(doc)
 	}

@@ -57,7 +57,7 @@ import (
 // concurrent cold reads of the same durable record — collapse into one
 // computation. With a durable store (the crash-safe on-disk CAS of
 // internal/store), a completed stage is written through once as its
-// versioned document, and a memo miss consults the store before
+// record (see storecodec.go), and a memo miss consults the store before
 // simulating, so warm results survive process restarts; a disk hit is
 // decoded once and then held as a value. Result entries and Memoize
 // values never reach the store: a restarted runner rebuilds them from
@@ -367,8 +367,9 @@ func (r *Runner) fill(kind string, e *memoEntry, f func() (any, error)) {
 
 // loadDurable consults the durable store for a completed stage result.
 // Store failures are counted and swallowed — the caller falls through
-// to simulation; a document of an unknown version (or a kind mismatch)
-// is treated the same way, and the recompute overwrites it.
+// to simulation; a record that does not decode (a document of an
+// unknown version or kind, or a trace record that is not a container)
+// is treated the same way and deleted, and the recompute rewrites it.
 func (r *Runner) loadDurable(kind, key string) (any, bool) {
 	if r.durable == nil {
 		return nil, false
@@ -398,7 +399,7 @@ func (r *Runner) loadDurable(kind, key string) (any, bool) {
 }
 
 // persist writes a completed stage value through to the durable store
-// as its versioned document; memory-only runners encode nothing.
+// as its record; memory-only runners encode nothing.
 // Failures are counted, never propagated: a broken volume costs
 // durability, not results.
 func (r *Runner) persist(kind, key string, v any) {

@@ -1,10 +1,12 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/store"
+	"repro/internal/tracefile"
 )
 
 // diskRunner returns a runner persisting to dir through the resilient
@@ -272,5 +275,118 @@ func TestStageDocRoundTrip(t *testing.T) {
 	back, _ := json.Marshal(v)
 	if string(orig) != string(back) {
 		t.Errorf("profile stage value did not round-trip:\n%s\nvs\n%s", orig, back)
+	}
+}
+
+// captureTrace captures the trace a spec's stages replay, on a
+// memory-only runner, and returns it with its durable key.
+func captureTrace(t *testing.T, spec Scenario) (*tracefile.Trace, string) {
+	t.Helper()
+	n, err := spec.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewRunner(1).traceStage(t.Context(), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr, stageTrace + "|" + traceStageKey(n)
+}
+
+// allocatedBytes returns the bytes the process allocates while f runs.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestTraceRecordAllocs holds persisting a trace record, and loading it
+// back, to about one container each: the record is the container
+// itself, which the store frames once, and the decoded trace aliases the
+// bytes read back. A small-scale 2jpeg+canny container is about 2 MB, so
+// a record that re-encoded the trace would show.
+func TestTraceRecordAllocs(t *testing.T) {
+	const maxRatio = 1.25
+	tr, key := captureTrace(t, Scenario{Workload: "2jpeg+canny", Scale: "small"})
+	rn := diskRunner(t, 1, t.TempDir())
+	defer rn.Close()
+
+	persisted := allocatedBytes(func() { rn.persist(stageTrace, key, tr) })
+	var (
+		v  any
+		ok bool
+	)
+	loaded := allocatedBytes(func() { v, ok = rn.loadDurable(stageTrace, key) })
+	if st := rn.Stats(); !ok || st.StoreErrors != 0 || st.DiskHits != 1 {
+		t.Fatalf("the persisted trace must load from disk, got %+v", st)
+	}
+	if !bytes.Equal(v.(*tracefile.Trace).Bytes(), tr.Bytes()) {
+		t.Fatal("the loaded trace's bytes differ from the captured ones")
+	}
+	for _, c := range []struct {
+		side  string
+		bytes uint64
+	}{{"persist", persisted}, {"load", loaded}} {
+		r := float64(c.bytes) / float64(tr.Size())
+		t.Logf("%s: %d bytes, %.2f× the %d-byte container", c.side, c.bytes, r, tr.Size())
+		if r > maxRatio {
+			t.Errorf("%s allocates %.2f× the container, want at most %.2f×", c.side, r, maxRatio)
+		}
+	}
+}
+
+// TestOldTraceRecordRecaptures pins what becomes of a trace record that
+// earlier builds wrote, the container base64-encoded inside a JSON stage
+// document: it fails the container's magic check, so the first runner to
+// read it counts one store error, deletes it and recaptures the trace,
+// whose container takes its place and serves the next runner from disk.
+func TestOldTraceRecordRecaptures(t *testing.T) {
+	dir := t.TempDir()
+	spec := smallSpec()
+	tr, key := captureTrace(t, spec)
+	data, err := json.Marshal(tr.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := json.Marshal(stageDoc{Version: 1, Kind: stageTrace, Data: data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := store.OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Put(key, old); err != nil {
+		t.Fatal(err)
+	}
+
+	rn := diskRunner(t, 1, dir)
+	defer rn.Close()
+	if _, err := rn.Run(spec); err != nil {
+		t.Fatalf("an old trace record must recapture, not fail the scenario: %v", err)
+	}
+	if st := rn.Stats(); st.StoreErrors != 1 || st.TraceRuns != 1 {
+		t.Errorf("an old trace record must count one store error and recapture, got %+v", st)
+	}
+	rec, err := ds.Get(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rec, tr.Bytes()) {
+		t.Error("the recaptured trace record is not exactly the container")
+	}
+
+	// A fresh profile replays the trace: from disk, with no capture.
+	second := smallSpec()
+	second.Runs = 3
+	warm := diskRunner(t, 1, dir)
+	defer warm.Close()
+	if _, err := warm.Run(second); err != nil {
+		t.Fatal(err)
+	}
+	if st := warm.Stats(); st.TraceRuns != 0 || st.DiskHits != 1 || st.StoreErrors != 0 {
+		t.Errorf("the recaptured record must serve the trace from disk, got %+v", st)
 	}
 }

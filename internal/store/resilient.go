@@ -51,7 +51,6 @@ type Resilient struct {
 	consecutive int64  // consecutive failed ops; reset by any success
 	degraded    int32  // set once, never cleared
 	retries     uint64 // attempts beyond the first, across all ops
-	failures    uint64 // operations failed post-retry
 }
 
 // NewResilient wraps inner with retry and degradation.
@@ -88,7 +87,6 @@ func (r *Resilient) do(op func() error) error {
 			return err
 		}
 	}
-	atomic.AddUint64(&r.failures, 1)
 	if atomic.AddInt64(&r.consecutive, 1) >= int64(r.opts.TripAfter) {
 		atomic.StoreInt32(&r.degraded, 1)
 	}

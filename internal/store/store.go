@@ -2,7 +2,7 @@
 // runner's memo: a key/value interface over opaque record bytes and a
 // crash-safe on-disk content-addressed implementation (durable warm hits
 // across process restarts). The memo itself lives in the runner and
-// holds live values; stage documents are encoded only for a store. A
+// holds live values; stage records are encoded only for a store. A
 // Resilient wrapper adds bounded retry with backoff and automatic
 // degradation — a store whose medium repeatedly fails trips into a
 // permanent no-op "degraded" mode so a broken volume can never take
