@@ -26,9 +26,13 @@ type Config struct {
 	Platform    platform.Config
 	ProfileRuns int
 	// Workers sizes the scenario runner the CLI builds
-	// (scenario.NewRunner), which bounds both its batch pool and each
-	// profile stage's concurrent profiling repetitions: 0 = GOMAXPROCS,
-	// 1 = fully sequential. Every simulation owns its platform instance,
+	// (scenario.NewRunner): each of its three nested pools — a batch's
+	// groups, an optimized scenario's two legs and a profile stage's
+	// repetitions — gets Workers slots (0 = GOMAXPROCS, 1 = fully
+	// sequential). One call can therefore run up to
+	// Workers × (1 + min(runs, Workers)) simulations at once, and
+	// concurrent serve requests multiply that; ROADMAP.md item 7 is the
+	// plan for one bound. Every simulation owns its platform instance,
 	// so the results are identical at any worker count.
 	Workers int
 }

@@ -14,6 +14,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/arena"
@@ -120,8 +121,8 @@ func (c Config) Validate() error {
 	if c.NumCPUs <= 0 {
 		return fmt.Errorf("platform: %d CPUs", c.NumCPUs)
 	}
-	if c.BaseCPI <= 0 {
-		return fmt.Errorf("platform: base CPI %v", c.BaseCPI)
+	if c.BaseCPI <= 0 || math.IsNaN(c.BaseCPI) || math.IsInf(c.BaseCPI, 1) {
+		return fmt.Errorf("platform: base CPI %v not finite and positive", c.BaseCPI)
 	}
 	if err := c.Topology.Validate(c.NumCPUs); err != nil {
 		return err

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -36,10 +37,12 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("zero CPUs accepted")
 	}
-	bad = Default()
-	bad.BaseCPI = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero CPI accepted")
+	for _, cpi := range []float64{math.NaN(), math.Inf(1), 0, -1} {
+		bad = Default()
+		bad.BaseCPI = cpi
+		if err := bad.Validate(); err == nil {
+			t.Errorf("base CPI %v accepted", cpi)
+		}
 	}
 	bad = Default()
 	bad.Topology = bad.Topology.WithLevel("l2", func(l *cache.LevelSpec) { l.Sets = 3 })

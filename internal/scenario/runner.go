@@ -65,8 +65,19 @@ import (
 // when the medium keeps failing — degraded away by the store layer;
 // they never fail a scenario.
 type Runner struct {
-	// workers bounds each fan-out stage (0 = GOMAXPROCS, 1 = fully
-	// sequential), exactly like experiments.Config.Workers.
+	// counts holds the runner's counters, each written atomically; it
+	// stays the first field so its 64-bit words are aligned on 32-bit
+	// targets. Its Quarantined and MemoEvictions stay zero: the store
+	// and the memo count those.
+	counts Stats
+
+	// workers sizes each of three nested worker pools (0 = GOMAXPROCS,
+	// 1 = fully sequential), exactly like experiments.Config.Workers: a
+	// batch's groups (batch.run), an optimized scenario's two legs
+	// (execute) and a profile stage's repetitions (profileStage). One
+	// call can therefore run up to workers × (1 + min(runs, workers))
+	// simulations at once, and concurrent serve requests multiply that;
+	// ROADMAP.md item 7 is the plan for one bound.
 	workers int
 
 	// memo serves completed stage values and result entries. The
@@ -76,21 +87,6 @@ type Runner struct {
 	// TestMemoResultSectionsStayImmutable pin.
 	memo    *memo
 	durable store.Store // optional crash-safe layer; nil = memory-only
-
-	stageRuns    uint64 // stages actually executed
-	memoHits     uint64 // stage lookups served from the in-process memo, or replaced by a result hit
-	stageErrors  uint64 // stages that failed (and were evicted for retry)
-	stagePanics  uint64 // panics recovered and converted to StagePanicError
-	profileRuns  uint64 // profile stages executed
-	optimizeRuns uint64 // optimize stages executed
-	runRuns      uint64 // measured-execution stages executed
-	simulations  uint64 // platform simulations started (trace captures excluded)
-	traceRuns    uint64 // trace captures executed (functional runs)
-	traceHits    uint64 // trace lookups served without capturing (any layer)
-	traceBytes   uint64 // encoded bytes of traces captured
-	diskHits     uint64 // stage lookups served from the durable store
-	diskMisses   uint64 // durable-store lookups that found no record
-	storeErrors  uint64 // durable-store operations that failed (post-retry)
 }
 
 // StagePanicError is a panic recovered inside a pipeline stage (or a
@@ -166,7 +162,11 @@ func (r *Runner) Close() error {
 
 // Stats reports memoization effectiveness. All counters are monotonic,
 // so the delta of two snapshots attributes stage work to the requests
-// issued in between (the sweep aggregate records exactly that).
+// issued in between (the sweep aggregate records exactly that). A stage
+// lookup is counted when it settles (see Runner.count): StageRuns, the
+// per-kind *Runs and TraceBytes count executions that finished and were
+// persisted, while Simulations counts simulations as they start, so a
+// snapshot taken mid-flight can show Simulations ahead of them.
 type Stats struct {
 	StageRuns    uint64 `json:"stage_runs"`             // pipeline stages executed
 	MemoHits     uint64 `json:"memo_hits"`              // stage requests served from the memo
@@ -187,48 +187,34 @@ type Stats struct {
 	MemoEvictions uint64 `json:"memo_evictions"`
 }
 
+// counters lists every counter of s, the one list Stats and Delta walk.
+func (s *Stats) counters() [16]*uint64 {
+	return [...]*uint64{
+		&s.StageRuns, &s.MemoHits, &s.StageErrors, &s.StagePanics,
+		&s.ProfileRuns, &s.OptimizeRuns, &s.RunRuns, &s.Simulations,
+		&s.TraceRuns, &s.TraceHits, &s.TraceBytes,
+		&s.DiskHits, &s.DiskMisses, &s.StoreErrors, &s.Quarantined,
+		&s.MemoEvictions,
+	}
+}
+
 // Delta returns the counter-wise difference s - before: the stage work
 // attributable to the requests issued between the two snapshots (the
 // sweep and explore aggregates record exactly this).
 func (s Stats) Delta(before Stats) Stats {
-	return Stats{
-		StageRuns:    s.StageRuns - before.StageRuns,
-		MemoHits:     s.MemoHits - before.MemoHits,
-		StageErrors:  s.StageErrors - before.StageErrors,
-		StagePanics:  s.StagePanics - before.StagePanics,
-		ProfileRuns:  s.ProfileRuns - before.ProfileRuns,
-		OptimizeRuns: s.OptimizeRuns - before.OptimizeRuns,
-		RunRuns:      s.RunRuns - before.RunRuns,
-		Simulations:  s.Simulations - before.Simulations,
-		TraceRuns:    s.TraceRuns - before.TraceRuns,
-		TraceHits:    s.TraceHits - before.TraceHits,
-		TraceBytes:   s.TraceBytes - before.TraceBytes,
-		DiskHits:     s.DiskHits - before.DiskHits,
-		DiskMisses:   s.DiskMisses - before.DiskMisses,
-		StoreErrors:  s.StoreErrors - before.StoreErrors,
-		Quarantined:  s.Quarantined - before.Quarantined,
-
-		MemoEvictions: s.MemoEvictions - before.MemoEvictions,
+	d, b := s.counters(), before.counters()
+	for i := range d {
+		*d[i] -= *b[i]
 	}
+	return s
 }
 
 // Stats returns a snapshot of the runner's counters.
 func (r *Runner) Stats() Stats {
-	s := Stats{
-		StageRuns:    atomic.LoadUint64(&r.stageRuns),
-		MemoHits:     atomic.LoadUint64(&r.memoHits),
-		StageErrors:  atomic.LoadUint64(&r.stageErrors),
-		StagePanics:  atomic.LoadUint64(&r.stagePanics),
-		ProfileRuns:  atomic.LoadUint64(&r.profileRuns),
-		OptimizeRuns: atomic.LoadUint64(&r.optimizeRuns),
-		RunRuns:      atomic.LoadUint64(&r.runRuns),
-		Simulations:  atomic.LoadUint64(&r.simulations),
-		TraceRuns:    atomic.LoadUint64(&r.traceRuns),
-		TraceHits:    atomic.LoadUint64(&r.traceHits),
-		TraceBytes:   atomic.LoadUint64(&r.traceBytes),
-		DiskHits:     atomic.LoadUint64(&r.diskHits),
-		DiskMisses:   atomic.LoadUint64(&r.diskMisses),
-		StoreErrors:  atomic.LoadUint64(&r.storeErrors),
+	var s Stats
+	dst, src := s.counters(), r.counts.counters()
+	for i := range dst {
+		*dst[i] = atomic.LoadUint64(src[i])
 	}
 	if sp, ok := r.durable.(store.StatsProvider); ok {
 		s.Quarantined = sp.Stats().Quarantined
@@ -321,11 +307,55 @@ func (r *Runner) lookup(kind, key string, f func() (any, error)) (any, error) {
 		return e.val, e.err
 	}
 	<-e.done
-	atomic.AddUint64(&r.memoHits, 1)
-	if kind == stageTrace {
-		atomic.AddUint64(&r.traceHits, 1)
-	}
+	r.count(kind, sourceMemo, e.val, e.err)
 	return e.val, e.err
+}
+
+// source is where a stage lookup's value came from.
+type source string
+
+const (
+	sourceExecuted source = "executed" // this lookup ran the stage
+	sourceDisk     source = "disk"     // this lookup decoded the stage's record
+	sourceMemo     source = "memo"     // another lookup's value, resident or in flight
+)
+
+// count is the one writer of the stage counters: it records a stage
+// lookup of kind by the source of its value and the outcome the lookup
+// returned. An owner that failed counts StageErrors, beside the
+// execution when it ran one; a memo hit counts whatever the outcome.
+// A trace hit also counts TraceHits, and a captured trace its bytes.
+func (r *Runner) count(kind string, src source, v any, err error) {
+	c := &r.counts
+	switch src {
+	case sourceMemo:
+		atomic.AddUint64(&c.MemoHits, 1)
+		err = nil // its owner counts a failure
+	case sourceDisk:
+		if err == nil {
+			atomic.AddUint64(&c.DiskHits, 1)
+		}
+	case sourceExecuted:
+		atomic.AddUint64(&c.StageRuns, 1)
+		switch kind {
+		case stageProfile:
+			atomic.AddUint64(&c.ProfileRuns, 1)
+		case stageOptimize:
+			atomic.AddUint64(&c.OptimizeRuns, 1)
+		case stageRun:
+			atomic.AddUint64(&c.RunRuns, 1)
+		case stageTrace:
+			atomic.AddUint64(&c.TraceRuns, 1)
+		}
+	}
+	switch {
+	case err != nil:
+		atomic.AddUint64(&c.StageErrors, 1)
+	case kind == stageTrace && src == sourceExecuted:
+		atomic.AddUint64(&c.TraceBytes, uint64(v.(*tracefile.Trace).Size()))
+	case kind == stageTrace:
+		atomic.AddUint64(&c.TraceHits, 1)
+	}
 }
 
 // errStageAborted settles an entry whose computation unwound without
@@ -334,31 +364,21 @@ var errStageAborted = errors.New("scenario: stage computation aborted")
 
 // fill computes the entry this lookup owns — from the durable store
 // when it holds the stage, otherwise by executing f and writing the
-// result through to the store — and settles it.
+// result through to the store — and settles it, counting the lookup by
+// the source of its value.
 func (r *Runner) fill(kind string, e *memoEntry, f func() (any, error)) {
 	var v any
+	src := sourceDisk      // until the store misses; an unwind there counts the failure alone
 	err := errStageAborted // until an outcome is known; a panic unwinds with it
 	defer func() {
-		if err != nil {
-			atomic.AddUint64(&r.stageErrors, 1)
-		}
-		r.memo.settle(e, v, err)
+		defer r.memo.settle(e, v, err) // even if counting panics
+		r.count(kind, src, v, err)
 	}()
 	if dv, ok := r.loadDurable(kind, e.key); ok {
 		v, err = dv, nil
 		return
 	}
-	atomic.AddUint64(&r.stageRuns, 1)
-	switch kind {
-	case stageProfile:
-		atomic.AddUint64(&r.profileRuns, 1)
-	case stageOptimize:
-		atomic.AddUint64(&r.optimizeRuns, 1)
-	case stageRun:
-		atomic.AddUint64(&r.runRuns, 1)
-	case stageTrace:
-		atomic.AddUint64(&r.traceRuns, 1)
-	}
+	src = sourceExecuted
 	v, err = r.guarded(kind, e.key, f)
 	if err == nil {
 		r.persist(kind, e.key, v)
@@ -366,10 +386,11 @@ func (r *Runner) fill(kind string, e *memoEntry, f func() (any, error)) {
 }
 
 // loadDurable consults the durable store for a completed stage result.
-// Store failures are counted and swallowed — the caller falls through
-// to simulation; a record that does not decode (a document of an
-// unknown version or kind, or a trace record that is not a container)
-// is treated the same way and deleted, and the recompute rewrites it.
+// A miss and store failures are counted and swallowed — the caller
+// falls through to simulation; a record that does not decode (a
+// document of an unknown version or kind, or a trace record that is not
+// a container) is treated the same way and deleted, and the recompute
+// rewrites it. The lookup counts a hit (see count).
 func (r *Runner) loadDurable(kind, key string) (any, bool) {
 	if r.durable == nil {
 		return nil, false
@@ -378,22 +399,17 @@ func (r *Runner) loadDurable(kind, key string) (any, bool) {
 	switch {
 	case err == nil:
 		v, derr := decodeStage(kind, b)
-		if derr != nil {
-			atomic.AddUint64(&r.storeErrors, 1)
-			r.durable.Delete(key)
-			return nil, false
+		if derr == nil {
+			return v, true
 		}
-		atomic.AddUint64(&r.diskHits, 1)
-		if kind == stageTrace {
-			atomic.AddUint64(&r.traceHits, 1)
-		}
-		return v, true
+		atomic.AddUint64(&r.counts.StoreErrors, 1)
+		r.durable.Delete(key)
 	case errors.Is(err, store.ErrNotFound):
-		atomic.AddUint64(&r.diskMisses, 1)
+		atomic.AddUint64(&r.counts.DiskMisses, 1)
 	case errors.Is(err, store.ErrDegraded):
 		// The breaker tripped: memory-only mode, nothing to count per op.
 	default:
-		atomic.AddUint64(&r.storeErrors, 1)
+		atomic.AddUint64(&r.counts.StoreErrors, 1)
 	}
 	return nil, false
 }
@@ -411,7 +427,7 @@ func (r *Runner) persist(kind, key string, v any) {
 		err = r.durable.Put(key, b)
 	}
 	if err != nil && !errors.Is(err, store.ErrDegraded) {
-		atomic.AddUint64(&r.storeErrors, 1)
+		atomic.AddUint64(&r.counts.StoreErrors, 1)
 	}
 }
 
@@ -428,7 +444,7 @@ func (r *Runner) persist(kind, key string, v any) {
 func (r *Runner) guarded(kind, key string, f func() (any, error)) (v any, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			atomic.AddUint64(&r.stagePanics, 1)
+			atomic.AddUint64(&r.counts.StagePanics, 1)
 			v, err = nil, &StagePanicError{Stage: kind, Key: key, Value: rec, Stack: string(debug.Stack())}
 		}
 	}()
@@ -438,7 +454,7 @@ func (r *Runner) guarded(kind, key string, f func() (any, error)) (v any, err er
 	v, err = f()
 	var pe *parallel.PanicError
 	if errors.As(err, &pe) {
-		atomic.AddUint64(&r.stagePanics, 1)
+		atomic.AddUint64(&r.counts.StagePanics, 1)
 		v, err = nil, &StagePanicError{Stage: kind, Key: key, Value: pe.Value, Stack: string(pe.Stack)}
 	}
 	return v, err
@@ -469,12 +485,7 @@ func (r *Runner) traceStage(ctx context.Context, s Scenario) (*tracefile.Trace, 
 		if err != nil {
 			return nil, err
 		}
-		t, err := tracefile.Capture(w, tracefile.Meta{Workload: s.Workload, Scale: s.Scale, Seed: s.Seed})
-		if err != nil {
-			return nil, err
-		}
-		atomic.AddUint64(&r.traceBytes, uint64(t.Size()))
-		return t, nil
+		return tracefile.Capture(w, tracefile.Meta{Workload: s.Workload, Scale: s.Scale, Seed: s.Seed})
 	})
 }
 
@@ -538,12 +549,8 @@ func (r *Runner) profileStage(ctx context.Context, s Scenario) ([]profile.Curve,
 				runs[0] = rep.curves
 				return nil
 			}
-			app, err := w.Factory()
-			if err != nil {
-				return err
-			}
-			atomic.AddUint64(&r.simulations, 1)
-			_, runs[i], err = core.ProfileRep(app, oc, i)
+			_, curves, err := r.profileRep(w, oc, i)
+			runs[i] = curves
 			return err
 		})
 		if err != nil {
@@ -582,16 +589,11 @@ func (r *Runner) sharedRep(s Scenario) (*sharedRep, error) {
 		if err != nil {
 			return nil, err
 		}
-		app, err := w.Factory()
-		if err != nil {
-			return nil, err
-		}
 		oc, err := s.optimizeConfig()
 		if err != nil {
 			return nil, err
 		}
-		atomic.AddUint64(&r.simulations, 1)
-		run, curves, err := core.ProfileRep(app, oc, 0)
+		run, curves, err := r.profileRep(w, oc, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -601,6 +603,16 @@ func (r *Runner) sharedRep(s Scenario) (*sharedRep, error) {
 		return nil, err
 	}
 	return v.(*sharedRep), nil
+}
+
+// profileRep simulates profiling repetition rep of a fresh app of w.
+func (r *Runner) profileRep(w core.Workload, oc core.OptimizeConfig, rep int) (*core.Result, []profile.Curve, error) {
+	app, err := w.Factory()
+	if err != nil {
+		return nil, nil, err
+	}
+	atomic.AddUint64(&r.counts.Simulations, 1)
+	return core.ProfileRep(app, oc, rep)
 }
 
 // optimizeKey extends profileKey with the solver. Normalize pins it to
@@ -694,7 +706,7 @@ func (r *Runner) runStage(ctx context.Context, s Scenario, strat core.Strategy, 
 		}
 		pc.Sched.AllowMigration = s.Migration
 		rc := core.RunConfig{Platform: pc, Strategy: strat, Alloc: alloc}
-		atomic.AddUint64(&r.simulations, 1)
+		atomic.AddUint64(&r.counts.Simulations, 1)
 		return core.Run(w, rc)
 	})
 }
@@ -817,7 +829,7 @@ func (r *Runner) complete(ctx context.Context, prepared *Result) (res *Result, e
 	defer r.containPanic(res, &err)
 	if ctx.Err() == nil {
 		if c, ok := r.memo.get(resultKind, res.Key).(*Result); ok {
-			atomic.AddUint64(&r.memoHits, resultHits(res))
+			atomic.AddUint64(&r.counts.MemoHits, resultHits(res))
 			res.setSections(c)
 			return res, nil
 		}
@@ -854,7 +866,7 @@ func (r *Runner) containPanic(res *Result, err *error) {
 	if rec == nil {
 		return
 	}
-	atomic.AddUint64(&r.stagePanics, 1)
+	atomic.AddUint64(&r.counts.StagePanics, 1)
 	p := &StagePanicError{Stage: "scenario", Key: res.Key, Value: rec, Stack: string(debug.Stack())}
 	res.Error = p.Error()
 	res.setSections(&Result{})
@@ -1088,7 +1100,7 @@ func (r *Runner) group(ctx context.Context, results []*Result, errs []error) *ba
 		b.groups[g] = append(b.groups[g], i)
 		b.ready[i] = make(chan struct{})
 	}
-	atomic.AddUint64(&r.memoHits, hits)
+	atomic.AddUint64(&r.counts.MemoHits, hits)
 	return b
 }
 

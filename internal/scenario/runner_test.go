@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -46,21 +47,26 @@ func TestRunnerMemoizesIdenticalSpecs(t *testing.T) {
 }
 
 // TestRunnerWorkerCountInvariance checks results are bit-identical at
-// any worker-pool bound.
+// any worker-pool bound. At runs: 3 the profile stage simulates its
+// repetitions 1 and 2 concurrently beside the shared one, so under
+// -race this is the data-race check for that fan-out.
 func TestRunnerWorkerCountInvariance(t *testing.T) {
-	spec := smallSpec()
-	seq, err := NewRunner(1).Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := NewRunner(4).Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := json.Marshal(seq)
-	b, _ := json.Marshal(par)
-	if string(a) != string(b) {
-		t.Errorf("worker count changed the result document\n%s\nvs\n%s", a, b)
+	for _, runs := range []int{1, 3} {
+		spec := smallSpec()
+		spec.Runs = runs
+		seq, err := NewRunner(1).Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := NewRunner(4).Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _ := json.Marshal(seq)
+		b, _ := json.Marshal(par)
+		if string(a) != string(b) {
+			t.Errorf("runs %d: worker count changed the result document\n%s\nvs\n%s", runs, a, b)
+		}
 	}
 }
 
@@ -103,5 +109,41 @@ func TestSeedChangesWorkload(t *testing.T) {
 	cb, _ := json.Marshal(rb.Curves)
 	if string(ca) == string(cb) {
 		t.Error("different seeds produced identical miss curves")
+	}
+}
+
+// TestStatsCountersListEveryField checks the one counter list Stats and
+// Delta walk: it holds every uint64 field of Stats exactly once, and
+// Delta subtracts each of them.
+func TestStatsCountersListEveryField(t *testing.T) {
+	var after, before Stats
+	listed := map[*uint64]int{}
+	for _, p := range after.counters() {
+		listed[p]++
+	}
+	a, b := reflect.ValueOf(&after).Elem(), reflect.ValueOf(&before).Elem()
+	fields := 0
+	for i := range a.NumField() {
+		if a.Field(i).Kind() != reflect.Uint64 {
+			continue
+		}
+		fields++
+		if n := listed[a.Field(i).Addr().Interface().(*uint64)]; n != 1 {
+			t.Errorf("%s is listed %d times, want once", a.Type().Field(i).Name, n)
+		}
+		a.Field(i).SetUint(uint64(100 + 3*i))
+		b.Field(i).SetUint(uint64(i))
+	}
+	if len(listed) != fields {
+		t.Errorf("the list holds %d counters, Stats has %d", len(listed), fields)
+	}
+	d := reflect.ValueOf(after.Delta(before))
+	for i := range d.NumField() {
+		if d.Field(i).Kind() != reflect.Uint64 {
+			continue
+		}
+		if got, want := d.Field(i).Uint(), uint64(100+2*i); got != want {
+			t.Errorf("Delta's %s = %d, want %d", d.Type().Field(i).Name, got, want)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -67,8 +68,12 @@ func TestMinimalSpecNormalizes(t *testing.T) {
 }
 
 // TestInvalidSpecs enumerates the validation errors a bad spec must
-// produce (with actionable messages).
+// produce (with actionable messages). Run rejects each spec the same
+// way, without a contained panic: a base CPI that is not finite (only
+// the Go API can pass one; JSON carries none) once normalized and then
+// panicked while Key hashed it.
 func TestInvalidSpecs(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
 		name string
 		spec Scenario
@@ -91,7 +96,10 @@ func TestInvalidSpecs(t *testing.T) {
 		{"explicit zero ways", Scenario{Workload: "mpeg2", Platform: &PlatformSpec{L2: CacheSpec{Ways: iptr(0)}}}, "ways 0"},
 		{"bad profile level", Scenario{Workload: "mpeg2", ProfileLevel: "l9"}, `profile_level "l9"`},
 		{"non-shared profile level", Scenario{Workload: "mpeg2", ProfileLevel: "l1"}, "not shared"},
+		{"NaN base CPI", Scenario{Workload: "mpeg2", Platform: &PlatformSpec{BaseCPI: &nan}}, "base CPI"},
+		{"infinite base CPI", Scenario{Workload: "mpeg2", Platform: &PlatformSpec{BaseCPI: &inf}}, "base CPI"},
 	}
+	rn := NewRunner(1)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := c.spec.Normalize()
@@ -101,7 +109,13 @@ func TestInvalidSpecs(t *testing.T) {
 			if !strings.Contains(err.Error(), c.want) {
 				t.Errorf("error %q does not mention %q", err, c.want)
 			}
+			if _, err := rn.Run(c.spec); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("Run: error %v does not mention %q", err, c.want)
+			}
 		})
+	}
+	if n := rn.Stats().StagePanics; n != 0 {
+		t.Errorf("Run contained %d panics, want 0", n)
 	}
 }
 

@@ -34,11 +34,8 @@ import (
 // caller transparently recomputes — corruption is never served and
 // never fatal.
 type Disk struct {
-	root string
-
-	gets, hits, misses, puts uint64
-	getErrors, putErrors     uint64
-	quarantined              uint64
+	root        string
+	quarantined atomic.Uint64
 }
 
 // Record framing constants. diskMagic identifies a compmem result
@@ -150,32 +147,25 @@ func parse(rec []byte, key string) (payload []byte, version uint16, err error) {
 // without quarantine (they are intact, just unreadable by this build —
 // the recompute overwrites them).
 func (d *Disk) Get(key string) ([]byte, error) {
-	atomic.AddUint64(&d.gets, 1)
 	if err := faults.Point(faults.SiteStoreGet); err != nil {
-		atomic.AddUint64(&d.getErrors, 1)
 		return nil, err
 	}
 	_, path := d.recordPath(key)
 	rec, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			atomic.AddUint64(&d.misses, 1)
 			return nil, ErrNotFound
 		}
-		atomic.AddUint64(&d.getErrors, 1)
 		return nil, fmt.Errorf("store: reading %s: %w", path, err)
 	}
 	payload, version, perr := parse(rec, key)
 	if perr != nil {
 		d.quarantine(path, perr)
-		atomic.AddUint64(&d.misses, 1)
 		return nil, ErrNotFound
 	}
 	if version != diskVersion {
-		atomic.AddUint64(&d.misses, 1)
 		return nil, ErrNotFound
 	}
-	atomic.AddUint64(&d.hits, 1)
 	return payload, nil
 }
 
@@ -184,7 +174,7 @@ func (d *Disk) Get(key string) ([]byte, error) {
 // move fails the record is removed so it cannot be re-read, and if that
 // fails too the next Put's rename will overwrite it. Never fatal.
 func (d *Disk) quarantine(path string, cause error) {
-	atomic.AddUint64(&d.quarantined, 1)
+	d.quarantined.Add(1)
 	dest := filepath.Join(d.quarantineDir(), filepath.Base(path))
 	if err := os.Rename(path, dest); err != nil {
 		os.Remove(path)
@@ -196,15 +186,12 @@ func (d *Disk) quarantine(path string, cause error) {
 // Put implements Store: an atomic, durable write (temp file + fsync +
 // rename + parent-directory fsync).
 func (d *Disk) Put(key string, val []byte) error {
-	atomic.AddUint64(&d.puts, 1)
 	rec, err := frame(key, val)
 	if err != nil {
-		atomic.AddUint64(&d.putErrors, 1)
 		return err
 	}
 	if ferr := faults.Point(faults.SiteStorePut); ferr != nil {
 		if !faults.IsTruncate(ferr) {
-			atomic.AddUint64(&d.putErrors, 1)
 			return ferr
 		}
 		// Injected torn write: frame a record cut mid-payload and report
@@ -213,11 +200,7 @@ func (d *Disk) Put(key string, val []byte) error {
 		rec = rec[:recHeaderLen+(len(rec)-recHeaderLen)/2]
 	}
 	_, path := d.recordPath(key)
-	if err := WriteFileAtomic(d.tmpDir(), path, rec); err != nil {
-		atomic.AddUint64(&d.putErrors, 1)
-		return err
-	}
-	return nil
+	return WriteFileAtomic(d.tmpDir(), path, rec)
 }
 
 // WriteFileAtomic durably replaces the file at path with data: it
@@ -319,14 +302,4 @@ func (d *Disk) QuarantineLen() int {
 func (d *Disk) Close() error { return nil }
 
 // Stats implements StatsProvider.
-func (d *Disk) Stats() Stats {
-	return Stats{
-		Gets:        atomic.LoadUint64(&d.gets),
-		Hits:        atomic.LoadUint64(&d.hits),
-		Misses:      atomic.LoadUint64(&d.misses),
-		Puts:        atomic.LoadUint64(&d.puts),
-		GetErrors:   atomic.LoadUint64(&d.getErrors),
-		PutErrors:   atomic.LoadUint64(&d.putErrors),
-		Quarantined: atomic.LoadUint64(&d.quarantined),
-	}
-}
+func (d *Disk) Stats() Stats { return Stats{Quarantined: d.quarantined.Load()} }

@@ -272,7 +272,7 @@ func TestDiskTornWriteFaultQuarantinesOnRead(t *testing.T) {
 }
 
 // TestDiskInjectedErrors checks Error faults at both store sites are
-// returned (not swallowed) and counted.
+// returned, not swallowed.
 func TestDiskInjectedErrors(t *testing.T) {
 	d, err := OpenDisk(t.TempDir())
 	if err != nil {
@@ -290,16 +290,11 @@ func TestDiskInjectedErrors(t *testing.T) {
 	if _, err := d.Get("k"); !errors.As(err, &ie) {
 		t.Fatalf("Get under an error fault = %v, want InjectedError", err)
 	}
-	st := d.Stats()
-	if st.GetErrors != 1 || st.PutErrors != 1 {
-		t.Errorf("stats %+v, want 1 get error and 1 put error", st)
-	}
 }
 
 // TestWriteFileAtomicDirSyncFault makes the parent directory's fsync
 // fail after the rename: WriteFileAtomic and Disk.Put must report the
-// error, since the renamed file may not survive a crash, and Put must
-// count it.
+// error, since the renamed file may not survive a crash.
 func TestWriteFileAtomicDirSyncFault(t *testing.T) {
 	errSync := errors.New("injected directory fsync failure")
 	orig := syncDir
@@ -318,9 +313,6 @@ func TestWriteFileAtomicDirSyncFault(t *testing.T) {
 	}
 	if err := d.Put("k", []byte("v")); !errors.Is(err, errSync) {
 		t.Fatalf("Put with a failing directory fsync = %v, want the sync error", err)
-	}
-	if st := d.Stats(); st.PutErrors != 1 {
-		t.Errorf("stats %+v, want 1 put error", st)
 	}
 }
 

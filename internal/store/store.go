@@ -43,17 +43,12 @@ type Store interface {
 	Close() error
 }
 
-// Stats are the operational counters of a store. All counters are
+// Stats counts the events only a store sees; its caller counts the
+// gets, hits, misses and failed operations it makes. Both counters are
 // monotonic, so deltas of snapshots attribute activity to a window.
 type Stats struct {
-	Gets        uint64 `json:"gets"`
-	Hits        uint64 `json:"hits"`
-	Misses      uint64 `json:"misses"`
-	Puts        uint64 `json:"puts"`
-	GetErrors   uint64 `json:"get_errors,omitempty"`
-	PutErrors   uint64 `json:"put_errors,omitempty"`
-	Quarantined uint64 `json:"quarantined,omitempty"`
-	Retries     uint64 `json:"retries,omitempty"`
+	Quarantined uint64 `json:"quarantined,omitempty"` // corrupt records moved aside
+	Retries     uint64 `json:"retries,omitempty"`     // attempts beyond an operation's first
 }
 
 // StatsProvider is implemented by stores that report Stats (Disk and

@@ -329,20 +329,35 @@ func TestMemoPlanConcurrentPrepareBuildsOnce(t *testing.T) {
 	}
 }
 
+// putCounter counts the records written through it.
+type putCounter struct {
+	store.Store
+	puts atomic.Uint64
+}
+
+func (s *putCounter) Put(key string, val []byte) error {
+	s.puts.Add(1)
+	return s.Store.Put(key, val)
+}
+
 // TestMemoPlanMemoryOnly checks a plan never reaches the durable store
 // and lives in the memo like any entry: a warm sweep on a disk-backed
 // runner writes no record, TrimMemo(0) evicts the plan with everything
 // else, and the sweep then rebuilds it from the stage records without
 // writing either.
 func TestMemoPlanMemoryOnly(t *testing.T) {
-	d, err := store.OpenDisk(t.TempDir())
+	disk, err := store.OpenDisk(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := &putCounter{Store: disk}
 	rn := scenario.NewRunnerWithStore(2, d)
 	sw := parse(t, planSweep)
 	wantStream, wantAgg, _ := run(t, rn, sw)
-	puts, records := d.Stats().Puts, d.Len()
+	puts, records := d.puts.Load(), d.Len()
+	if puts == 0 {
+		t.Fatal("the cold sweep wrote no record")
+	}
 	plan, err := sweep.Prepare(rn, sw)
 	if err != nil {
 		t.Fatal(err)
@@ -361,8 +376,8 @@ func TestMemoPlanMemoryOnly(t *testing.T) {
 	if st.StageRuns != 0 || st.DiskHits == 0 {
 		t.Errorf("after the trim the sweep must be served from disk: %+v", st)
 	}
-	if d.Stats().Puts != puts || d.Len() != records {
-		t.Errorf("warm sweeps wrote %d records (%d → %d)", d.Stats().Puts-puts, records, d.Len())
+	if d.puts.Load() != puts || d.Len() != records {
+		t.Errorf("warm sweeps wrote %d records (%d → %d)", d.puts.Load()-puts, records, d.Len())
 	}
 }
 
