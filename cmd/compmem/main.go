@@ -79,7 +79,7 @@ func newRunner(cfg experiments.Config, storeDir string) (*scenario.Runner, error
 func main() {
 	small := flag.Bool("small", false, "use the fast, small-scale workloads")
 	runs := flag.Int("runs", 2, "profiling repetitions for miss-curve averaging")
-	workers := flag.Int("workers", 0, "harness worker pool size; 0 = GOMAXPROCS, 1 = sequential")
+	workers := flag.Int("workers", 0, "run at most this many simulations and trace captures at once, across all requests; 0 = GOMAXPROCS")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON envelopes on stdout")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the command to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile after the command to this file")

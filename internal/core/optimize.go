@@ -102,7 +102,13 @@ type OptimizeResult struct {
 
 // jitter scales the scheduling quantum of each profiling repetition,
 // cycling past its end; repetition 0 runs at the configured quantum.
-var jitter = []float64{1.0, 0.85, 1.2, 0.7, 1.4, 0.95, 1.1}
+var jitter = [...]float64{1.0, 0.85, 1.2, 0.7, 1.4, 0.95, 1.1}
+
+// MaxProfileRuns is the number of distinct profiling repetitions, one per
+// jittered quantum: repetition MaxProfileRuns runs at repetition 0's
+// quantum and repeats it bit for bit, so more runs only re-weight the
+// average.
+const MaxProfileRuns = len(jitter)
 
 // Profile runs the workload oc.Runs times under the shared-cache strategy
 // with the profiler tapping the L2, and returns the averaged miss curves.

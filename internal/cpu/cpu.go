@@ -5,7 +5,10 @@
 // are driven by L2 behaviour, not by pipeline microarchitecture.
 package cpu
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Config describes one core.
 type Config struct {
@@ -16,8 +19,8 @@ type Config struct {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.BaseCPI <= 0 {
-		return fmt.Errorf("cpu %q: base CPI %v not positive", c.Name, c.BaseCPI)
+	if c.BaseCPI <= 0 || math.IsNaN(c.BaseCPI) || math.IsInf(c.BaseCPI, 1) {
+		return fmt.Errorf("cpu %q: base CPI %v not finite and positive", c.Name, c.BaseCPI)
 	}
 	return nil
 }

@@ -10,11 +10,10 @@ func TestValidate(t *testing.T) {
 	if err := (Config{BaseCPI: 1.0}).Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := (Config{BaseCPI: 0}).Validate(); err == nil {
-		t.Error("zero CPI accepted")
-	}
-	if err := (Config{BaseCPI: -1}).Validate(); err == nil {
-		t.Error("negative CPI accepted")
+	for _, cpi := range []float64{math.NaN(), math.Inf(1), 0, -1} {
+		if err := (Config{BaseCPI: cpi}).Validate(); err == nil {
+			t.Errorf("base CPI %v accepted", cpi)
+		}
 	}
 }
 

@@ -25,15 +25,13 @@ type Config struct {
 	Scale       workloads.Scale
 	Platform    platform.Config
 	ProfileRuns int
-	// Workers sizes the scenario runner the CLI builds
-	// (scenario.NewRunner): each of its three nested pools — a batch's
-	// groups, an optimized scenario's two legs and a profile stage's
-	// repetitions — gets Workers slots (0 = GOMAXPROCS, 1 = fully
-	// sequential). One call can therefore run up to
-	// Workers × (1 + min(runs, Workers)) simulations at once, and
-	// concurrent serve requests multiply that; ROADMAP.md item 7 is the
-	// plan for one bound. Every simulation owns its platform instance,
-	// so the results are identical at any worker count.
+	// Workers bounds the scenario runner the CLI builds
+	// (scenario.NewRunner): at most Workers simulations and trace
+	// captures run at once, across all the runner's callers, concurrent
+	// serve requests included (0 = GOMAXPROCS, 1 = one at a time). The
+	// Go API's core.Profile and core.Run run outside that bound. Every
+	// simulation owns its platform instance, so the results are
+	// identical at any worker count.
 	Workers int
 }
 

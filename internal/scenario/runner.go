@@ -46,7 +46,11 @@ import (
 // waiting on that execution (see RunBatchStream).
 //
 // A Runner is safe for concurrent use; the serve mode shares one across
-// requests, turning the memo into a result cache.
+// requests, turning the memo into a result cache. It runs at most
+// workers simulations and trace captures at once (NewRunner; 0 =
+// GOMAXPROCS), across all its callers: concurrent batches, sweeps and
+// serve requests share that bound. The Go API's core.Profile and
+// core.Run run outside it.
 //
 // The memo holds live values, not documents: one table whose entries
 // carry a stage's single-flight state, its decoded value and the
@@ -71,14 +75,16 @@ type Runner struct {
 	// and the memo count those.
 	counts Stats
 
-	// workers sizes each of three nested worker pools (0 = GOMAXPROCS,
-	// 1 = fully sequential), exactly like experiments.Config.Workers: a
-	// batch's groups (batch.run), an optimized scenario's two legs
-	// (execute) and a profile stage's repetitions (profileStage). One
-	// call can therefore run up to workers × (1 + min(runs, workers))
-	// simulations at once, and concurrent serve requests multiply that;
-	// ROADMAP.md item 7 is the plan for one bound.
-	workers int
+	// slots holds one token per simulation or trace capture running, so
+	// at most cap(slots) run at once, whoever calls; cap(slots) also
+	// sizes the fan-outs (a batch's groups, an optimized scenario's two
+	// legs, a profile stage's repetitions). It cannot deadlock because a
+	// slot is held only while a simulation or capture body runs (see
+	// slot), and that body never looks up the memo, never waits on a
+	// stage or a fan-out and never writes the store: the slot is
+	// released before fill persists. So no waiter holds a slot, and
+	// every slot holder finishes.
+	slots chan struct{}
 
 	// memo serves completed stage values and result entries. The
 	// sharing is safe because both are immutable once computed — every
@@ -112,8 +118,8 @@ func (e *StagePanicError) Error() string {
 	return fmt.Sprintf("scenario: panic in %s stage (key %s): %v", e.Stage, e.Key, e.Value)
 }
 
-// NewRunner returns a memory-only Runner with the given worker-pool
-// bound.
+// NewRunner returns a memory-only Runner that runs at most workers
+// simulations and trace captures at once (0 = GOMAXPROCS).
 func NewRunner(workers int) *Runner {
 	return NewRunnerWithStore(workers, nil)
 }
@@ -125,7 +131,15 @@ func NewRunner(workers int) *Runner {
 // memory-only operation instead of failing scenarios. nil means
 // memory-only.
 func NewRunnerWithStore(workers int, durable store.Store) *Runner {
-	return &Runner{workers: workers, memo: newMemo(memoBudget), durable: durable}
+	return &Runner{slots: make(chan struct{}, parallel.Workers(workers)), memo: newMemo(memoBudget), durable: durable}
+}
+
+// slot takes one of the runner's slots, waiting for one to free, and
+// returns its release. A caller defers the release right away, so a
+// body that panics still gives its slot back.
+func (r *Runner) slot() (release func()) {
+	r.slots <- struct{}{}
+	return func() { <-r.slots }
 }
 
 // StoreMode reports the runner's persistence mode: "memory" without a
@@ -323,14 +337,17 @@ const (
 // count is the one writer of the stage counters: it records a stage
 // lookup of kind by the source of its value and the outcome the lookup
 // returned. An owner that failed counts StageErrors, beside the
-// execution when it ran one; a memo hit counts whatever the outcome.
-// A trace hit also counts TraceHits, and a captured trace its bytes.
+// execution when it ran one; a waiter served a failure counts nothing,
+// since its owner counts it. A trace hit also counts TraceHits, and a
+// captured trace its bytes.
 func (r *Runner) count(kind string, src source, v any, err error) {
 	c := &r.counts
 	switch src {
 	case sourceMemo:
+		if err != nil {
+			return
+		}
 		atomic.AddUint64(&c.MemoHits, 1)
-		err = nil // its owner counts a failure
 	case sourceDisk:
 		if err == nil {
 			atomic.AddUint64(&c.DiskHits, 1)
@@ -485,6 +502,7 @@ func (r *Runner) traceStage(ctx context.Context, s Scenario) (*tracefile.Trace, 
 		if err != nil {
 			return nil, err
 		}
+		defer r.slot()()
 		return tracefile.Capture(w, tracefile.Meta{Workload: s.Workload, Scale: s.Scale, Seed: s.Seed})
 	})
 }
@@ -540,7 +558,7 @@ func (r *Runner) profileStage(ctx context.Context, s Scenario) ([]profile.Curve,
 			}
 		}
 		runs := make([][]profile.Curve, s.Runs)
-		err = parallel.Do(parallel.Workers(r.workers), s.Runs, func(i int) error {
+		err = parallel.Do(cap(r.slots), s.Runs, func(i int) error {
 			if i == 0 {
 				rep, err := r.sharedRep(s)
 				if err != nil {
@@ -605,8 +623,11 @@ func (r *Runner) sharedRep(s Scenario) (*sharedRep, error) {
 	return v.(*sharedRep), nil
 }
 
-// profileRep simulates profiling repetition rep of a fresh app of w.
+// profileRep simulates profiling repetition rep of a fresh app of w. It
+// takes its slot before building the app, so a repetition waiting for a
+// slot holds no built app.
 func (r *Runner) profileRep(w core.Workload, oc core.OptimizeConfig, rep int) (*core.Result, []profile.Curve, error) {
+	defer r.slot()()
 	app, err := w.Factory()
 	if err != nil {
 		return nil, nil, err
@@ -706,6 +727,7 @@ func (r *Runner) runStage(ctx context.Context, s Scenario, strat core.Strategy, 
 		}
 		pc.Sched.AllowMigration = s.Migration
 		rc := core.RunConfig{Platform: pc, Strategy: strat, Alloc: alloc}
+		defer r.slot()()
 		atomic.AddUint64(&r.counts.Simulations, 1)
 		return core.Run(w, rc)
 	})
@@ -930,7 +952,7 @@ func (r *Runner) execute(ctx context.Context, n Scenario, res *Result) error {
 				return nil
 			},
 		}
-		if err := parallel.Do(parallel.Workers(r.workers), len(legs), func(i int) error { return legs[i]() }); err != nil {
+		if err := parallel.Do(cap(r.slots), len(legs), func(i int) error { return legs[i]() }); err != nil {
 			return err
 		}
 		part, err := r.runStage(ctx, n, core.Partitioned, opt.Allocation, allocStageKey(n))
@@ -1110,7 +1132,7 @@ func (r *Runner) group(ctx context.Context, results []*Result, errs []error) *ba
 func (b *batch) run(done chan<- struct{}) {
 	defer close(done)
 	finished := make([]int, len(b.groups))
-	err := parallel.Do(parallel.Workers(b.r.workers), len(b.groups), func(g int) error {
+	err := parallel.Do(cap(b.r.slots), len(b.groups), func(g int) error {
 		for _, i := range b.groups[g] {
 			if b.ctx.Err() != nil {
 				break

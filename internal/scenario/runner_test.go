@@ -3,8 +3,11 @@ package scenario
 import (
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // smallSpec is a cheap profile-only scenario for runner tests.
@@ -66,6 +69,69 @@ func TestRunnerWorkerCountInvariance(t *testing.T) {
 		b, _ := json.Marshal(par)
 		if string(a) != string(b) {
 			t.Errorf("runs %d: worker count changed the result document\n%s\nvs\n%s", runs, a, b)
+		}
+	}
+}
+
+// TestSimulationsNeverExceedWorkers runs three batches at once on one
+// runner, each over a third of six optimized 2jpeg+canny specs at
+// runs: 3 (the pairs share traces and profiles across batches), and
+// samples every goroutine's stack while they run: no more than workers
+// goroutines may be inside a simulation (core.RunApp) or a trace
+// capture (tracefile.CaptureApp) at once, whoever called the runner.
+func TestSimulationsNeverExceedWorkers(t *testing.T) {
+	var specs []Scenario
+	for seed := uint64(100); seed <= 102; seed++ {
+		for _, migration := range []bool{false, true} {
+			specs = append(specs, Scenario{Workload: "2jpeg+canny", Scale: "small", Seed: seed, Runs: 3, Migration: migration, Partition: PartitionOptimized})
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		rn := NewRunner(workers)
+		var wg sync.WaitGroup
+		for c := 0; c < 3; c++ {
+			wg.Add(1)
+			go func(batch []Scenario) {
+				defer wg.Done()
+				for _, res := range rn.RunBatch(batch) {
+					if res.Error != "" {
+						t.Error(res.Error)
+					}
+				}
+			}([]Scenario{specs[c], specs[c+3]})
+		}
+		done := make(chan struct{})
+		go func() {
+			wg.Wait()
+			close(done)
+		}()
+		peak := 0
+		buf := make([]byte, 1<<20)
+		for running := true; running; time.Sleep(time.Millisecond) {
+			select {
+			case <-done:
+				running = false
+			default:
+			}
+			n := runtime.Stack(buf, true)
+			for n == len(buf) {
+				buf = make([]byte, 2*len(buf))
+				n = runtime.Stack(buf, true)
+			}
+			inside := 0
+			for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+				if strings.Contains(g, "\nrepro/internal/core.RunApp(") || strings.Contains(g, "\nrepro/internal/tracefile.CaptureApp(") {
+					inside++
+				}
+			}
+			peak = max(peak, inside)
+		}
+		t.Logf("workers %d: at most %d simulations and captures at once", workers, peak)
+		if peak > workers {
+			t.Errorf("workers %d: %d simulations and captures ran at once", workers, peak)
+		}
+		if peak == 0 {
+			t.Errorf("workers %d: the sampler saw no simulation", workers)
 		}
 	}
 }

@@ -81,7 +81,7 @@ type Scenario struct {
 	// "shared", "optimize" or "profile".
 	Partition string `json:"partition,omitempty"`
 	// Runs is the number of jittered profiling repetitions averaged
-	// into the miss curves; default 2.
+	// into the miss curves; default 2, at most core.MaxProfileRuns.
 	Runs int `json:"runs,omitempty"`
 	// Solver accepts "mckp" (default) or "ilp" and normalizes to
 	// "mckp": both solve the section 3.2 program exactly, with optimal
@@ -526,6 +526,9 @@ func (s Scenario) Normalize() (Scenario, error) {
 	}
 	if n.Runs < 0 {
 		return n, fmt.Errorf("scenario: runs %d not positive", n.Runs)
+	}
+	if n.Runs > core.MaxProfileRuns {
+		return n, fmt.Errorf("scenario: runs %d above %d, the number of distinct profiling repetitions", n.Runs, core.MaxProfileRuns)
 	}
 	if _, err := core.ParseSolver(n.Solver); err != nil {
 		return n, err

@@ -88,6 +88,7 @@ func TestInvalidSpecs(t *testing.T) {
 		{"unknown exec engine", Scenario{Workload: "mpeg2", ExecEngine: "warp"}, "unknown execution engine"},
 		{"bad size", Scenario{Workload: "mpeg2", Sizes: []int{3}}, "not a positive power of two"},
 		{"negative runs", Scenario{Workload: "mpeg2", Runs: -1}, "runs -1"},
+		{"runs above the jitter table", Scenario{Workload: "mpeg2", Runs: 8}, "runs 8 above 7"},
 		{"future version", Scenario{Workload: "mpeg2", SpecVersion: 99}, "unsupported spec_version"},
 		{"unresolved base", Scenario{Workload: "mpeg2", Base: "app1"}, "unresolved base"},
 		{"alloc workload with wrong policy", Scenario{Workload: "mpeg2", Partition: PartitionShared, AllocWorkload: "mpeg2"}, "alloc_workload"},

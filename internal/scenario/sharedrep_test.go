@@ -174,8 +174,8 @@ func TestSharedRepetitionFaultFailsBothReaders(t *testing.T) {
 				t.Errorf("nothing may be resident after the fault, got %+v", u)
 			}
 			checkMemo(t, rn.memo, true)
-			if st := rn.Stats(); st.StageErrors != 3 || st.Simulations != 0 {
-				t.Errorf("want the trace and both readers evicted, nothing simulated, got %+v", st)
+			if st := rn.Stats(); st.StageErrors != 3 || st.Simulations != 0 || st.MemoHits != 0 || st.TraceHits != 0 {
+				t.Errorf("want the trace and both readers evicted, nothing simulated and no hit, got %+v", st)
 			}
 
 			res, err := rn.Run(spec)

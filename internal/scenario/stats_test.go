@@ -157,7 +157,7 @@ func TestMemoStatsBySource(t *testing.T) {
 				{"wait on a failure", mem, func() Stats {
 					key, _ := next()
 					waiter(key, nil, errStage)
-					return hit(Stats{MemoHits: 1})
+					return Stats{}
 				}},
 				{"missing record", disk, func() Stats {
 					key, execute := next()
