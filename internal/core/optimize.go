@@ -117,26 +117,23 @@ const MaxProfileRuns = len(jitter)
 // sections (task-private streams are identical across runs by Kahn
 // determinism).
 //
-// The repetitions are independent simulations — each owns its app,
-// platform and profiler — so they fan out over a bounded worker pool
-// (oc.Workers). Runs are averaged in repetition order, so the result is
-// identical to the sequential path.
+// The repetitions are independent simulations — each builds its own app
+// and owns its platform and profiler — so they fan out over a bounded
+// worker pool (oc.Workers), and w.Factory must allow concurrent calls.
+// Runs are averaged in repetition order, so the result is identical to
+// the sequential path. oc.Runs is at most MaxProfileRuns.
 func Profile(w Workload, oc OptimizeConfig) ([]profile.Curve, error) {
 	oc.fillDefaults()
-	// Apps are built serially: a workload factory may publish handles to
-	// the app it builds (workloads.JPEGCanny / MPEG2 take an optional
-	// handle pointer), so only the simulations themselves fan out.
-	apps := make([]*App, oc.Runs)
-	for r := range apps {
-		var err error
-		if apps[r], err = w.Factory(); err != nil {
-			return nil, err
-		}
+	if oc.Runs < 1 || oc.Runs > MaxProfileRuns {
+		return nil, fmt.Errorf("core: %d profiling runs, want 1 to MaxProfileRuns (%d)", oc.Runs, MaxProfileRuns)
 	}
 	runs := make([][]profile.Curve, oc.Runs)
 	err := parallel.Do(parallel.Workers(oc.Workers), oc.Runs, func(r int) error {
-		var err error
-		_, runs[r], err = ProfileRep(apps[r], oc, r)
+		app, err := w.Factory()
+		if err != nil {
+			return err
+		}
+		_, runs[r], err = ProfileRep(app, oc, r)
 		return err
 	})
 	if err != nil {

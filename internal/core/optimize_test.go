@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
+	"repro/internal/kpn"
 	"repro/internal/profile"
 	"repro/internal/rtos"
 )
@@ -31,6 +34,38 @@ func TestProfileProducesCurves(t *testing.T) {
 	// 32 units (64 KiB): the curve must fall significantly.
 	if lc.Misses[0] < 4*lc.Misses[len(lc.Misses)-1] {
 		t.Errorf("looper curve too flat: %v", lc.Misses)
+	}
+}
+
+// TestProfileBuildsEachAppInItsRepetition checks Profile builds each
+// repetition's app inside that repetition, so a worker holds one built
+// app at a time, and that it refuses more runs than there are distinct
+// repetitions.
+func TestProfileBuildsEachAppInItsRepetition(t *testing.T) {
+	var log []string
+	builds := 0
+	w := Workload{Name: "logged", Factory: func() (*App, error) {
+		i := builds
+		builds++
+		log = append(log, fmt.Sprintf("build %d", i))
+		b := NewBuilder("logged")
+		b.AddTask(TaskConfig{Name: "task", Body: func(c *kpn.Ctx) {
+			log = append(log, fmt.Sprintf("run %d", i))
+			c.Exec(1)
+		}})
+		return b.Build()
+	}}
+	oc := optCfg()
+	oc.Workers, oc.Runs = 1, 3
+	if _, err := Profile(w, oc); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"build 0", "run 0", "build 1", "run 1", "build 2", "run 2"}; !reflect.DeepEqual(log, want) {
+		t.Errorf("Profile ran %v, want %v", log, want)
+	}
+	oc.Runs = MaxProfileRuns + 1
+	if _, err := Profile(w, oc); err == nil {
+		t.Errorf("Profile accepted %d runs", oc.Runs)
 	}
 }
 

@@ -133,7 +133,8 @@ func BruteForce(items []Item, budget int) (*Solution, error) {
 			return
 		}
 		if i == n {
-			best = &Solution{Pick: append([]int(nil), pick...), Cost: cost, Weight: w}
+			// Pick is non-nil even without items: the empty selection fits.
+			best = &Solution{Pick: append(make([]int, 0, n), pick...), Cost: cost, Weight: w}
 			return
 		}
 		for ci, c := range items[i].Choices {

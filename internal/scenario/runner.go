@@ -65,14 +65,13 @@ import (
 // simulating, so warm results survive process restarts; a disk hit is
 // decoded once and then held as a value. Result entries and Memoize
 // values never reach the store: a restarted runner rebuilds them from
-// the stage records. Durable-layer failures are counted, retried and —
-// when the medium keeps failing — degraded away by the store layer;
-// they never fail a scenario.
+// the stage records. Durable-layer failures are retried and — when the
+// medium keeps failing — degraded away by the store layer, and counted
+// here, as every store event is; they never fail a scenario.
 type Runner struct {
 	// counts holds the runner's counters, each written atomically; it
 	// stays the first field so its 64-bit words are aligned on 32-bit
-	// targets. Its Quarantined and MemoEvictions stay zero: the store
-	// and the memo count those.
+	// targets. Its MemoEvictions stays zero: the memo counts those.
 	counts Stats
 
 	// slots holds one token per simulation or trace capture running, so
@@ -92,7 +91,7 @@ type Runner struct {
 	// (sweep-vs-sequential bit-identity) and
 	// TestMemoResultSectionsStayImmutable pin.
 	memo    *memo
-	durable store.Store // optional crash-safe layer; nil = memory-only
+	durable *store.Resilient // optional crash-safe layer; nil = memory-only
 }
 
 // StagePanicError is a panic recovered inside a pipeline stage (or a
@@ -126,11 +125,11 @@ func NewRunner(workers int) *Runner {
 
 // NewRunnerWithStore returns a Runner whose completed stage results are
 // additionally persisted to (and warm-served from) the given durable
-// store. Pass the disk CAS wrapped in store.NewResilient so transient
-// I/O errors are retried and a persistently failing medium degrades to
+// store: the disk CAS wrapped in store.NewResilient, so transient I/O
+// errors are retried and a persistently failing medium degrades to
 // memory-only operation instead of failing scenarios. nil means
 // memory-only.
-func NewRunnerWithStore(workers int, durable store.Store) *Runner {
+func NewRunnerWithStore(workers int, durable *store.Resilient) *Runner {
 	return &Runner{slots: make(chan struct{}, parallel.Workers(workers)), memo: newMemo(memoBudget), durable: durable}
 }
 
@@ -149,10 +148,7 @@ func (r *Runner) StoreMode() string {
 	if r.durable == nil {
 		return "memory"
 	}
-	if m, ok := r.durable.(store.Moder); ok {
-		return m.Mode()
-	}
-	return "disk"
+	return r.durable.Mode()
 }
 
 // TrimMemo evicts least-recently-used memo entries until at most n
@@ -229,9 +225,6 @@ func (r *Runner) Stats() Stats {
 	dst, src := s.counters(), r.counts.counters()
 	for i := range dst {
 		*dst[i] = atomic.LoadUint64(src[i])
-	}
-	if sp, ok := r.durable.(store.StatsProvider); ok {
-		s.Quarantined = sp.Stats().Quarantined
 	}
 	s.MemoEvictions = r.memo.evictions.Load()
 	return s
@@ -403,11 +396,12 @@ func (r *Runner) fill(kind string, e *memoEntry, f func() (any, error)) {
 }
 
 // loadDurable consults the durable store for a completed stage result.
-// A miss and store failures are counted and swallowed — the caller
-// falls through to simulation; a record that does not decode (a
-// document of an unknown version or kind, or a trace record that is not
-// a container) is treated the same way and deleted, and the recompute
-// rewrites it. The lookup counts a hit (see count).
+// A miss (a quarantined record is one too) and store failures are
+// counted and swallowed — the caller falls through to simulation; a
+// record that does not decode (a document of an unknown version or
+// kind, or a trace record that is not a container) is treated the same
+// way and deleted, and the recompute rewrites it. The lookup counts a
+// hit (see count).
 func (r *Runner) loadDurable(kind, key string) (any, bool) {
 	if r.durable == nil {
 		return nil, false
@@ -423,6 +417,9 @@ func (r *Runner) loadDurable(kind, key string) (any, bool) {
 		r.durable.Delete(key)
 	case errors.Is(err, store.ErrNotFound):
 		atomic.AddUint64(&r.counts.DiskMisses, 1)
+		if errors.Is(err, store.ErrQuarantined) {
+			atomic.AddUint64(&r.counts.Quarantined, 1)
+		}
 	case errors.Is(err, store.ErrDegraded):
 		// The breaker tripped: memory-only mode, nothing to count per op.
 	default:

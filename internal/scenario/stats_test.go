@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/profile"
 	"repro/internal/store"
 	"repro/internal/tracefile"
@@ -16,11 +17,11 @@ import (
 // TestMemoStatsBySource pins what each outcome of a stage lookup adds to
 // Stats, for every stage kind, by where the lookup's value came from:
 // the lookup executed the stage (successfully, with an error, or with a
-// panic), decoded the stage's disk record (or found none, or one that
-// does not decode, and executed), or was served by the memo, finding the
-// entry resident or waiting on its computation in flight. A trace is
-// captured through traceStage, as the runner captures one; every other
-// lookup is driven directly.
+// panic), decoded the stage's disk record (or found none, a corrupt one
+// or one that does not decode, and executed), or was served by the memo,
+// finding the entry resident or waiting on its computation in flight. A
+// trace is captured through traceStage, as the runner captures one;
+// every other lookup is driven directly.
 func TestMemoStatsBySource(t *testing.T) {
 	values := map[string]any{
 		stageProfile:  []profile.Curve{{Entity: "e", Sizes: []int{1}, Misses: []float64{2}}},
@@ -187,6 +188,22 @@ func TestMemoStatsBySource(t *testing.T) {
 					}
 					s := ran(v)
 					s.StoreErrors = 1
+					return s
+				}},
+				{"corrupt record", disk, func() Stats {
+					key, execute := next()
+					restore := faults.Activate(faults.New(1).TruncateAt(faults.SiteStorePut, 0))
+					err := records.Put(key, []byte("a record torn in half"))
+					restore()
+					if err != nil {
+						t.Fatal(err)
+					}
+					v, err := execute(disk)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s := ran(v)
+					s.DiskMisses, s.Quarantined = 1, 1
 					return s
 				}},
 			} {

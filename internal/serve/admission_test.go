@@ -86,13 +86,17 @@ func getHealth(t *testing.T, url string) (int, Health) {
 }
 
 // TestOverCapacitySheds429 checks the load-shedding contract: with one
-// in-flight slot and no wait queue, a second submission is refused
-// immediately with 429 and a Retry-After hint — it is never queued —
-// while /healthz reports the load and the shed count.
+// in-flight slot and no wait queue, a second submission to any
+// simulation endpoint is refused immediately with 429 and a Retry-After
+// hint — it is never queued — while /healthz reports the load and the
+// shed count.
 func TestOverCapacitySheds429(t *testing.T) {
 	name, entered, release := registerGatedWorkload(t, "gated-shed")
 	cfg := testConfig()
-	s := NewWithOptions(cfg, scenario.NewRunner(1), Options{MaxInflight: 1, Queue: -1})
+	// Two workers: the gated batch holds one, so a sweep or explore
+	// request admitted by mistake runs on the other and fails the test
+	// instead of hanging it.
+	s := NewWithOptions(cfg, scenario.NewRunner(2), Options{MaxInflight: 1, Queue: -1})
 	srv := httptest.NewServer(s)
 	t.Cleanup(srv.Close)
 
@@ -108,17 +112,24 @@ func TestOverCapacitySheds429(t *testing.T) {
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("over-capacity submission: want 429, got %d\n%s", status, shedBody)
 	}
-	resp, err := http.Post(srv.URL+"/v1/batch", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
-		t.Errorf("shed response must carry Retry-After, got %d %q", resp.StatusCode, resp.Header.Get("Retry-After"))
+	sweep := `{"base":{"workload":"jpeg1-only","scale":"small","runs":1},"axes":[{"field":"seed","range":{"from":0,"count":2}}]}`
+	for _, req := range []struct{ path, body string }{
+		{"/v1/batch", body},
+		{"/v1/sweep", sweep},
+		{"/v1/explore", `{"sweep":` + sweep + `}`},
+	} {
+		resp, err := http.Post(srv.URL+req.path, "application/json", strings.NewReader(req.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+			t.Errorf("%s: shed response must be 429 with Retry-After, got %d %q", req.path, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
 	}
 
 	if code, h := getHealth(t, srv.URL); code != http.StatusOK ||
-		h.Inflight != 1 || h.MaxInflight != 1 || h.Shed < 2 || !h.Ready {
+		h.Inflight != 1 || h.MaxInflight != 1 || h.Shed < 4 || !h.Ready {
 		t.Errorf("healthz under load: code %d, %+v", code, h)
 	}
 
@@ -172,12 +183,12 @@ func TestQueueAdmitsThenSheds(t *testing.T) {
 	}
 }
 
-// TestOversizedBodyIs413 checks both simulation endpoints reject a body
+// TestOversizedBodyIs413 checks every simulation endpoint rejects a body
 // over the 16 MiB cap with 413, not a generic 400.
 func TestOversizedBodyIs413(t *testing.T) {
 	srv := testServer(t)
 	huge := `{"pad":"` + strings.Repeat("x", maxBodyBytes+1) + `"}`
-	for _, path := range []string{"/v1/batch", "/v1/sweep"} {
+	for _, path := range []string{"/v1/batch", "/v1/sweep", "/v1/explore"} {
 		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(huge))
 		if err != nil {
 			t.Fatal(err)

@@ -82,8 +82,8 @@ type Options struct {
 	// MaxBatch bounds one submission's scenarios or sweep points;
 	// 0 means DefaultMaxBatch.
 	MaxBatch int
-	// MaxInflight bounds the simulation requests (batch + sweep)
-	// admitted concurrently; 0 means DefaultMaxInflight.
+	// MaxInflight bounds the simulation requests (batch, sweep and
+	// explore) admitted concurrently; 0 means DefaultMaxInflight.
 	MaxInflight int
 	// Queue bounds the submissions waiting for an in-flight slot beyond
 	// MaxInflight; anything more sheds with 429. 0 means DefaultQueue;
@@ -430,10 +430,6 @@ func (s *Server) batch(w http.ResponseWriter, r *http.Request) {
 	raws, err := scenario.SplitSpecs(body)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(raws) == 0 {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("empty batch"))
 		return
 	}
 	if len(raws) > s.opts.MaxBatch {

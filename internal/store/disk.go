@@ -6,11 +6,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash/crc32"
-	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
-	"sync/atomic"
 
 	"repro/internal/faults"
 )
@@ -30,12 +27,11 @@ import (
 // record is framed with a magic/version header, its full key, and a
 // CRC-32C trailer verified on read; a record that fails verification
 // (truncated, bit-flipped, or belonging to a different key) is moved to
-// the quarantine sidecar, counted, and reported as ErrNotFound so the
-// caller transparently recomputes — corruption is never served and
-// never fatal.
+// the quarantine sidecar and reported as ErrQuarantined, an ErrNotFound,
+// so the caller transparently recomputes — corruption is never served
+// and never fatal.
 type Disk struct {
-	root        string
-	quarantined atomic.Uint64
+	root string
 }
 
 // Record framing constants. diskMagic identifies a compmem result
@@ -75,9 +71,6 @@ func OpenDisk(dir string) (*Disk, error) {
 	}
 	return d, nil
 }
-
-// Dir returns the store's root directory.
-func (d *Disk) Dir() string { return d.root }
 
 func (d *Disk) objectsDir() string    { return filepath.Join(d.root, "objects") }
 func (d *Disk) tmpDir() string        { return filepath.Join(d.root, "tmp") }
@@ -143,7 +136,7 @@ func parse(rec []byte, key string) (payload []byte, version uint16, err error) {
 }
 
 // Get implements Store. Corrupt records are quarantined and read as
-// ErrNotFound; records of an unknown wire version read as ErrNotFound
+// ErrQuarantined; records of an unknown wire version read as ErrNotFound
 // without quarantine (they are intact, just unreadable by this build —
 // the recompute overwrites them).
 func (d *Disk) Get(key string) ([]byte, error) {
@@ -161,7 +154,7 @@ func (d *Disk) Get(key string) ([]byte, error) {
 	payload, version, perr := parse(rec, key)
 	if perr != nil {
 		d.quarantine(path, perr)
-		return nil, ErrNotFound
+		return nil, ErrQuarantined
 	}
 	if version != diskVersion {
 		return nil, ErrNotFound
@@ -174,7 +167,6 @@ func (d *Disk) Get(key string) ([]byte, error) {
 // move fails the record is removed so it cannot be re-read, and if that
 // fails too the next Put's rename will overwrite it. Never fatal.
 func (d *Disk) quarantine(path string, cause error) {
-	d.quarantined.Add(1)
 	dest := filepath.Join(d.quarantineDir(), filepath.Base(path))
 	if err := os.Rename(path, dest); err != nil {
 		os.Remove(path)
@@ -269,37 +261,5 @@ func (d *Disk) Delete(key string) error {
 	return nil
 }
 
-// Len implements Store: the number of record files on disk
-// (quarantined records excluded).
-func (d *Disk) Len() int {
-	n := 0
-	filepath.WalkDir(d.objectsDir(), func(path string, e fs.DirEntry, err error) error {
-		if err == nil && !e.IsDir() && strings.HasSuffix(e.Name(), ".rec") {
-			n++
-		}
-		return nil
-	})
-	return n
-}
-
-// QuarantineLen counts quarantined record files (excluding their
-// .reason sidecars).
-func (d *Disk) QuarantineLen() int {
-	entries, err := os.ReadDir(d.quarantineDir())
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".rec") {
-			n++
-		}
-	}
-	return n
-}
-
 // Close implements Store.
 func (d *Disk) Close() error { return nil }
-
-// Stats implements StatsProvider.
-func (d *Disk) Stats() Stats { return Stats{Quarantined: d.quarantined.Load()} }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,23 +22,30 @@ func refreshCRC(rec []byte) {
 	binary.BigEndian.PutUint32(rec[len(rec)-recTrailerLen:], crc)
 }
 
-// onlyRecord returns the path of the store's single record file.
-func onlyRecord(t *testing.T, d *Disk) string {
-	t.Helper()
+// recordFiles lists the record files under dir: a store's objects
+// directory, or its quarantine (whose .reason sidecars it skips).
+func recordFiles(dir string) []string {
 	var paths []string
-	filepath.Walk(d.objectsDir(), func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() && strings.HasSuffix(path, ".rec") {
+	filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+		if err == nil && !e.IsDir() && strings.HasSuffix(path, ".rec") {
 			paths = append(paths, path)
 		}
 		return nil
 	})
+	return paths
+}
+
+// onlyRecord returns the path of the store's single record file.
+func onlyRecord(t *testing.T, d *Disk) string {
+	t.Helper()
+	paths := recordFiles(d.objectsDir())
 	if len(paths) != 1 {
 		t.Fatalf("want exactly 1 record on disk, found %d: %v", len(paths), paths)
 	}
 	return paths[0]
 }
 
-// TestDiskRoundTrip checks Put/Get/Delete/Len against a real directory.
+// TestDiskRoundTrip checks Put/Get/Delete against a real directory.
 func TestDiskRoundTrip(t *testing.T) {
 	d, err := OpenDisk(t.TempDir())
 	if err != nil {
@@ -54,8 +62,8 @@ func TestDiskRoundTrip(t *testing.T) {
 	if err != nil || !bytes.Equal(got, val) {
 		t.Fatalf("Get = %q, %v", got, err)
 	}
-	if d.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", d.Len())
+	if n := len(recordFiles(d.objectsDir())); n != 1 {
+		t.Fatalf("%d record files, want 1", n)
 	}
 	if err := d.Delete("run|abc"); err != nil {
 		t.Fatal(err)
@@ -103,8 +111,8 @@ func TestDiskReopen(t *testing.T) {
 
 // TestDiskQuarantine checks every corruption shape — truncation,
 // bit-flip, bad magic, key mismatch — is moved to quarantine with a
-// reason sidecar and read as ErrNotFound, and that a recompute (Put)
-// then heals the slot.
+// reason sidecar and read as ErrQuarantined, an ErrNotFound, and that a
+// recompute (Put) then heals the slot.
 func TestDiskQuarantine(t *testing.T) {
 	corruptions := []struct {
 		name    string
@@ -139,17 +147,14 @@ func TestDiskQuarantine(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if _, err := d.Get("run|k"); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("corrupt record Get = %v, want ErrNotFound", err)
+			if _, err := d.Get("run|k"); !errors.Is(err, ErrQuarantined) || !errors.Is(err, ErrNotFound) {
+				t.Fatalf("corrupt record Get = %v, want ErrQuarantined, an ErrNotFound", err)
 			}
 			if _, err := os.Stat(path); !os.IsNotExist(err) {
 				t.Error("corrupt record still present at its record path")
 			}
-			if n := d.QuarantineLen(); n != 1 {
-				t.Errorf("QuarantineLen = %d, want 1", n)
-			}
-			if got := d.Stats().Quarantined; got != 1 {
-				t.Errorf("Stats().Quarantined = %d, want 1", got)
+			if n := len(recordFiles(d.quarantineDir())); n != 1 {
+				t.Errorf("%d quarantined records, want 1", n)
 			}
 			reason, err := os.ReadFile(filepath.Join(d.quarantineDir(), filepath.Base(path)+".reason"))
 			if err != nil || len(reason) == 0 {
@@ -189,11 +194,11 @@ func TestDiskKeyMismatchQuarantines(t *testing.T) {
 	if err := os.Rename(src, dst); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Get("run|b"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("key-mismatched record Get = %v, want ErrNotFound", err)
+	if _, err := d.Get("run|b"); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("key-mismatched record Get = %v, want ErrQuarantined", err)
 	}
-	if n := d.QuarantineLen(); n != 1 {
-		t.Errorf("QuarantineLen = %d, want 1", n)
+	if n := len(recordFiles(d.quarantineDir())); n != 1 {
+		t.Errorf("%d quarantined records, want 1", n)
 	}
 }
 
@@ -222,11 +227,11 @@ func TestDiskVersionMismatchIsMissNotCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := d.Get("run|k"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("future-version record Get = %v, want ErrNotFound", err)
+	if _, err := d.Get("run|k"); !errors.Is(err, ErrNotFound) || errors.Is(err, ErrQuarantined) {
+		t.Fatalf("future-version record Get = %v, want ErrNotFound and not ErrQuarantined", err)
 	}
-	if n := d.QuarantineLen(); n != 0 {
-		t.Errorf("version mismatch must not quarantine, QuarantineLen = %d", n)
+	if n := len(recordFiles(d.quarantineDir())); n != 0 {
+		t.Errorf("version mismatch must not quarantine, found %d quarantined records", n)
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Errorf("version-mismatched record must stay in place until overwritten: %v", err)
@@ -253,14 +258,14 @@ func TestDiskTornWriteFaultQuarantinesOnRead(t *testing.T) {
 	if err != nil {
 		t.Fatalf("torn write must report success, got %v", err)
 	}
-	if d.Len() != 1 {
-		t.Fatalf("torn record not on disk: Len = %d", d.Len())
+	if n := len(recordFiles(d.objectsDir())); n != 1 {
+		t.Fatalf("torn record not on disk: %d record files", n)
 	}
-	if _, err := d.Get("run|torn"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("torn record Get = %v, want ErrNotFound", err)
+	if _, err := d.Get("run|torn"); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("torn record Get = %v, want ErrQuarantined", err)
 	}
-	if n := d.QuarantineLen(); n != 1 {
-		t.Errorf("QuarantineLen = %d, want 1", n)
+	if n := len(recordFiles(d.quarantineDir())); n != 1 {
+		t.Errorf("%d quarantined records, want 1", n)
 	}
 	// Untorn retry heals the slot.
 	if err := d.Put("run|torn", []byte("whole")); err != nil {

@@ -42,15 +42,15 @@ func (o ResilientOptions) withDefaults() ResilientOptions {
 // volume can never take the process down or stall it with endless
 // retry sleeps.
 //
-// ErrNotFound is a result, not a failure: it is returned immediately,
-// never retried, and never counts toward the breaker.
+// ErrNotFound (ErrQuarantined included) is a result, not a failure: it
+// is returned immediately, never retried, and never counts toward the
+// breaker.
 type Resilient struct {
 	inner Store
 	opts  ResilientOptions
 
-	consecutive int64  // consecutive failed ops; reset by any success
-	degraded    int32  // set once, never cleared
-	retries     uint64 // attempts beyond the first, across all ops
+	consecutive int64 // consecutive failed ops; reset by any success
+	degraded    int32 // set once, never cleared
 }
 
 // NewResilient wraps inner with retry and degradation.
@@ -58,8 +58,8 @@ func NewResilient(inner Store, opts ResilientOptions) *Resilient {
 	return &Resilient{inner: inner, opts: opts.withDefaults()}
 }
 
-// Mode implements Moder: "disk" while healthy, "degraded" after the
-// breaker trips.
+// Mode reports "disk" while healthy and "degraded" after the breaker
+// trips.
 func (r *Resilient) Mode() string {
 	if atomic.LoadInt32(&r.degraded) == 1 {
 		return "degraded"
@@ -78,7 +78,6 @@ func (r *Resilient) do(op func() error) error {
 	var err error
 	for attempt := 0; attempt < r.opts.Attempts; attempt++ {
 		if attempt > 0 {
-			atomic.AddUint64(&r.retries, 1)
 			time.Sleep(r.opts.Backoff << (attempt - 1))
 		}
 		err = op()
@@ -114,24 +113,5 @@ func (r *Resilient) Delete(key string) error {
 	return r.do(func() error { return r.inner.Delete(key) })
 }
 
-// Len implements Store.
-func (r *Resilient) Len() int {
-	if r.Degraded() {
-		return 0
-	}
-	return r.inner.Len()
-}
-
 // Close implements Store (the medium is closed even when degraded).
 func (r *Resilient) Close() error { return r.inner.Close() }
-
-// Stats implements StatsProvider: the medium's counters plus the
-// wrapper's retry count.
-func (r *Resilient) Stats() Stats {
-	var s Stats
-	if sp, ok := r.inner.(StatsProvider); ok {
-		s = sp.Stats()
-	}
-	s.Retries += atomic.LoadUint64(&r.retries)
-	return s
-}

@@ -56,7 +56,9 @@ type JPEGCannyHandles struct {
 
 // JPEGCanny returns the first application as a reproducible workload.
 // If handles is non-nil, it receives the pipeline handles of each built
-// instance (overwritten on every Factory call).
+// instance (overwritten on every Factory call). Concurrent builds race
+// on handles, so a caller that builds concurrently (core.Profile with
+// more than one run and worker) must pass nil.
 func JPEGCanny(scale Scale, handles *JPEGCannyHandles) core.Workload {
 	return jpegCanny(scale, 0, handles)
 }
@@ -104,6 +106,10 @@ func jpegCanny(scale Scale, seed uint64, handles *JPEGCannyHandles) core.Workloa
 }
 
 // MPEG2 returns the second application as a reproducible workload.
+// If handle is non-nil, it receives the pipeline of each built instance
+// (overwritten on every Factory call). Concurrent builds race on
+// handle, so a caller that builds concurrently (core.Profile with more
+// than one run and worker) must pass nil.
 func MPEG2(scale Scale, handle **mpeg2.Pipeline) core.Workload {
 	return mpeg2Workload(scale, 0, handle)
 }
